@@ -33,6 +33,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 
 	"commguard/internal/campaign"
@@ -42,11 +43,11 @@ import (
 
 func main() {
 	var (
-		fig          = flag.String("fig", "all", "figure to regenerate: 3|7|8|9|10|11|12|13|14|abft|detectlat|coder|sensitivity|critweight|all")
+		fig          = flag.String("fig", "all", "figure to regenerate: "+strings.Join(experiments.FigureNames(), "|")+"|all")
 		quickF       = flag.Bool("quick", false, "reduced sweep (smaller workloads, fewer seeds)")
 		seeds        = flag.Int("seeds", 0, "override seeds per point (paper: 5)")
-		csvDir       = flag.String("csv", "", "with -fig all: also write per-figure CSVs to this directory")
-		mdPath       = flag.String("md", "", "with -fig all: also write a Markdown report to this path")
+		csvDir       = flag.String("csv", "", "also write the regenerated figures' CSVs to this directory")
+		mdPath       = flag.String("md", "", "also write a Markdown report of the regenerated figures to this path")
 		bench        = flag.String("benchjson", "", "measure hot-path transit variants plus a RunAll wall-clock and write the JSON snapshot to this path; also writes the kernel bench as the sibling BENCH_kernels.json (combine with -quick for the reduced sweep)")
 		benchKernels = flag.String("benchkernels", "", "measure only the kernel firing-path variants (per-item vs batch vs abft) and write the JSON snapshot to this path")
 		verbose      = flag.Bool("v", false, "print per-figure start/finish lines with elapsed time and job counts to stderr")
@@ -201,63 +202,26 @@ func kernelBenchPath(benchPath string) string {
 }
 
 func run(fig string, opts experiments.Options, csvDir, mdPath string) error {
-	if fig == "all" {
-		all, err := experiments.RunAll(opts)
+	all, err := experiments.Run(fig, opts)
+	if err != nil {
+		return err
+	}
+	if csvDir != "" {
+		if err := experiments.WriteCSV(csvDir, all); err != nil {
+			return err
+		}
+		fmt.Printf("\nCSV data written to %s\n", csvDir)
+	}
+	if mdPath != "" {
+		f, err := os.Create(mdPath)
 		if err != nil {
 			return err
 		}
-		if csvDir != "" {
-			if err := experiments.WriteCSV(csvDir, all); err != nil {
-				return err
-			}
-			fmt.Printf("\nCSV data written to %s\n", csvDir)
+		defer f.Close()
+		if err := experiments.WriteMarkdown(f, all); err != nil {
+			return err
 		}
-		if mdPath != "" {
-			f, err := os.Create(mdPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteMarkdown(f, all); err != nil {
-				return err
-			}
-			fmt.Printf("Markdown report written to %s\n", mdPath)
-		}
-		return nil
+		fmt.Printf("Markdown report written to %s\n", mdPath)
 	}
-
-	var err error
-	switch fig {
-	case "3":
-		_, err = experiments.Figure3(opts)
-	case "7":
-		_, err = experiments.Figure7(opts)
-	case "8":
-		_, err = experiments.Figure8(opts)
-	case "9":
-		_, err = experiments.Figure9(opts)
-	case "10":
-		_, err = experiments.Figure10(opts)
-	case "11":
-		_, err = experiments.Figure11(opts)
-	case "12":
-		_, err = experiments.Figure12(opts)
-	case "13":
-		_, err = experiments.Figure13(opts, 3)
-	case "14":
-		_, err = experiments.Figure14(opts)
-	case "abft":
-		_, err = experiments.FigureABFT(opts)
-	case "detectlat":
-		_, err = experiments.FigureDetectLat(opts)
-	case "coder":
-		_, err = experiments.FigureCoder(opts)
-	case "sensitivity":
-		_, err = experiments.ClassSensitivity(opts, "mp3", 128e3)
-	case "critweight":
-		_, err = experiments.CritWeighting(opts, 128e3)
-	default:
-		err = fmt.Errorf("unknown figure %q", fig)
-	}
-	return err
+	return nil
 }

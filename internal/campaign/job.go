@@ -33,6 +33,10 @@ type Job struct {
 	// Coder is the ECC backend axis ("" = Hamming; omitted when empty so
 	// pre-existing journal keys are unchanged).
 	Coder string `json:"coder,omitempty"`
+	// Variant is a figure-specific condition axis (the sensitivity study's
+	// fault class, the criticality study's injection model); omitted when
+	// empty, like Coder.
+	Variant string `json:"variant,omitempty"`
 }
 
 // Key returns the job's stable identity: a human-scannable prefix plus the
@@ -60,17 +64,19 @@ func (j Job) Manifest() obs.Manifest {
 }
 
 // Axes is a sweep lattice: the cross product of its non-empty axes, in
-// deterministic nesting order (app, protection, coder, MTBE, seed, frame
-// scale — slowest to fastest). An empty axis contributes the zero value
-// once, so figures only populate the axes they sweep.
+// deterministic nesting order (app, variant, protection, coder, frame
+// scale, MTBE, seed — slowest to fastest), so one lattice point's seeds
+// are adjacent. An empty axis contributes the zero value once, so figures
+// only populate the axes they sweep.
 type Axes struct {
 	Figure      string
 	Apps        []string
+	Variants    []string
 	Protections []string
 	Coders      []string
+	FrameScales []int
 	MTBEs       []float64
 	Seeds       []int64
-	FrameScales []int
 }
 
 // Expand enumerates the lattice. The order is deterministic and identical
@@ -78,46 +84,26 @@ type Axes struct {
 // skips the journaled prefix (or any journaled subset — order only
 // matters for progress display, not correctness).
 func (a Axes) Expand() []Job {
-	apps := a.Apps
-	if len(apps) == 0 {
-		apps = []string{""}
-	}
-	prots := a.Protections
-	if len(prots) == 0 {
-		prots = []string{""}
-	}
-	mtbes := a.MTBEs
-	if len(mtbes) == 0 {
-		mtbes = []float64{0}
-	}
-	seeds := a.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{0}
-	}
-	scales := a.FrameScales
-	if len(scales) == 0 {
-		scales = []int{0}
-	}
-	coders := a.Coders
-	if len(coders) == 0 {
-		coders = []string{""}
-	}
-	jobs := make([]Job, 0, len(apps)*len(prots)*len(coders)*len(mtbes)*len(seeds)*len(scales))
-	for _, app := range apps {
-		for _, p := range prots {
-			for _, c := range coders {
-				for _, m := range mtbes {
-					for _, s := range seeds {
-						for _, fs := range scales {
-							jobs = append(jobs, Job{
-								Figure: a.Figure, App: app, Protection: p,
-								MTBE: m, Seed: s, FrameScale: fs, Coder: c,
-							})
-						}
-					}
-				}
+	jobs := []Job{{Figure: a.Figure}}
+	cross := func(n int, set func(j *Job, i int)) {
+		if n == 0 {
+			return
+		}
+		next := make([]Job, 0, len(jobs)*n)
+		for _, j := range jobs {
+			for i := 0; i < n; i++ {
+				set(&j, i)
+				next = append(next, j)
 			}
 		}
+		jobs = next
 	}
+	cross(len(a.Apps), func(j *Job, i int) { j.App = a.Apps[i] })
+	cross(len(a.Variants), func(j *Job, i int) { j.Variant = a.Variants[i] })
+	cross(len(a.Protections), func(j *Job, i int) { j.Protection = a.Protections[i] })
+	cross(len(a.Coders), func(j *Job, i int) { j.Coder = a.Coders[i] })
+	cross(len(a.FrameScales), func(j *Job, i int) { j.FrameScale = a.FrameScales[i] })
+	cross(len(a.MTBEs), func(j *Job, i int) { j.MTBE = a.MTBEs[i] })
+	cross(len(a.Seeds), func(j *Job, i int) { j.Seed = a.Seeds[i] })
 	return jobs
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"commguard/internal/apps"
 	"commguard/internal/campaign"
 )
 
@@ -118,7 +119,7 @@ func TestCampaignSweepReplaysInfQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Campaign = &campaign.Runner{Parallel: 1, Journal: j}
-	first, err := sweepQuality(opts, "figtest", b, []int{1})
+	first, err := sweepQuality(opts, "figtest", []apps.Builder{b}, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +132,18 @@ func TestCampaignSweepReplaysInfQuality(t *testing.T) {
 	defer j2.Close()
 	stats := &campaign.Stats{}
 	opts.Campaign = &campaign.Runner{Parallel: 1, Journal: j2, Stats: stats}
-	second, err := sweepQuality(opts, "figtest", b, []int{1})
+	second, err := sweepQuality(opts, "figtest", []apps.Builder{b}, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := stats.Snapshot(); s.Completed != 0 || s.Skipped != 1 {
 		t.Fatalf("replay stats = %+v, want pure skip", s)
 	}
-	fq, sq := first.Points[0].Quality.Mean, second.Points[0].Quality.Mean
+	fq, sq := first[0].Points[0].Quality.Mean, second[0].Points[0].Quality.Mean
 	if fq != sq && !(math.IsNaN(fq) && math.IsNaN(sq)) {
 		t.Errorf("replayed quality mean %v != original %v", sq, fq)
 	}
-	if first.Metric != second.Metric {
-		t.Errorf("replayed metric %q != original %q", second.Metric, first.Metric)
+	if first[0].Metric != second[0].Metric {
+		t.Errorf("replayed metric %q != original %q", second[0].Metric, first[0].Metric)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"commguard/internal/apps"
+	"commguard/internal/campaign"
 	"commguard/internal/crit"
 	"commguard/internal/sim"
 )
@@ -51,81 +52,48 @@ func CritWeighting(o Options, mtbe float64) ([]CritRow, error) {
 		builders = apps.AllBuiltin()
 	}
 
-	rc := o.refCache()
-
-	type job struct {
-		builder int
-		seed    int64
-	}
-	var jobs []job
-	for bi := range builders {
-		for s := 0; s < o.Seeds; s++ {
-			jobs = append(jobs, job{builder: bi, seed: int64(700 + 131*s)})
-		}
-	}
-	type outcome struct {
-		uniform  float64
-		weighted float64
-	}
-	results := make([]outcome, len(jobs))
-	err = o.runJobs("crit-weighting", len(jobs), func(i int) error {
-		j := jobs[i]
-		b := builders[j.builder]
-		ref, err := rc.get(b)
-		if err != nil {
-			return err
-		}
-		base := sim.Config{Protection: sim.ReliableQueue, MTBE: mtbe, Seed: j.seed}
-
-		inst, err := b.New()
-		if err != nil {
-			return err
-		}
-		ru, err := sim.Run(inst, base, ref)
-		if err != nil {
-			return err
-		}
-
-		inst2, err := b.New()
-		if err != nil {
-			return err
-		}
-		weighted := base
-		weighted.CritFractions = fracs
-		rw, err := sim.Run(inst2, weighted, ref)
-		if err != nil {
-			return err
-		}
-
-		results[i] = outcome{uniform: clampDB(ru.Quality), weighted: clampDB(rw.Quality)}
-		return nil
-	})
+	pts, err := sweep{
+		fig: "critweight", phase: "crit-weighting", apps: builders,
+		variants: []string{"uniform", "weighted"}, prots: []sim.Protection{sim.ReliableQueue},
+		mtbes: []float64{mtbe}, seeds: seedList(o.Seeds, 700, 131),
+		config: func(j campaign.Job, c *sim.Config) {
+			if j.Variant == "weighted" {
+				c.CritFractions = fracs
+			}
+		},
+		metrics: []metric{{"quality", func(r *sim.Result, _ []float64) any { return clampDB(r.Quality) }}},
+	}.run(o)
 	if err != nil {
 		return nil, err
 	}
-
-	w := o.out()
-	fmt.Fprintf(w, "Uniform vs criticality-weighted injection at MTBE %s (reliable queue, mean over %d seeds)\n", fmtMTBE(mtbe), o.Seeds)
-	fmt.Fprintf(w, "%-18s %10s %12s %12s\n", "benchmark", "crit frac", "uniform dB", "weighted dB")
-
-	var rows []CritRow
-	for bi, b := range builders {
-		row := CritRow{App: b.Name, Fraction: graphMeanFraction(b, pm)}
-		n := 0
-		for i, j := range jobs {
-			if j.builder != bi {
-				continue
-			}
-			row.UniformDB += results[i].uniform
-			row.WeightedDB += results[i].weighted
-			n++
-		}
-		row.UniformDB /= float64(n)
-		row.WeightedDB /= float64(n)
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-18s %9.1f%% %12.1f %12.1f\n", b.Name, 100*row.Fraction, row.UniformDB, row.WeightedDB)
+	// Points come in (benchmark; uniform, weighted) pairs.
+	rows := make([]CritRow, len(builders))
+	for i, b := range builders {
+		rows[i] = CritRow{App: b.Name, Fraction: graphMeanFraction(b, pm),
+			UniformDB: pts[2*i].mean("quality"), WeightedDB: pts[2*i+1].mean("quality")}
 	}
+	layout[CritRow]{
+		title: fmt.Sprintf("Uniform vs criticality-weighted injection at MTBE %s (reliable queue, mean over %d seeds)", fmtMTBE(mtbe), o.Seeds),
+		head:  fmt.Sprintf("%-18s %10s %12s %12s", "benchmark", "crit frac", "uniform dB", "weighted dB"),
+		line:  func(r CritRow) string { return fmt.Sprintf("%-18s", r.App) },
+		cell: func(r CritRow) string {
+			return fmt.Sprintf(" %9.1f%% %12.1f %12.1f", 100*r.Fraction, r.UniformDB, r.WeightedDB)
+		},
+	}.print(o.out(), rows)
 	return rows, nil
+}
+
+var critReport = report[CritRow]{
+	rows: func(a *AllResults) []CritRow { return a.CritWeight },
+	file: "critweight.csv", cols: []string{"benchmark", "crit_fraction", "uniform_db", "weighted_db"},
+	csv: func(r CritRow) []string {
+		return []string{r.App, f(r.Fraction), f(r.UniformDB), f(r.WeightedDB)}
+	},
+	section: "Criticality weighting — uniform vs criticality-weighted injection (reliable queue)",
+	mdHead:  "| benchmark | crit fraction | uniform | weighted |",
+	md: func(r CritRow) string {
+		return fmt.Sprintf("| %s | %.1f%% | %.1f dB | %.1f dB |", r.App, 100*r.Fraction, r.UniformDB, r.WeightedDB)
+	},
 }
 
 // graphMeanFraction resolves each node of a freshly built graph against

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"commguard/internal/campaign"
 	"commguard/internal/obs/hist"
@@ -60,158 +60,81 @@ func detectSummary(summaries []hist.Summary, name string) hist.Summary {
 // for concurrent runs (they are scheduling noise under -sequential, and
 // omitting them keeps sequential output diff-stable).
 func FigureDetectLat(o Options) ([]FigDetectLatPoint, error) {
-	appNames := []string{"jpeg", "mp3"}
-	rc := o.refCache()
-	refs := map[string][]float64{}
-	for _, name := range appNames {
-		b, err := o.builder(name)
-		if err != nil {
-			return nil, err
-		}
-		ref, err := rc.get(b)
-		if err != nil {
-			return nil, err
-		}
-		refs[name] = ref
-	}
-
-	type job struct {
-		app  string
-		prot sim.Protection
-		mtbe float64
-		seed int64
-	}
-	type outcome struct {
-		job
-		wall  hist.Summary
-		items hist.Summary
-	}
-	// payload journals the full bucket arrays, so a resumed campaign
-	// reconstructs the exact aggregate a fresh one computes.
-	type payload struct {
-		WallBuckets []uint64 `json:"wall_buckets,omitempty"`
-		WallSum     uint64   `json:"wall_sum"`
-		ItemBuckets []uint64 `json:"item_buckets,omitempty"`
-		ItemSum     uint64   `json:"item_sum"`
-	}
-	var jobs []job
-	for _, app := range appNames {
-		for _, prot := range detectLatProtections {
-			for _, mtbe := range o.MTBEs {
-				for s := 0; s < o.Seeds; s++ {
-					jobs = append(jobs, job{app: app, prot: prot, mtbe: mtbe, seed: int64(1000*s) + 7})
-				}
-			}
-		}
-	}
-	results := make([]outcome, len(jobs))
-	kjobs := make([]keyedJob, len(jobs))
-	for i := range jobs {
-		i, j := i, jobs[i]
-		kjobs[i] = keyedJob{
-			Job: campaign.Job{
-				Figure: "detectlat", App: j.app, Protection: j.prot.String(),
-				MTBE: j.mtbe, Seed: j.seed,
-			},
-			Run: func(cancel <-chan struct{}) (any, error) {
-				b, err := o.builder(j.app)
-				if err != nil {
-					return nil, err
-				}
-				inst, err := b.New()
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(inst, sim.Config{
-					Protection: j.prot, MTBE: j.mtbe, Seed: j.seed,
-					Health:     true,
-					Flight:     o.flightOptions("detectlat", j.app, j.prot.String(), j.mtbe, j.seed),
-					Sequential: o.Sequential, Cancel: cancel,
-				}, refs[j.app])
-				if err != nil {
-					return nil, err
-				}
-				wall := detectSummary(res.Health, "detect_wall")
-				items := detectSummary(res.Health, "detect_items")
-				results[i] = outcome{job: j, wall: wall, items: items}
-				return payload{
-					WallBuckets: wall.Buckets, WallSum: wall.Sum,
-					ItemBuckets: items.Buckets, ItemSum: items.Sum,
-				}, nil
-			},
-			Replay: func(raw json.RawMessage) error {
-				var p payload
-				if err := json.Unmarshal(raw, &p); err != nil {
-					return err
-				}
-				results[i] = outcome{
-					job:   j,
-					wall:  hist.FromBuckets("detect_wall", "ns", p.WallBuckets, p.WallSum),
-					items: hist.FromBuckets("detect_items", "items", p.ItemBuckets, p.ItemSum),
-				}
-				return nil
-			},
-		}
-	}
-	if err := o.runKeyedJobs("Figure DetectLat", kjobs); err != nil {
+	media, err := o.pick("jpeg", "mp3")
+	if err != nil {
 		return nil, err
 	}
-
-	type key struct {
-		app  string
-		prot sim.Protection
-		mtbe int
+	// The payload journals the raw bucket arrays, so a resumed campaign
+	// reconstructs the exact aggregate a fresh one computes.
+	buckets := func(name string) func(*sim.Result, []float64) any {
+		return func(r *sim.Result, _ []float64) any { return detectSummary(r.Health, name).Buckets }
 	}
-	byPoint := map[key][]outcome{}
-	for _, r := range results {
-		k := key{r.app, r.prot, int(r.mtbe)}
-		byPoint[k] = append(byPoint[k], r)
+	sum := func(name string) func(*sim.Result, []float64) any {
+		return func(r *sim.Result, _ []float64) any { return detectSummary(r.Health, name).Sum }
 	}
-	var points []FigDetectLatPoint
-	for _, app := range appNames {
-		for _, prot := range detectLatProtections {
-			for _, mtbe := range o.MTBEs {
-				rs := byPoint[key{app, prot, int(mtbe)}]
-				p := FigDetectLatPoint{
-					App: app, Protection: prot, MTBE: mtbe, Runs: len(rs),
-					Wall:  hist.Summary{Name: "detect_wall", Unit: "ns"},
-					Items: hist.Summary{Name: "detect_items", Unit: "items"},
-				}
-				for _, r := range rs {
-					p.Wall.Merge(r.wall)
-					p.Items.Merge(r.items)
-				}
-				p.Detections = p.Items.Count
-				points = append(points, p)
-			}
+	pts, err := sweep{
+		fig: "detectlat", phase: "Figure DetectLat", apps: media, prots: detectLatProtections,
+		mtbes: o.MTBEs, seeds: seedList(o.Seeds, 7, 1000),
+		config: func(j campaign.Job, c *sim.Config) {
+			c.Health = true
+			c.Flight = o.flightOptions("detectlat", j.App, j.Protection, j.MTBE, j.Seed)
+		},
+		metrics: []metric{
+			{"wall_buckets", buckets("detect_wall")}, {"wall_sum", sum("detect_wall")},
+			{"item_buckets", buckets("detect_items")}, {"item_sum", sum("detect_items")},
+		},
+	}.run(o)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]FigDetectLatPoint, len(pts))
+	for i, p := range pts {
+		r := FigDetectLatPoint{
+			App: p.App, Protection: p.prot, MTBE: p.MTBE, Runs: len(p.runs),
+			Wall:  hist.Summary{Name: "detect_wall", Unit: "ns"},
+			Items: hist.Summary{Name: "detect_items", Unit: "items"},
 		}
+		for _, run := range p.runs {
+			r.Wall.Merge(hist.FromBuckets("detect_wall", "ns", get[[]uint64](run, "wall_buckets"), get[uint64](run, "wall_sum")))
+			r.Items.Merge(hist.FromBuckets("detect_items", "items", get[[]uint64](run, "item_buckets"), get[uint64](run, "item_sum")))
+		}
+		r.Detections = r.Items.Count
+		rows[i] = r
 	}
-
-	w := o.out()
-	fmt.Fprintln(w, "Figure DetectLat: fault→detection latency, CommGuard alignment vs ABFT checksums")
-	for _, app := range appNames {
-		fmt.Fprintf(w, "%s:\n", app)
-		fmt.Fprintf(w, "  %-8s", "MTBE")
-		for _, prot := range detectLatProtections {
-			fmt.Fprintf(w, " %14s %8s %8s", prot, "itm p50", "itm p99")
+	headFmt, cellFmt := " %14s %8s %8s", " %9d dets %8.0f %8.0f"
+	extra := []any{"itm p50", "itm p99"}
+	if !o.Sequential {
+		headFmt += " %9s %9s"
+		extra = append(extra, "wall p50", "wall p99")
+	}
+	layout[FigDetectLatPoint]{
+		title: "Figure DetectLat: fault→detection latency, CommGuard alignment vs ABFT checksums",
+		head:  fmt.Sprintf("  %-8s", "MTBE") + heads(headFmt, protNames(detectLatProtections), extra...),
+		block: func(p FigDetectLatPoint) string { return p.App + ":" },
+		line:  func(p FigDetectLatPoint) string { return fmt.Sprintf("  %-8s", fmtMTBE(p.MTBE)) },
+		cell: func(p FigDetectLatPoint) string {
+			c := fmt.Sprintf(cellFmt, p.Detections, p.Items.P50, p.Items.P99)
 			if !o.Sequential {
-				fmt.Fprintf(w, " %9s %9s", "wall p50", "wall p99")
+				c += fmt.Sprintf(" %7.0fus %7.0fus", p.Wall.P50/1e3, p.Wall.P99/1e3)
 			}
-		}
-		fmt.Fprintln(w)
-		for _, mtbe := range o.MTBEs {
-			fmt.Fprintf(w, "  %-8s", fmtMTBE(mtbe))
-			for _, p := range points {
-				if p.App != app || p.MTBE != mtbe {
-					continue
-				}
-				fmt.Fprintf(w, " %9d dets %8.0f %8.0f", p.Detections, p.Items.P50, p.Items.P99)
-				if !o.Sequential {
-					fmt.Fprintf(w, " %7.0fus %7.0fus", p.Wall.P50/1e3, p.Wall.P99/1e3)
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	return points, nil
+			return c
+		},
+	}.print(o.out(), rows)
+	return rows, nil
+}
+
+var detectLatReport = report[FigDetectLatPoint]{
+	rows: func(a *AllResults) []FigDetectLatPoint { return a.FigDetectLat },
+	file: "figuredetectlat.csv",
+	cols: []string{"benchmark", "protection", "mtbe", "runs", "detections", "items_p50", "items_p99"},
+	csv: func(r FigDetectLatPoint) []string {
+		return []string{r.App, r.Protection.String(), f(r.MTBE), strconv.Itoa(r.Runs),
+			strconv.FormatUint(r.Detections, 10), f(r.Items.P50), f(r.Items.P99)}
+	},
+	section: "Figure DetectLat — fault→detection latency (items consumed), CommGuard vs ABFT",
+	mdHead:  "| benchmark | protection | MTBE | runs | detections | items p50 | items p99 |",
+	md: func(r FigDetectLatPoint) string {
+		return fmt.Sprintf("| %s | %s | %s | %d | %d | %.0f | %.0f |",
+			r.App, r.Protection, fmtMTBE(r.MTBE), r.Runs, r.Detections, r.Items.P50, r.Items.P99)
+	},
 }

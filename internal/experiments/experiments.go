@@ -2,24 +2,23 @@
 // evaluation (§7). Each FigureN function sweeps the same parameters the
 // paper reports (MTBE per core, frame-size scaling, seeds), prints the
 // figure's rows/series as a text table, and returns the structured data.
-// EXPERIMENTS.md records how the regenerated shapes compare with the
-// published ones.
+// The sweep figures are declarations run by one engine (sweep.go); the
+// figure table (figures.go) lists every figure for cmd/experiments,
+// RunAll and the CSV/Markdown reports. EXPERIMENTS.md records how the
+// regenerated shapes compare with the published ones.
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"commguard/internal/apps"
 	"commguard/internal/campaign"
-	"commguard/internal/metrics"
 	"commguard/internal/obs"
 	"commguard/internal/sim"
 )
@@ -120,21 +119,6 @@ func (o Options) parallel() int {
 	return o.Parallel
 }
 
-// runJobs schedules a named sweep through the worker pool, publishing the
-// phase and its job counters to the live progress registry (no-op when
-// Progress is nil) and counting completions for the verbose summary.
-func (o Options) runJobs(phase string, n int, job func(i int) error) error {
-	o.Progress.StartPhase(phase, n)
-	return runJobs(o.parallel(), n, func(i int) error {
-		err := job(i)
-		o.Progress.JobDone()
-		if o.jobsDone != nil {
-			o.jobsDone.Add(1)
-		}
-		return err
-	})
-}
-
 // flightOptions builds a sweep job's flight-recorder policy: nil unless
 // FlightDir is set, else a watchdog-armed recorder whose artifact base
 // encodes the job identity (so concurrent jobs never collide).
@@ -193,6 +177,19 @@ func (o Options) builder(name string) (apps.Builder, error) {
 	return apps.Builder{}, fmt.Errorf("experiments: unknown benchmark %q", name)
 }
 
+// pick returns the named benchmarks of the option profile, in order.
+func (o Options) pick(names ...string) ([]apps.Builder, error) {
+	bs := make([]apps.Builder, len(names))
+	for i, name := range names {
+		b, err := o.builder(name)
+		if err != nil {
+			return nil, err
+		}
+		bs[i] = b
+	}
+	return bs, nil
+}
+
 // referenceCache computes each benchmark's scoring reference and its
 // error-free baseline quality once. RunAll shares a single cache across
 // every figure so the error-free simulations run once per app instead of
@@ -225,208 +222,106 @@ func (rc *referenceCache) noteBaselineRun(app string) {
 	}
 }
 
-func (rc *referenceCache) get(b apps.Builder) ([]float64, error) {
+// cached returns m[name], computing and storing it on a miss. Two
+// concurrent misses may both compute; the results are identical.
+func cached[T any](rc *referenceCache, m map[string]T, name string, compute func() (T, error)) (T, error) {
 	rc.mu.Lock()
-	if ref, ok := rc.refs[b.Name]; ok {
-		rc.mu.Unlock()
-		return ref, nil
-	}
+	v, ok := m[name]
 	rc.mu.Unlock()
-
-	inst, err := b.New()
-	if err != nil {
-		return nil, err
+	if ok {
+		return v, nil
 	}
-	var ref []float64
-	if inst.Reference != nil {
-		ref = inst.Reference
-	} else {
+	v, err := compute()
+	if err == nil {
+		rc.mu.Lock()
+		m[name] = v
+		rc.mu.Unlock()
+	}
+	return v, err
+}
+
+// get returns the app's scoring reference: its media ground truth, or the
+// output of an error-free run for self-referenced benchmarks.
+func (rc *referenceCache) get(b apps.Builder) ([]float64, error) {
+	return cached(rc, rc.refs, b.Name, func() ([]float64, error) {
+		inst, err := b.New()
+		if err != nil {
+			return nil, err
+		}
+		if inst.Reference != nil {
+			return inst.Reference, nil
+		}
 		rc.noteBaselineRun(b.Name)
 		res, err := sim.Run(inst, sim.Config{Protection: sim.ErrorFree}, nil)
 		if err != nil {
 			return nil, err
 		}
-		ref = res.Output
-	}
-	rc.mu.Lock()
-	rc.refs[b.Name] = ref
-	rc.mu.Unlock()
-	return ref, nil
+		return res.Output, nil
+	})
 }
 
 // errorFreeQuality scores an error-free run against the reference: the
 // codec baseline for jpeg/mp3, +Inf for self-referenced benchmarks. The
 // score is cached per app.
 func (rc *referenceCache) errorFreeQuality(b apps.Builder) (float64, error) {
-	rc.mu.Lock()
-	if q, ok := rc.efq[b.Name]; ok {
-		rc.mu.Unlock()
-		return q, nil
-	}
-	rc.mu.Unlock()
-
-	inst, err := b.New()
-	if err != nil {
-		return 0, err
-	}
-	ref, err := rc.get(b)
-	if err != nil {
-		return 0, err
-	}
-	rc.noteBaselineRun(b.Name)
-	res, err := sim.Run(inst, sim.Config{Protection: sim.ErrorFree}, ref)
-	if err != nil {
-		return 0, err
-	}
-	rc.mu.Lock()
-	rc.efq[b.Name] = res.Quality
-	rc.mu.Unlock()
-	return res.Quality, nil
-}
-
-// QualityPoint is one swept point of a quality figure.
-type QualityPoint struct {
-	MTBE       float64
-	FrameScale int
-	Quality    metrics.Summary
-	// LossRatio summarizes Fig. 8's padded+discarded ratio at this point.
-	LossRatio metrics.Summary
-}
-
-// QualitySeries is one benchmark's curve.
-type QualitySeries struct {
-	App    string
-	Metric string
-	// ErrorFreeDB is the error-free baseline (Inf for self-referenced
-	// benchmarks, finite codec baselines for jpeg/mp3).
-	ErrorFreeDB float64
-	Points      []QualityPoint
-}
-
-// sweepQuality runs one benchmark across MTBEs x scales x seeds under
-// CommGuard protection and summarizes quality and loss per point. fig
-// labels the campaign jobs: Fig. 8 and Fig. 10 sweep overlapping
-// configurations, and the figure label keeps their journal keys distinct.
-func sweepQuality(o Options, fig string, b apps.Builder, scales []int) (*QualitySeries, error) {
-	rc := o.refCache()
-	ref, err := rc.get(b)
-	if err != nil {
-		return nil, err
-	}
-	efQ, err := rc.errorFreeQuality(b)
-	if err != nil {
-		return nil, err
-	}
-	series := &QualitySeries{App: b.Name, ErrorFreeDB: efQ}
-
-	type job struct {
-		mtbe  float64
-		scale int
-		seed  int64
-	}
-	type outcome struct {
-		job
-		quality float64
-		loss    float64
-		metric  string
-	}
-	// payload is the journaled form of one outcome (quality can be +Inf
-	// for bit-identical outputs, hence campaign.Float).
-	type payload struct {
-		Quality campaign.Float `json:"quality"`
-		Loss    campaign.Float `json:"loss"`
-		Metric  string         `json:"metric"`
-	}
-	var jobs []job
-	for _, scale := range scales {
-		for _, mtbe := range o.MTBEs {
-			for s := 0; s < o.Seeds; s++ {
-				jobs = append(jobs, job{mtbe: mtbe, scale: scale, seed: int64(1000*s) + 7})
-			}
+	return cached(rc, rc.efq, b.Name, func() (float64, error) {
+		ref, err := rc.get(b)
+		if err != nil {
+			return 0, err
 		}
-	}
-	results := make([]outcome, len(jobs))
-	kjobs := make([]keyedJob, len(jobs))
-	for i := range jobs {
-		i, j := i, jobs[i]
-		kjobs[i] = keyedJob{
-			Job: campaign.Job{
-				Figure: fig, App: b.Name, Protection: sim.CommGuard.String(),
-				MTBE: j.mtbe, Seed: j.seed, FrameScale: j.scale,
-			},
-			Run: func(cancel <-chan struct{}) (any, error) {
-				inst, err := b.New()
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(inst, sim.Config{
-					Protection: sim.CommGuard,
-					MTBE:       j.mtbe,
-					Seed:       j.seed,
-					FrameScale: j.scale,
-					Sequential: o.Sequential,
-					Cancel:     cancel,
-				}, ref)
-				if err != nil {
-					return nil, err
-				}
-				results[i] = outcome{job: j, quality: res.Quality, loss: res.DataLossRatio(), metric: res.Metric}
-				return payload{Quality: campaign.Float(res.Quality), Loss: campaign.Float(res.DataLossRatio()), Metric: res.Metric}, nil
-			},
-			Replay: func(raw json.RawMessage) error {
-				var p payload
-				if err := json.Unmarshal(raw, &p); err != nil {
-					return err
-				}
-				results[i] = outcome{job: j, quality: float64(p.Quality), loss: float64(p.Loss), metric: p.Metric}
-				return nil
-			},
+		inst, err := b.New()
+		if err != nil {
+			return 0, err
 		}
-	}
-	if err := o.runKeyedJobs(fig+" sweep "+b.Name, kjobs); err != nil {
-		return nil, err
-	}
-
-	byPoint := map[[2]int][]outcome{}
-	for _, r := range results {
-		series.Metric = r.metric
-		key := [2]int{int(r.mtbe), r.scale}
-		byPoint[key] = append(byPoint[key], r)
-	}
-	for _, scale := range scales {
-		for _, mtbe := range o.MTBEs {
-			rs := byPoint[[2]int{int(mtbe), scale}]
-			var qs, ls []float64
-			for _, r := range rs {
-				qs = append(qs, r.quality)
-				ls = append(ls, r.loss)
-			}
-			infCap := efQ
-			if math.IsInf(infCap, 1) {
-				infCap = 160 // plot ceiling for identical outputs
-			}
-			series.Points = append(series.Points, QualityPoint{
-				MTBE:       mtbe,
-				FrameScale: scale,
-				Quality:    metrics.Summarize(qs, infCap),
-				LossRatio:  metrics.Summarize(ls, 1),
-			})
+		rc.noteBaselineRun(b.Name)
+		res, err := sim.Run(inst, sim.Config{Protection: sim.ErrorFree}, ref)
+		if err != nil {
+			return 0, err
 		}
-	}
-	sort.SliceStable(series.Points, func(i, j int) bool {
-		if series.Points[i].FrameScale != series.Points[j].FrameScale {
-			return series.Points[i].FrameScale < series.Points[j].FrameScale
-		}
-		return series.Points[i].MTBE < series.Points[j].MTBE
+		return res.Quality, nil
 	})
-	return series, nil
 }
 
 func fmtMTBE(m float64) string { return fmt.Sprintf("%gk", m/1000) }
+
+func protNames(ps []sim.Protection) []string {
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.String()
+	}
+	return names
+}
+
+func fmtMTBEs(ms []float64) []string {
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = fmtMTBE(m)
+	}
+	return out
+}
 
 func fmtDB(v float64) string {
 	if math.IsInf(v, 1) {
 		return "inf"
 	}
 	return fmt.Sprintf("%.1f", v)
+}
+
+// clampDB bounds quality values for averaging (identical outputs are
+// plotted at the 160 dB ceiling, garbage at the -40 dB floor).
+func clampDB(q float64) float64 {
+	if math.IsInf(q, 1) || q > 160 {
+		return 160
+	}
+	if math.IsNaN(q) || q < -40 {
+		return -40
+	}
+	return q
+}
+
+func ratio(num, den uint64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"commguard/internal/fault"
+	"commguard/internal/metrics"
 	"commguard/internal/sim"
 )
 
@@ -228,6 +229,18 @@ func TestFigure14Shape(t *testing.T) {
 	if byApp["audiobeamformer"].Total <= byApp["jpeg"].Total {
 		t.Errorf("audiobeamformer (%v) should have more suboperations than jpeg (%v)",
 			byApp["audiobeamformer"].Total, byApp["jpeg"].Total)
+	}
+	// The GMean row is the geometric mean of every column, components
+	// included.
+	var fsm, ecc, hdr, total []float64
+	for _, r := range rows[:len(rows)-1] {
+		fsm, ecc, hdr, total = append(fsm, r.FSMCounter), append(ecc, r.ECC), append(hdr, r.HeaderBit), append(total, r.Total)
+	}
+	g := rows[len(rows)-1]
+	want := Fig14Row{App: "GMean", FSMCounter: metrics.GeoMean(fsm), ECC: metrics.GeoMean(ecc),
+		HeaderBit: metrics.GeoMean(hdr), Total: metrics.GeoMean(total)}
+	if g != want {
+		t.Errorf("GMean row = %+v, want %+v", g, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"commguard/internal/apps"
@@ -81,4 +82,17 @@ func medianRuntime(b apps.Builder, cfg sim.Config, reps int) (time.Duration, err
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times[len(times)/2], nil
+}
+
+var fig13Report = report[Fig13Row]{
+	rows: func(a *AllResults) []Fig13Row { return a.Fig13 },
+	file: "figure13.csv", cols: []string{"benchmark", "frame_scale", "overhead_pct"},
+	csv: func(r Fig13Row) []string {
+		return []string{r.App, strconv.Itoa(r.FrameScale), f(r.OverheadPct)}
+	},
+	section: "Figure 13 — execution-time overhead",
+	mdHead:  "| benchmark | scale | overhead |",
+	md: func(r Fig13Row) string {
+		return fmt.Sprintf("| %s | x%d | %.1f%% |", r.App, r.FrameScale, r.OverheadPct)
+	},
 }

@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
-	"commguard/internal/campaign"
 	"commguard/internal/sim"
 )
 
@@ -23,12 +23,7 @@ type Fig3Row struct {
 // protection configurations. The paper's shape: (a) clean output, (b) and
 // (c) collapse to garbage, (d) CommGuard sustains acceptable quality.
 func Figure3(o Options) ([]Fig3Row, error) {
-	b, err := o.builder("jpeg")
-	if err != nil {
-		return nil, err
-	}
-	rc := o.refCache()
-	ref, err := rc.get(b)
+	jpeg, err := o.pick("jpeg")
 	if err != nil {
 		return nil, err
 	}
@@ -36,92 +31,44 @@ func Figure3(o Options) ([]Fig3Row, error) {
 	if mtbe <= 0 {
 		mtbe = 1e6
 	}
-	configs := []sim.Protection{sim.ErrorFree, sim.SoftwareQueue, sim.ReliableQueue, sim.CommGuard}
-
-	type job struct {
-		cfg  int
-		seed int64
-	}
-	var jobs []job
-	for ci, p := range configs {
-		for s := 0; s < o.Seeds; s++ {
-			jobs = append(jobs, job{cfg: ci, seed: int64(31 + 100*s)})
-			if p == sim.ErrorFree {
-				break // deterministic; one run suffices
-			}
-		}
-	}
-	type outcome struct {
-		quality  float64
-		complete bool
-	}
-	type payload struct {
-		Quality  campaign.Float `json:"quality"`
-		Complete bool           `json:"complete"`
-	}
-	results := make([]outcome, len(jobs))
-	kjobs := make([]keyedJob, len(jobs))
-	for i := range jobs {
-		i, j := i, jobs[i]
-		kjobs[i] = keyedJob{
-			Job: campaign.Job{
-				Figure: "fig3", App: b.Name, Protection: configs[j.cfg].String(),
-				MTBE: mtbe, Seed: j.seed,
-			},
-			Run: func(cancel <-chan struct{}) (any, error) {
-				inst, err := b.New()
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(inst, sim.Config{
-					Protection: configs[j.cfg], MTBE: mtbe, Seed: j.seed,
-					Sequential: o.Sequential, Cancel: cancel,
-				}, ref)
-				if err != nil {
-					return nil, err
-				}
-				q := res.Quality
-				if q > 99 { // error-free identical decode: clamp for averaging
-					q = 99
-				}
-				results[i] = outcome{quality: q, complete: len(res.Output) == len(ref)}
-				return payload{Quality: campaign.Float(q), Complete: results[i].complete}, nil
-			},
-			Replay: func(raw json.RawMessage) error {
-				var p payload
-				if err := json.Unmarshal(raw, &p); err != nil {
-					return err
-				}
-				results[i] = outcome{quality: float64(p.Quality), complete: p.Complete}
-				return nil
-			},
-		}
-	}
-	if err := o.runKeyedJobs("Figure 3", kjobs); err != nil {
+	pts, err := sweep{
+		fig: "fig3", phase: "Figure 3", apps: jpeg,
+		prots:  []sim.Protection{sim.ErrorFree, sim.SoftwareQueue, sim.ReliableQueue, sim.CommGuard},
+		mtbes:  []float64{mtbe},
+		seeds:  seedList(o.Seeds, 31, 100),
+		efOnce: true,
+		metrics: []metric{
+			// An error-free identical decode scores +Inf: clamp for averaging.
+			{"quality", func(r *sim.Result, _ []float64) any { return math.Min(r.Quality, 99) }},
+			{"complete", func(r *sim.Result, ref []float64) any { return len(r.Output) == len(ref) }},
+		},
+	}.run(o)
+	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]Fig3Row, 0, len(configs))
-	w := o.out()
-	fmt.Fprintf(w, "Figure 3: jpeg under four protection configurations (MTBE %s/core)\n", fmtMTBE(mtbe))
-	fmt.Fprintf(w, "%-16s %12s %10s\n", "configuration", "PSNR (dB)", "complete")
-	for ci, p := range configs {
-		sum := 0.0
-		n := 0
-		completed := true
-		for i, j := range jobs {
-			if j.cfg != ci {
-				continue
-			}
-			sum += results[i].quality
-			n++
-			if !results[i].complete {
-				completed = false
-			}
+	rows := make([]Fig3Row, len(pts))
+	for i, p := range pts {
+		rows[i] = Fig3Row{Protection: p.prot, MeanPSNR: p.mean("quality"), Completed: true}
+		for _, r := range p.runs {
+			rows[i].Completed = rows[i].Completed && get[bool](r, "complete")
 		}
-		row := Fig3Row{Protection: p, MeanPSNR: sum / float64(n), Completed: completed}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-16s %12.1f %10v\n", p, row.MeanPSNR, row.Completed)
 	}
+	layout[Fig3Row]{
+		title: fmt.Sprintf("Figure 3: jpeg under four protection configurations (MTBE %s/core)", fmtMTBE(mtbe)),
+		head:  fmt.Sprintf("%-16s %12s %10s", "configuration", "PSNR (dB)", "complete"),
+		line:  func(r Fig3Row) string { return fmt.Sprintf("%-16s", r.Protection) },
+		cell:  func(r Fig3Row) string { return fmt.Sprintf(" %12.1f %10v", r.MeanPSNR, r.Completed) },
+	}.print(o.out(), rows)
 	return rows, nil
+}
+
+var fig3Report = report[Fig3Row]{
+	rows: func(a *AllResults) []Fig3Row { return a.Fig3 },
+	file: "figure3.csv", cols: []string{"protection", "psnr_db", "completed"},
+	csv: func(r Fig3Row) []string {
+		return []string{r.Protection.String(), f(r.MeanPSNR), strconv.FormatBool(r.Completed)}
+	},
+	section: "Figure 3 — protection configurations (jpeg)",
+	mdHead:  "| configuration | PSNR (dB) |",
+	md:      func(r Fig3Row) string { return fmt.Sprintf("| %s | %.1f |", r.Protection, r.MeanPSNR) },
 }

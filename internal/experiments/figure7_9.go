@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
-	"commguard/internal/campaign"
 	"commguard/internal/sim"
 )
 
@@ -79,6 +78,25 @@ func Figure7(o Options) (*Fig7Result, error) {
 	return r, nil
 }
 
+var fig7Report = report[*Fig7Result]{
+	rows: func(a *AllResults) []*Fig7Result {
+		if a.Fig7 == nil {
+			return nil
+		}
+		return []*Fig7Result{a.Fig7}
+	},
+	file: "figure7.csv", cols: []string{"mtbe", "psnr_db", "padded_items", "discarded_items", "realignments"},
+	csv: func(r *Fig7Result) []string {
+		return []string{f(r.MTBE), f(r.PSNR), strconv.FormatUint(r.Pads, 10),
+			strconv.FormatUint(r.Discards, 10), strconv.FormatUint(r.Realignments, 10)}
+	},
+	section: "Figure 7 — example jpeg run",
+	md: func(r *Fig7Result) string {
+		return fmt.Sprintf("PSNR %.1f dB at MTBE %s; %d padded, %d discarded items, %d realignments.",
+			r.PSNR, fmtMTBE(r.MTBE), r.Pads, r.Discards, r.Realignments)
+	},
+}
+
 // Fig9Point is one jpeg visual-quality sample of Fig. 9.
 type Fig9Point struct {
 	MTBE float64
@@ -87,63 +105,38 @@ type Fig9Point struct {
 
 // Figure9 reproduces Fig. 9: jpeg output PSNR at the paper's four example
 // MTBEs (128k, 512k, 2048k, 8192k), quality rising toward the error-free
-// baseline as errors thin out.
+// baseline as errors thin out. Each MTBE runs the one fixed seed 99.
 func Figure9(o Options) ([]Fig9Point, error) {
-	b, err := o.builder("jpeg")
+	jpeg, err := o.pick("jpeg")
 	if err != nil {
 		return nil, err
 	}
-	rc := o.refCache()
-	ref, err := rc.get(b)
+	pts, err := sweep{
+		fig: "fig9", phase: "Figure 9", apps: jpeg, prots: []sim.Protection{sim.CommGuard},
+		mtbes: []float64{128e3, 512e3, 2048e3, 8192e3}, seeds: []int64{99},
+		metrics: []metric{{"psnr", runQuality}},
+	}.run(o)
 	if err != nil {
 		return nil, err
 	}
-	mtbes := []float64{128e3, 512e3, 2048e3, 8192e3}
-	type payload struct {
-		PSNR campaign.Float `json:"psnr"`
+	rows := make([]Fig9Point, len(pts))
+	for i, p := range pts {
+		rows[i] = Fig9Point{MTBE: p.MTBE, PSNR: p.mean("psnr")}
 	}
-	points := make([]Fig9Point, len(mtbes))
-	kjobs := make([]keyedJob, len(mtbes))
-	for i := range mtbes {
-		i := i
-		kjobs[i] = keyedJob{
-			Job: campaign.Job{
-				Figure: "fig9", App: b.Name, Protection: sim.CommGuard.String(),
-				MTBE: mtbes[i], Seed: 99,
-			},
-			Run: func(cancel <-chan struct{}) (any, error) {
-				inst, err := b.New()
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(inst, sim.Config{
-					Protection: sim.CommGuard, MTBE: mtbes[i], Seed: 99,
-					Sequential: o.Sequential, Cancel: cancel,
-				}, ref)
-				if err != nil {
-					return nil, err
-				}
-				points[i] = Fig9Point{MTBE: mtbes[i], PSNR: res.Quality}
-				return payload{PSNR: campaign.Float(res.Quality)}, nil
-			},
-			Replay: func(raw json.RawMessage) error {
-				var p payload
-				if err := json.Unmarshal(raw, &p); err != nil {
-					return err
-				}
-				points[i] = Fig9Point{MTBE: mtbes[i], PSNR: float64(p.PSNR)}
-				return nil
-			},
-		}
-	}
-	if err := o.runKeyedJobs("Figure 9", kjobs); err != nil {
-		return nil, err
-	}
-	w := o.out()
-	fmt.Fprintln(w, "Figure 9: jpeg PSNR at example MTBEs (CommGuard)")
-	fmt.Fprintf(w, "%-12s %12s\n", "MTBE", "PSNR (dB)")
-	for _, p := range points {
-		fmt.Fprintf(w, "%-12s %12s\n", fmtMTBE(p.MTBE), fmtDB(p.PSNR))
-	}
-	return points, nil
+	layout[Fig9Point]{
+		title: "Figure 9: jpeg PSNR at example MTBEs (CommGuard)",
+		head:  fmt.Sprintf("%-12s %12s", "MTBE", "PSNR (dB)"),
+		line:  func(p Fig9Point) string { return fmt.Sprintf("%-12s", fmtMTBE(p.MTBE)) },
+		cell:  func(p Fig9Point) string { return fmt.Sprintf(" %12s", fmtDB(p.PSNR)) },
+	}.print(o.out(), rows)
+	return rows, nil
+}
+
+var fig9Report = report[Fig9Point]{
+	rows: func(a *AllResults) []Fig9Point { return a.Fig9 },
+	file: "figure9.csv", cols: []string{"mtbe", "psnr_db"},
+	csv:     func(p Fig9Point) []string { return []string{f(p.MTBE), f(p.PSNR)} },
+	section: "Figure 9 — jpeg PSNR ladder",
+	mdHead:  "| MTBE | PSNR (dB) |",
+	md:      func(p Fig9Point) string { return fmt.Sprintf("| %s | %.1f |", fmtMTBE(p.MTBE), p.PSNR) },
 }

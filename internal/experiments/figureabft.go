@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 
-	"commguard/internal/campaign"
 	"commguard/internal/metrics"
 	"commguard/internal/sim"
 )
@@ -42,168 +39,53 @@ var abftProtections = []sim.Protection{sim.ReliableQueue, sim.CommGuard, sim.ABF
 // additionally recovers the control-flow and alignment errors that
 // dominate at low MTBE.
 func FigureABFT(o Options) ([]FigABFTPoint, error) {
-	appNames := []string{"jpeg", "mp3"}
-	type appRef struct {
-		ref []float64
-		efQ float64
-	}
-	rc := o.refCache()
-	refs := map[string]appRef{}
-	for _, name := range appNames {
-		b, err := o.builder(name)
-		if err != nil {
-			return nil, err
-		}
-		ref, err := rc.get(b)
-		if err != nil {
-			return nil, err
-		}
-		efQ, err := rc.errorFreeQuality(b)
-		if err != nil {
-			return nil, err
-		}
-		refs[name] = appRef{ref: ref, efQ: efQ}
-	}
-
-	type job struct {
-		app  string
-		prot sim.Protection
-		mtbe float64
-		seed int64
-	}
-	type outcome struct {
-		job
-		quality     float64
-		overhead    float64
-		corrections float64
-	}
-	type payload struct {
-		Quality     campaign.Float `json:"quality"`
-		Overhead    campaign.Float `json:"overhead"`
-		Corrections float64        `json:"corrections"`
-	}
-	var jobs []job
-	for _, app := range appNames {
-		for _, prot := range abftProtections {
-			for _, mtbe := range o.MTBEs {
-				for s := 0; s < o.Seeds; s++ {
-					jobs = append(jobs, job{app: app, prot: prot, mtbe: mtbe, seed: int64(1000*s) + 7})
-				}
-			}
-		}
-	}
-	results := make([]outcome, len(jobs))
-	kjobs := make([]keyedJob, len(jobs))
-	for i := range jobs {
-		i, j := i, jobs[i]
-		kjobs[i] = keyedJob{
-			Job: campaign.Job{
-				Figure: "figabft", App: j.app, Protection: j.prot.String(),
-				MTBE: j.mtbe, Seed: j.seed,
-			},
-			Run: func(cancel <-chan struct{}) (any, error) {
-				b, err := o.builder(j.app)
-				if err != nil {
-					return nil, err
-				}
-				inst, err := b.New()
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(inst, sim.Config{
-					Protection: j.prot, MTBE: j.mtbe, Seed: j.seed,
-					Sequential: o.Sequential, Cancel: cancel,
-				}, refs[j.app].ref)
-				if err != nil {
-					return nil, err
-				}
-				ovh, corr := abftOverhead(res)
-				results[i] = outcome{job: j, quality: res.Quality, overhead: ovh, corrections: corr}
-				return payload{
-					Quality:     campaign.Float(res.Quality),
-					Overhead:    campaign.Float(ovh),
-					Corrections: corr,
-				}, nil
-			},
-			Replay: func(raw json.RawMessage) error {
-				var p payload
-				if err := json.Unmarshal(raw, &p); err != nil {
-					return err
-				}
-				results[i] = outcome{
-					job: j, quality: float64(p.Quality),
-					overhead: float64(p.Overhead), corrections: p.Corrections,
-				}
-				return nil
-			},
-		}
-	}
-	if err := o.runKeyedJobs("Figure ABFT", kjobs); err != nil {
+	media, err := o.pick("jpeg", "mp3")
+	if err != nil {
 		return nil, err
 	}
+	pts, err := sweep{
+		fig: "figabft", phase: "Figure ABFT", apps: media, prots: abftProtections,
+		mtbes: o.MTBEs, seeds: seedList(o.Seeds, 7, 1000),
+		metrics: []metric{
+			{"quality", runQuality},
+			{"overhead", func(r *sim.Result, _ []float64) any { ovh, _ := abftOverhead(r); return ovh }},
+			{"corrections", func(r *sim.Result, _ []float64) any { _, corr := abftOverhead(r); return corr }},
+		},
+	}.run(o)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]FigABFTPoint, len(pts))
+	for i, p := range pts {
+		rows[i] = FigABFTPoint{App: p.App, Protection: p.prot, MTBE: p.MTBE,
+			Quality: p.quality(), Overhead: p.mean("overhead"), Corrections: p.mean("corrections")}
+	}
+	layout[FigABFTPoint]{
+		title: "Figure ABFT: unprotected vs CommGuard vs ABFT-checksummed kernels (quality and overhead)",
+		head:  fmt.Sprintf("  %-8s", "MTBE") + heads(" %14s %8s", protNames(abftProtections), "ovh"),
+		block: func(p FigABFTPoint) string { return p.App + ":" },
+		line:  func(p FigABFTPoint) string { return fmt.Sprintf("  %-8s", fmtMTBE(p.MTBE)) },
+		cell: func(p FigABFTPoint) string {
+			return fmt.Sprintf(" %11s dB %7.2f%%", fmtDB(p.Quality.Mean), 100*p.Overhead)
+		},
+	}.print(o.out(), rows)
+	return rows, nil
+}
 
-	type key struct {
-		app  string
-		prot sim.Protection
-		mtbe int
-	}
-	byPoint := map[key][]outcome{}
-	for _, r := range results {
-		k := key{r.app, r.prot, int(r.mtbe)}
-		byPoint[k] = append(byPoint[k], r)
-	}
-	var points []FigABFTPoint
-	for _, app := range appNames {
-		infCap := refs[app].efQ
-		if math.IsInf(infCap, 1) {
-			infCap = 160
-		}
-		for _, prot := range abftProtections {
-			for _, mtbe := range o.MTBEs {
-				rs := byPoint[key{app, prot, int(mtbe)}]
-				var qs []float64
-				ovh, corr := 0.0, 0.0
-				for _, r := range rs {
-					qs = append(qs, r.quality)
-					ovh += r.overhead
-					corr += r.corrections
-				}
-				if n := float64(len(rs)); n > 0 {
-					ovh /= n
-					corr /= n
-				}
-				points = append(points, FigABFTPoint{
-					App: app, Protection: prot, MTBE: mtbe,
-					Quality:     metrics.Summarize(qs, infCap),
-					Overhead:    ovh,
-					Corrections: corr,
-				})
-			}
-		}
-	}
-
-	w := o.out()
-	fmt.Fprintln(w, "Figure ABFT: unprotected vs CommGuard vs ABFT-checksummed kernels (quality and overhead)")
-	for _, app := range appNames {
-		fmt.Fprintf(w, "%s:\n", app)
-		fmt.Fprintf(w, "  %-8s", "MTBE")
-		for _, prot := range abftProtections {
-			fmt.Fprintf(w, " %14s %8s", prot, "ovh")
-		}
-		fmt.Fprintln(w)
-		for _, mtbe := range o.MTBEs {
-			fmt.Fprintf(w, "  %-8s", fmtMTBE(mtbe))
-			for _, prot := range abftProtections {
-				for _, p := range points {
-					if p.App == app && p.Protection == prot && p.MTBE == mtbe {
-						fmt.Fprintf(w, " %11s dB %7.2f%%", fmtDB(p.Quality.Mean), 100*p.Overhead)
-					}
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	return points, nil
+var abftReport = report[FigABFTPoint]{
+	rows: func(a *AllResults) []FigABFTPoint { return a.FigABFT },
+	file: "figureabft.csv",
+	cols: []string{"benchmark", "protection", "mtbe", "quality_db_mean", "quality_db_stddev", "overhead_ratio", "corrections_mean"},
+	csv: func(r FigABFTPoint) []string {
+		return []string{r.App, r.Protection.String(), f(r.MTBE),
+			f(r.Quality.Mean), f(r.Quality.StdDev), f(r.Overhead), f(r.Corrections)}
+	},
+	section: "Figure ABFT — unprotected vs CommGuard vs ABFT kernels",
+	mdHead:  "| benchmark | protection | MTBE | quality | overhead | corrections |",
+	md: func(r FigABFTPoint) string {
+		return fmt.Sprintf("| %s | %s | %s | %s dB | %.2f%% | %.1f |",
+			r.App, r.Protection, fmtMTBE(r.MTBE), fmtDB(r.Quality.Mean), 100*r.Overhead, r.Corrections)
+	},
 }
 
 // abftOverhead computes a run's protection suboperations per committed

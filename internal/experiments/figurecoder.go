@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 
 	"commguard/internal/apps"
-	"commguard/internal/campaign"
 	"commguard/internal/metrics"
 	"commguard/internal/sim"
 )
@@ -54,149 +51,47 @@ func coderBuilders(o Options) []apps.Builder {
 // scales with each backend's parity-check count (Table 3 prices times
 // the CostModel scale factor).
 func FigureCoder(o Options) ([]FigCoderPoint, error) {
-	builders := coderBuilders(o)
-	rc := o.refCache()
-
-	type job struct {
-		app   string
-		coder string
-		mtbe  float64
-		seed  int64
-	}
-	type outcome struct {
-		job
-		quality  float64
-		overhead float64
-	}
-	type payload struct {
-		Quality  campaign.Float `json:"quality"`
-		Overhead campaign.Float `json:"overhead"`
-	}
-	byName := map[string]apps.Builder{}
-	refs := map[string][]float64{}
-	efqs := map[string]float64{}
-	for _, b := range builders {
-		ref, err := rc.get(b)
-		if err != nil {
-			return nil, err
-		}
-		efQ, err := rc.errorFreeQuality(b)
-		if err != nil {
-			return nil, err
-		}
-		byName[b.Name] = b
-		refs[b.Name] = ref
-		efqs[b.Name] = efQ
-	}
-
-	var jobs []job
-	for _, b := range builders {
-		for _, spec := range coderSpecs {
-			for _, mtbe := range o.MTBEs {
-				for s := 0; s < o.Seeds; s++ {
-					jobs = append(jobs, job{app: b.Name, coder: spec, mtbe: mtbe, seed: int64(1000*s) + 7})
-				}
-			}
-		}
-	}
-	results := make([]outcome, len(jobs))
-	kjobs := make([]keyedJob, len(jobs))
-	for i := range jobs {
-		i, j := i, jobs[i]
-		kjobs[i] = keyedJob{
-			Job: campaign.Job{
-				Figure: "figcoder", App: j.app, Protection: sim.CommGuard.String(),
-				MTBE: j.mtbe, Seed: j.seed, Coder: j.coder,
-			},
-			Run: func(cancel <-chan struct{}) (any, error) {
-				inst, err := byName[j.app].New()
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(inst, sim.Config{
-					Protection: sim.CommGuard, MTBE: j.mtbe, Seed: j.seed,
-					Coder: j.coder, Sequential: o.Sequential, Cancel: cancel,
-				}, refs[j.app])
-				if err != nil {
-					return nil, err
-				}
-				ovh := coderOverhead(res)
-				results[i] = outcome{job: j, quality: res.Quality, overhead: ovh}
-				return payload{Quality: campaign.Float(res.Quality), Overhead: campaign.Float(ovh)}, nil
-			},
-			Replay: func(raw json.RawMessage) error {
-				var p payload
-				if err := json.Unmarshal(raw, &p); err != nil {
-					return err
-				}
-				results[i] = outcome{job: j, quality: float64(p.Quality), overhead: float64(p.Overhead)}
-				return nil
-			},
-		}
-	}
-	if err := o.runKeyedJobs("Figure Coder", kjobs); err != nil {
+	pts, err := sweep{
+		fig: "figcoder", phase: "Figure Coder", apps: coderBuilders(o), prots: []sim.Protection{sim.CommGuard},
+		coders: coderSpecs, mtbes: o.MTBEs, seeds: seedList(o.Seeds, 7, 1000),
+		metrics: []metric{
+			{"quality", runQuality},
+			{"overhead", func(r *sim.Result, _ []float64) any { return coderOverhead(r) }},
+		},
+	}.run(o)
+	if err != nil {
 		return nil, err
 	}
+	rows := make([]FigCoderPoint, len(pts))
+	for i, p := range pts {
+		rows[i] = FigCoderPoint{App: p.App, Coder: p.Coder, MTBE: p.MTBE,
+			Quality: p.quality(), ECCOverhead: p.mean("overhead")}
+	}
+	layout[FigCoderPoint]{
+		title: "Figure Coder: word-ECC backend comparison under CommGuard (quality and ECC-op overhead)",
+		head:  fmt.Sprintf("  %-8s", "MTBE") + heads(" %15s %8s", coderSpecs, "ecc-ovh"),
+		block: func(p FigCoderPoint) string { return p.App + ":" },
+		line:  func(p FigCoderPoint) string { return fmt.Sprintf("  %-8s", fmtMTBE(p.MTBE)) },
+		cell: func(p FigCoderPoint) string {
+			return fmt.Sprintf(" %12s dB %7.3f%%", fmtDB(p.Quality.Mean), 100*p.ECCOverhead)
+		},
+	}.print(o.out(), rows)
+	return rows, nil
+}
 
-	type key struct {
-		app   string
-		coder string
-		mtbe  int
-	}
-	byPoint := map[key][]outcome{}
-	for _, r := range results {
-		k := key{r.app, r.coder, int(r.mtbe)}
-		byPoint[k] = append(byPoint[k], r)
-	}
-	var points []FigCoderPoint
-	for _, b := range builders {
-		infCap := efqs[b.Name]
-		if math.IsInf(infCap, 1) {
-			infCap = 160
-		}
-		for _, spec := range coderSpecs {
-			for _, mtbe := range o.MTBEs {
-				rs := byPoint[key{b.Name, spec, int(mtbe)}]
-				var qs []float64
-				ovh := 0.0
-				for _, r := range rs {
-					qs = append(qs, r.quality)
-					ovh += r.overhead
-				}
-				if n := float64(len(rs)); n > 0 {
-					ovh /= n
-				}
-				points = append(points, FigCoderPoint{
-					App: b.Name, Coder: spec, MTBE: mtbe,
-					Quality:     metrics.Summarize(qs, infCap),
-					ECCOverhead: ovh,
-				})
-			}
-		}
-	}
-
-	w := o.out()
-	fmt.Fprintln(w, "Figure Coder: word-ECC backend comparison under CommGuard (quality and ECC-op overhead)")
-	for _, b := range builders {
-		fmt.Fprintf(w, "%s:\n", b.Name)
-		fmt.Fprintf(w, "  %-8s", "MTBE")
-		for _, spec := range coderSpecs {
-			fmt.Fprintf(w, " %15s %8s", spec, "ecc-ovh")
-		}
-		fmt.Fprintln(w)
-		for _, mtbe := range o.MTBEs {
-			fmt.Fprintf(w, "  %-8s", fmtMTBE(mtbe))
-			for _, spec := range coderSpecs {
-				for _, p := range points {
-					if p.App == b.Name && p.Coder == spec && p.MTBE == mtbe {
-						fmt.Fprintf(w, " %12s dB %7.3f%%", fmtDB(p.Quality.Mean), 100*p.ECCOverhead)
-					}
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	return points, nil
+var coderReport = report[FigCoderPoint]{
+	rows: func(a *AllResults) []FigCoderPoint { return a.FigCoder },
+	file: "figurecoder.csv",
+	cols: []string{"benchmark", "coder", "mtbe", "quality_db_mean", "quality_db_stddev", "ecc_overhead_ratio"},
+	csv: func(r FigCoderPoint) []string {
+		return []string{r.App, r.Coder, f(r.MTBE), f(r.Quality.Mean), f(r.Quality.StdDev), f(r.ECCOverhead)}
+	},
+	section: "Figure Coder — word-ECC backend comparison under CommGuard",
+	mdHead:  "| benchmark | coder | MTBE | quality | ECC overhead |",
+	md: func(r FigCoderPoint) string {
+		return fmt.Sprintf("| %s | %s | %s | %s dB | %.3f%% |",
+			r.App, r.Coder, fmtMTBE(r.MTBE), fmtDB(r.Quality.Mean), 100*r.ECCOverhead)
+	},
 }
 
 // coderOverhead computes a run's word-sized-ECC suboperations per

@@ -91,6 +91,18 @@ func HotpathBench(o Options, items int) (*HotpathResult, error) {
 		res.Profile = "quick"
 	}
 
+	// The raw producers saturate the queue per item or per chunk.
+	perItem := func(q *queue.Queue) {
+		for {
+			q.Push(queue.DataUnit(1))
+		}
+	}
+	chunked := func(q *queue.Queue) {
+		buf := make([]uint32, hotpathChunk)
+		for {
+			q.PushDataN(buf)
+		}
+	}
 	// Guarded variants: the producer inserts the frame-0 header via the HI
 	// before streaming data; the consumer AM announces frame 0 so its
 	// first pop consumes that header and the FSM settles into RcvCmp, the
@@ -114,12 +126,8 @@ func HotpathBench(o Options, items int) (*HotpathResult, error) {
 		newConsumer func(q *queue.Queue) func(n int)
 	}{
 		{
-			name: "push-pop",
-			producer: func(q *queue.Queue) {
-				for {
-					q.Push(queue.DataUnit(1))
-				}
-			},
+			name:     "push-pop",
+			producer: perItem,
 			newConsumer: func(q *queue.Queue) func(n int) {
 				return func(n int) {
 					for i := 0; i < n; i++ {
@@ -129,13 +137,8 @@ func HotpathBench(o Options, items int) (*HotpathResult, error) {
 			},
 		},
 		{
-			name: "pushn-popn",
-			producer: func(q *queue.Queue) {
-				buf := make([]uint32, hotpathChunk)
-				for {
-					q.PushDataN(buf)
-				}
-			},
+			name:     "pushn-popn",
+			producer: chunked,
 			newConsumer: func(q *queue.Queue) func(n int) {
 				dst := make([]uint32, hotpathChunk)
 				return func(n int) {
@@ -147,12 +150,8 @@ func HotpathBench(o Options, items int) (*HotpathResult, error) {
 			},
 		},
 		{
-			name: "guarded-per-item",
-			producer: guardedProducer(func(q *queue.Queue) {
-				for {
-					q.Push(queue.DataUnit(1))
-				}
-			}),
+			name:     "guarded-per-item",
+			producer: guardedProducer(perItem),
 			newConsumer: func(q *queue.Queue) func(n int) {
 				am := alignedAM(q)
 				return func(n int) {
@@ -163,13 +162,8 @@ func HotpathBench(o Options, items int) (*HotpathResult, error) {
 			},
 		},
 		{
-			name: "guarded-batch",
-			producer: guardedProducer(func(q *queue.Queue) {
-				buf := make([]uint32, hotpathChunk)
-				for {
-					q.PushDataN(buf)
-				}
-			}),
+			name:     "guarded-batch",
+			producer: guardedProducer(chunked),
 			newConsumer: func(q *queue.Queue) func(n int) {
 				am := alignedAM(q)
 				dst := make([]uint32, hotpathChunk)
@@ -219,14 +213,16 @@ func WriteHotpathJSON(path string, o Options, items int) (*HotpathResult, error)
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.MarshalIndent(res, "", "  ")
+	return res, writeJSON(path, res)
+}
+
+// writeJSON writes a bench snapshot as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Render prints a short human-readable summary of the measurements.

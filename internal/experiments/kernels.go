@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"time"
 
@@ -70,180 +68,95 @@ func kernelSpecs(quick bool) []kernelSpec {
 	if quick {
 		div = 8
 	}
-	specs := []kernelSpec{
+	return []kernelSpec{
 		{
 			name: "dct8", popRate: 8, pushRate: 8, items: (1 << 17) / div,
 			filter: func(abft bool) stream.Filter {
-				work := func(in, out [][]uint32) {
-					var blk, res [8]float64
-					for i := range blk {
-						blk[i] = float64(stream.BitsF32(in[0][i]))
-					}
-					dsp.DCT8(&res, &blk)
-					for i, v := range res {
-						out[0][i] = stream.F32Bits(float32(v))
-					}
-				}
-				f := stream.NewFuncFilter("dct8", 8, 8, 150, func(ctx *stream.Ctx) {
-					var blk, res [8]float64
-					for i := range blk {
-						blk[i] = float64(ctx.PopF32(0))
-					}
-					dsp.DCT8(&res, &blk)
-					for _, v := range res {
-						ctx.PushF32(0, float32(v))
-					}
-				}).Batch(work)
-				if !abft {
-					return f
-				}
-				return f.ABFT(func(in, out [][]uint32) float64 {
-					var blk, res [8]float64
-					for i := range blk {
-						blk[i] = float64(stream.BitsF32(in[0][i]))
-					}
-					dsp.DCT8(&res, &blk)
-					s := 0.0
-					for i, v := range res {
-						y := float32(v)
-						out[0][i] = stream.F32Bits(y)
-						s += float64(y)
-					}
-					return s
-				}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
+				return blockFilter("dct8", 8, 8, 150, abft, func(y, x []float64) {
+					dsp.DCT8((*[8]float64)(y), (*[8]float64)(x))
+				}, nil)
 			},
 		},
 		{
 			name: "dct2d", popRate: 64, pushRate: 64, items: (1 << 17) / div,
 			filter: func(abft bool) stream.Filter {
-				work := func(in, out [][]uint32) {
-					var blk [64]float64
-					for i := range blk {
-						blk[i] = float64(stream.BitsF32(in[0][i]))
-					}
-					dsp.DCT2D(&blk)
-					for i, v := range blk {
-						out[0][i] = stream.F32Bits(float32(v))
-					}
-				}
-				f := stream.NewFuncFilter("dct2d", 64, 64, 1200, func(ctx *stream.Ctx) {
-					var blk [64]float64
-					for i := range blk {
-						blk[i] = float64(ctx.PopF32(0))
-					}
-					dsp.DCT2D(&blk)
-					for _, v := range blk {
-						ctx.PushF32(0, float32(v))
-					}
-				}).Batch(work)
-				if !abft {
-					return f
-				}
-				return f.ABFT(func(in, out [][]uint32) float64 {
-					var blk [64]float64
-					for i := range blk {
-						blk[i] = float64(stream.BitsF32(in[0][i]))
-					}
-					dsp.DCT2D(&blk)
-					s := 0.0
-					for i, v := range blk {
-						y := float32(v)
-						out[0][i] = stream.F32Bits(y)
-						s += float64(y)
-					}
-					return s
-				}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
+				return blockFilter("dct2d", 64, 64, 1200, abft, func(y, x []float64) {
+					copy(y, x)
+					dsp.DCT2D((*[64]float64)(y))
+				}, nil)
 			},
 		},
 		{
 			name: "fir", popRate: 256, pushRate: 256, items: (1 << 17) / div,
 			filter: func(abft bool) stream.Filter {
 				fir := dsp.MustNewFIR(dsp.LowPassTaps(31, 0.2))
-				var src, res [256]float64
-				work := func(in, out [][]uint32) {
-					// Constant-length reslices let the compiler drop the
-					// bounds checks in the conversion loops.
-					ib, ob := in[0][:256], out[0][:256]
-					for i := range src {
-						src[i] = float64(stream.BitsF32(ib[i]))
-					}
-					fir.ProcessBatch(res[:], src[:])
-					for i, v := range res {
-						ob[i] = stream.F32Bits(float32(v))
-					}
-				}
-				f := stream.NewFuncFilter("fir", 256, 256, 3600, func(ctx *stream.Ctx) {
+				return blockFilter("fir", 256, 256, 3600, abft, fir.ProcessBatch, func(ctx *stream.Ctx) {
 					for i := 0; i < 256; i++ {
-						y := fir.Process(float64(ctx.PopF32(0)))
-						ctx.PushF32(0, float32(y))
+						ctx.PushF32(0, float32(fir.Process(float64(ctx.PopF32(0)))))
 					}
-				}).Batch(work)
-				if !abft {
-					return f
-				}
-				return f.ABFT(func(in, out [][]uint32) float64 {
-					ib, ob := in[0][:256], out[0][:256]
-					for i := range src {
-						src[i] = float64(stream.BitsF32(ib[i]))
-					}
-					fir.ProcessBatch(res[:], src[:])
-					s := 0.0
-					for i, v := range res {
-						y := float32(v)
-						ob[i] = stream.F32Bits(y)
-						s += float64(y)
-					}
-					return s
-				}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
+				})
 			},
 		},
 		{
 			name: "mdct", popRate: 2 * mp3codec.N, pushRate: mp3codec.N, items: (1 << 16) / div,
 			filter: func(abft bool) stream.Filter {
-				work := func(in, out [][]uint32) {
-					var x [2 * mp3codec.N]float64
-					var res [mp3codec.N]float64
-					for i := range x {
-						x[i] = float64(stream.BitsF32(in[0][i]))
-					}
-					mp3codec.MDCT(&x, &res)
-					for i, v := range res {
-						out[0][i] = stream.F32Bits(float32(v))
-					}
-				}
-				f := stream.NewFuncFilter("mdct", 2*mp3codec.N, mp3codec.N, 20000, func(ctx *stream.Ctx) {
-					var x [2 * mp3codec.N]float64
-					var res [mp3codec.N]float64
-					for i := range x {
-						x[i] = float64(ctx.PopF32(0))
-					}
-					mp3codec.MDCT(&x, &res)
-					for _, v := range res {
-						ctx.PushF32(0, float32(v))
-					}
-				}).Batch(work)
-				if !abft {
-					return f
-				}
-				return f.ABFT(func(in, out [][]uint32) float64 {
-					var x [2 * mp3codec.N]float64
-					var res [mp3codec.N]float64
-					for i := range x {
-						x[i] = float64(stream.BitsF32(in[0][i]))
-					}
-					mp3codec.MDCT(&x, &res)
-					s := 0.0
-					for i, v := range res {
-						y := float32(v)
-						out[0][i] = stream.F32Bits(y)
-						s += float64(y)
-					}
-					return s
-				}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
+				return blockFilter("mdct", 2*mp3codec.N, mp3codec.N, 20000, abft, func(y, x []float64) {
+					mp3codec.MDCT((*[2 * mp3codec.N]float64)(x), (*[mp3codec.N]float64)(y))
+				}, nil)
 			},
 		},
 	}
-	return specs
+}
+
+// blockFilter builds a kernel filter around a block transform from one
+// firing's pop-rate inputs x to its push-rate outputs y, over float32
+// items. Every firing path runs the same transform: per-item pops and
+// pushes each item through the ctx shims (perItem, when set, replaces
+// that firing), batch converts the flat buffers, and the abft form fuses
+// the output checksum into the batch conversion.
+func blockFilter(name string, pop, push, cost int, abft bool, block func(y, x []float64), perItem func(ctx *stream.Ctx)) stream.Filter {
+	x, y := make([]float64, pop), make([]float64, push)
+	if perItem == nil {
+		perItem = func(ctx *stream.Ctx) {
+			for i := range x {
+				x[i] = float64(ctx.PopF32(0))
+			}
+			block(y, x)
+			for _, v := range y {
+				ctx.PushF32(0, float32(v))
+			}
+		}
+	}
+	// load converts one firing's input buffer (resliced to the pop rate so
+	// the loop runs without bounds checks) and runs the transform.
+	load := func(in []uint32) {
+		in = in[:len(x)]
+		for i := range x {
+			x[i] = float64(stream.BitsF32(in[i]))
+		}
+		block(y, x)
+	}
+	f := stream.NewFuncFilter(name, pop, push, cost, perItem).Batch(func(in, out [][]uint32) {
+		load(in[0])
+		ob := out[0][:len(y)]
+		for i, v := range y {
+			ob[i] = stream.F32Bits(float32(v))
+		}
+	})
+	if !abft {
+		return f
+	}
+	return f.ABFT(func(in, out [][]uint32) float64 {
+		load(in[0])
+		ob := out[0][:len(y)]
+		s := 0.0
+		for i, v := range y {
+			yf := float32(v)
+			ob[i] = stream.F32Bits(yf)
+			s += float64(yf)
+		}
+		return s
+	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
 }
 
 // kernelVariants is the firing-path axis of the benchmark matrix.
@@ -353,14 +266,7 @@ func WriteKernelBenchJSON(path string, o Options) (*KernelBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, writeJSON(path, res)
 }
 
 // Render prints a per-kernel comparison of the three firing paths.

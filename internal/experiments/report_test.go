@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"commguard/internal/metrics"
+	"commguard/internal/obs/hist"
 	"commguard/internal/sim"
 )
 
@@ -31,6 +32,10 @@ func sampleResults() *AllResults {
 		Fig12: []Fig12Row{{App: "jpeg", LoadRatio: 0.0001, StoreRatio: 0.0002}},
 		Fig13: []Fig13Row{{App: "mp3", FrameScale: 1, OverheadPct: -2.7}},
 		Fig14: []Fig14Row{{App: "fft", FSMCounter: 0.09, ECC: 0.009, HeaderBit: 0.09, Total: 0.19}},
+		FigABFT: []FigABFTPoint{{App: "mp3", Protection: sim.ABFT, MTBE: 64e3,
+			Quality: metrics.Summary{Mean: 3.4, N: 2}, Overhead: 0.0772, Corrections: 1.5}},
+		FigDetectLat: []FigDetectLatPoint{{App: "jpeg", Protection: sim.CommGuard, MTBE: 64e3,
+			Runs: 2, Detections: 3, Items: hist.Summary{P50: 12, P99: 2028}}},
 		FigCoder: []FigCoderPoint{{App: "jpeg", Coder: "ldpc-48-3-9", MTBE: 512e3,
 			Quality: metrics.Summary{Mean: 19.5, StdDev: 0.4, N: 2}, ECCOverhead: 0.0021}},
 	}
@@ -42,7 +47,8 @@ func TestWriteCSVProducesAllFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"figure3.csv", "figure7.csv", "figure8.csv", "figure9.csv",
-		"figure10.csv", "figure12.csv", "figure13.csv", "figure14.csv", "figurecoder.csv"} {
+		"figure10.csv", "figure12.csv", "figure13.csv", "figure14.csv", "figureabft.csv",
+		"figuredetectlat.csv", "figurecoder.csv"} {
 		path := filepath.Join(dir, name)
 		fd, err := os.Open(path)
 		if err != nil {
@@ -93,10 +99,14 @@ func TestWriteMarkdownStructure(t *testing.T) {
 		"## Figure 12",
 		"## Figure 13",
 		"## Figure 14",
+		"## Figure ABFT",
+		"## Figure DetectLat",
 		"## Figure Coder",
 		"| error-free | 36.2 |",
 		"| mp3 | x1 | 64k | 4.3 | 0.00 |",
 		"| jpeg | ldpc-48-3-9 | 512k | 19.5 dB | 0.210% |",
+		"| mp3 | abft | 64k | 3.4 dB | 7.72% | 1.5 |",
+		"| jpeg | commguard | 64k | 2 | 3 | 12 | 2028 |",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q", want)

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
+	"commguard/internal/campaign"
 	"commguard/internal/fault"
 	"commguard/internal/sim"
 )
@@ -27,98 +27,61 @@ type SensitivityRow struct {
 // control-flow classes are catastrophic unguarded and bounded with
 // CommGuard.
 func ClassSensitivity(o Options, benchmark string, mtbe float64) ([]SensitivityRow, error) {
-	b, err := o.builder(benchmark)
+	b, err := o.pick(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	rc := o.refCache()
-	ref, err := rc.get(b)
-	if err != nil {
-		return nil, err
-	}
-
 	classes := []fault.Class{fault.DataBitflip, fault.AddrSlip, fault.ControlTrip, fault.ControlFrame}
-
-	type job struct {
-		class int
-		seed  int64
+	byName := map[string]fault.Class{}
+	var names []string
+	for _, c := range classes {
+		byName[c.String()] = c
+		names = append(names, c.String())
 	}
-	var jobs []job
-	for ci := range classes {
-		for s := 0; s < o.Seeds; s++ {
-			jobs = append(jobs, job{class: ci, seed: int64(400 + 97*s)})
-		}
-	}
-	type outcome struct {
-		guarded float64
-		plain   float64
-		loss    float64
-	}
-	results := make([]outcome, len(jobs))
-	err = o.runJobs("class-sensitivity", len(jobs), func(i int) error {
-		j := jobs[i]
-		var model fault.Model
-		model.Weights[classes[j.class]] = 1
-		inst, err := b.New()
-		if err != nil {
-			return err
-		}
-		rg, err := sim.Run(inst, sim.Config{Protection: sim.CommGuard, MTBE: mtbe, Seed: j.seed, Model: &model}, ref)
-		if err != nil {
-			return err
-		}
-		inst2, err := b.New()
-		if err != nil {
-			return err
-		}
-		rp, err := sim.Run(inst2, sim.Config{Protection: sim.ReliableQueue, MTBE: mtbe, Seed: j.seed, Model: &model}, ref)
-		if err != nil {
-			return err
-		}
-		results[i] = outcome{guarded: clampDB(rg.Quality), plain: clampDB(rp.Quality), loss: rg.DataLossRatio()}
-		return nil
-	})
+	pts, err := sweep{
+		fig: "sensitivity", phase: "class-sensitivity", apps: b, variants: names,
+		prots: []sim.Protection{sim.CommGuard, sim.ReliableQueue},
+		mtbes: []float64{mtbe}, seeds: seedList(o.Seeds, 400, 97),
+		config: func(j campaign.Job, c *sim.Config) {
+			var model fault.Model
+			model.Weights[byName[j.Variant]] = 1
+			c.Model = &model
+		},
+		metrics: []metric{
+			{"quality", func(r *sim.Result, _ []float64) any { return clampDB(r.Quality) }},
+			{"loss", func(r *sim.Result, _ []float64) any { return r.DataLossRatio() }},
+		},
+	}.run(o)
 	if err != nil {
 		return nil, err
 	}
-
-	w := o.out()
-	fmt.Fprintf(w, "Error-class sensitivity: %s at MTBE %s (mean over %d seeds)\n", benchmark, fmtMTBE(mtbe), o.Seeds)
-	fmt.Fprintf(w, "%-14s %14s %14s %12s\n", "class", "commguard dB", "unguarded dB", "guard loss")
-
-	var rows []SensitivityRow
-	for ci, class := range classes {
-		var g, p, loss float64
-		n := 0
-		for i, j := range jobs {
-			if j.class != ci {
-				continue
-			}
-			g += results[i].guarded
-			p += results[i].plain
-			loss += results[i].loss
-			n++
-		}
-		row := SensitivityRow{
-			Class:     class,
-			GuardedDB: g / float64(n),
-			PlainDB:   p / float64(n),
-			LossRatio: loss / float64(n),
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%-14s %14.1f %14.1f %11.4f%%\n", class, row.GuardedDB, row.PlainDB, 100*row.LossRatio)
+	// Points come in (class; commguard, reliable-queue) pairs.
+	rows := make([]SensitivityRow, len(classes))
+	for i := range rows {
+		guarded, plain := pts[2*i], pts[2*i+1]
+		rows[i] = SensitivityRow{Class: byName[guarded.Variant], GuardedDB: guarded.mean("quality"),
+			PlainDB: plain.mean("quality"), LossRatio: guarded.mean("loss")}
 	}
+	layout[SensitivityRow]{
+		title: fmt.Sprintf("Error-class sensitivity: %s at MTBE %s (mean over %d seeds)", benchmark, fmtMTBE(mtbe), o.Seeds),
+		head:  fmt.Sprintf("%-14s %14s %14s %12s", "class", "commguard dB", "unguarded dB", "guard loss"),
+		line:  func(r SensitivityRow) string { return fmt.Sprintf("%-14s", r.Class) },
+		cell: func(r SensitivityRow) string {
+			return fmt.Sprintf(" %14.1f %14.1f %11.4f%%", r.GuardedDB, r.PlainDB, 100*r.LossRatio)
+		},
+	}.print(o.out(), rows)
 	return rows, nil
 }
 
-// clampDB bounds quality values for averaging (identical outputs are
-// plotted at the 160 dB ceiling, garbage at the -40 dB floor).
-func clampDB(q float64) float64 {
-	if math.IsInf(q, 1) || q > 160 {
-		return 160
-	}
-	if math.IsNaN(q) || q < -40 {
-		return -40
-	}
-	return q
+var sensitivityReport = report[SensitivityRow]{
+	rows: func(a *AllResults) []SensitivityRow { return a.Sensitivity },
+	file: "sensitivity.csv", cols: []string{"class", "commguard_db", "unguarded_db", "guard_loss_ratio"},
+	csv: func(r SensitivityRow) []string {
+		return []string{r.Class.String(), f(r.GuardedDB), f(r.PlainDB), f(r.LossRatio)}
+	},
+	section: "Class sensitivity — quality per error class with and without CommGuard",
+	mdHead:  "| class | commguard | unguarded | guard loss |",
+	md: func(r SensitivityRow) string {
+		return fmt.Sprintf("| %s | %.1f dB | %.1f dB | %.4f%% |", r.Class, r.GuardedDB, r.PlainDB, 100*r.LossRatio)
+	},
 }

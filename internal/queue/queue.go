@@ -732,7 +732,9 @@ func (q *Queue) acquireDrainSlot() bool {
 	}
 	for {
 		if q.closed.Load() {
-			return false
+			// The producer may have flushed its tail between the last
+			// canDrain and Close: drain it before reporting the end.
+			return q.canDrain()
 		}
 		if q.cancelled() {
 			// Teardown: fail the pop like a timeout so the consumer (AM or

@@ -2,7 +2,9 @@ package queue
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -448,5 +450,52 @@ func TestCancelledQueueFailsFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("cancelled operations took %v, want fail-fast", elapsed)
+	}
+}
+
+// A consumer blocked in Pop at end of stream must receive the working set
+// the producer Flushes just before Close, even when the Flush+Close lands
+// between the consumer's last canDrain and its closed check. That window
+// is narrow, so the loop sweeps the producer's timing against the
+// consumer's entry into Pop.
+func TestBlockedPopReceivesTailFlushedBeforeClose(t *testing.T) {
+	const iters, k = 20000, 3
+	lost := 0
+	for it := 0; it < iters; it++ {
+		cfg := testConfig()
+		cfg.Timeout = 0
+		q := MustNew(1, cfg)
+		got := make(chan int, 1)
+		var ready atomic.Bool
+		go func() {
+			n := 0
+			ready.Store(true)
+			for {
+				if _, ok := q.Pop(); !ok {
+					break
+				}
+				n++
+			}
+			got <- n
+		}()
+		for i := 0; i < k; i++ {
+			q.Push(DataUnit(uint32(i)))
+		}
+		for !ready.Load() {
+		}
+		for i := 0; i < it%8 && it%2 == 1; i++ {
+			runtime.Gosched()
+		}
+		q.Flush()
+		q.Close()
+		if n := <-got; n != k {
+			lost++
+		}
+		if to := q.Stats().PopTimeouts; to != 0 {
+			t.Fatalf("iteration %d: %d pop timeouts on a blocking queue", it, to)
+		}
+	}
+	if lost > 0 {
+		t.Errorf("consumer lost the flushed tail in %d of %d iterations", lost, iters)
 	}
 }
