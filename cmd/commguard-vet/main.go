@@ -1,14 +1,14 @@
-// Command commguard-vet is the repo's one-stop static verifier: it runs the
+// Command commguard-vet is the repo's one static verifier: it runs the
 // graph checker (CG001–CG006), the soundness edge verdicts (CS001–CS003),
-// the criticality dataflow (CM001–CM003), the repo linter (RL001–RL006),
-// the queue atomics discipline (CS010–CS012) and the hot-path purity
-// analysis (CS020–CS023) in a single invocation, merges everything into
-// the shared diagnostic schema (internal/diag), and applies the checked-in
-// baseline: error-severity findings always fail, warnings fail only when
-// they are not in the baseline. With -all, baseline entries matching no
-// current finding are reported as stale; -fail-stale turns that into a
-// failure (the CI gate) and -prune-baseline rewrites the file without
-// them.
+// the criticality dataflow (CM001–CM003), the repo linter (RL001–RL003,
+// RL006), the queue atomics discipline (CS010–CS012) and the hot-path
+// purity analysis (CS020–CS023) in a single invocation, merges everything
+// into the shared diagnostic schema (internal/diag), and applies the
+// checked-in baseline: error-severity findings always fail, warnings fail
+// only when they are not in the baseline. With -all, baseline entries
+// matching no current finding are reported as stale; -fail-stale turns that
+// into a failure (the CI gate) and -prune-baseline rewrites the file
+// without them.
 //
 // Examples:
 //
@@ -202,9 +202,11 @@ func guardedFor(name string) (bool, bool) {
 }
 
 // run executes every analysis family and merges the diagnostics. The
-// graph-scoped families (graphcheck + soundness edge verdicts) run per
-// benchmark; the source-scoped families (critmap, repolint, atomics) run
-// once over the repo and only with -all, so -app stays cheap and focused.
+// graph-scoped families (graph checker + soundness edge verdicts) run per
+// benchmark; the source-scoped families (criticality, lint, hot path,
+// atomics) run once over the repo and only with -all, so -app stays cheap
+// and focused. Each diagnostic's Tool names its family, which baseline
+// fingerprints include.
 func run(root string, builders []apps.Builder, repoWide, guarded bool) ([]diag.Diagnostic, error) {
 	m, err := crit.AnalyzeRepo(root)
 	if err != nil {
@@ -266,17 +268,12 @@ func run(root string, builders []apps.Builder, repoWide, guarded bool) ([]diag.D
 		})
 	}
 
-	// Repo lint. RL007 is skipped here: it is the single-file wrapping of
-	// the atomics discipline, which vet runs below in cross-file form —
-	// reporting both would double every finding.
+	// Repo lint (RL001–RL003, RL006): warnings, baselineable.
 	lfs, err := lint.Run(root)
 	if err != nil {
 		return nil, fmt.Errorf("repolint: %w", err)
 	}
 	for _, f := range lfs {
-		if f.Rule == "RL007" || f.Rule == "RL008" {
-			continue
-		}
 		ds = append(ds, diag.Diagnostic{
 			Tool:     "repolint",
 			Code:     f.Rule,
@@ -290,9 +287,7 @@ func run(root string, builders []apps.Builder, repoWide, guarded bool) ([]diag.D
 
 	// Hot-path purity (CS020–CS023): whole-program walk from the
 	// //hotpath:entry annotations, registered as repo-scoped check rules.
-	// RL008 (repolint's single-file wrapping of the same analysis) is
-	// skipped in the lint loop above for the same reason as RL007.
-	hfs, err := hotpath.RepoFindings(root)
+	hfs, err := hotpath.AnalyzeRepo(root)
 	if err != nil {
 		return nil, fmt.Errorf("hotpath: %w", err)
 	}

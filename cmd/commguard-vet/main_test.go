@@ -1,12 +1,13 @@
 package main
 
-// CLI contract tests: every static-analysis command honors -json with
-// schema-valid output and the shared exit-code convention — 0 clean, 1
-// findings, 2 usage error. The binaries are built once per test run and
-// exercised end to end against the real repo.
+// CLI contract tests: commguard-vet honors -json with schema-valid output
+// and the exit-code convention — 0 clean, 1 findings, 2 usage error. The
+// binary is built once per test run and exercised end to end against the
+// real repo and against mutated scratch copies of it.
 
 import (
 	"bytes"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -32,23 +33,22 @@ func TestMain(m *testing.M) {
 	if err != nil {
 		panic(err)
 	}
-	build := exec.Command("go", "build", "-o", binDir,
-		"./cmd/graphcheck", "./cmd/critmap", "./cmd/repolint", "./cmd/commguard-vet")
+	build := exec.Command("go", "build", "-o", binDir, "./cmd/commguard-vet")
 	build.Dir = repoRoot
 	if out, err := build.CombinedOutput(); err != nil {
 		os.RemoveAll(binDir)
-		panic("building CLIs: " + err.Error() + "\n" + string(out))
+		panic("building commguard-vet: " + err.Error() + "\n" + string(out))
 	}
 	code := m.Run()
 	os.RemoveAll(binDir)
 	os.Exit(code)
 }
 
-// runCLI executes a built binary from the repo root and returns stdout and
-// the exit code; exit 2 paths print to stderr, which is returned too.
-func runCLI(t *testing.T, name string, args ...string) (stdout, stderr string, code int) {
+// runVet executes the built commguard-vet from the repo root and returns
+// stdout, stderr and the exit code.
+func runVet(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(binDir, name), args...)
+	cmd := exec.Command(filepath.Join(binDir, "commguard-vet"), args...)
 	cmd.Dir = repoRoot
 	var outBuf, errBuf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
@@ -57,45 +57,102 @@ func runCLI(t *testing.T, name string, args ...string) (stdout, stderr string, c
 	if ee, ok := err.(*exec.ExitError); ok {
 		code = ee.ExitCode()
 	} else if err != nil {
-		t.Fatalf("%s %v: %v", name, args, err)
+		t.Fatalf("commguard-vet %v: %v", args, err)
 	}
 	return outBuf.String(), errBuf.String(), code
 }
 
-func assertReport(t *testing.T, name, stdout string, code int) {
-	t.Helper()
+func TestVetJSONContract(t *testing.T) {
+	stdout, _, code := runVet(t, "-all", "-json")
 	if code != 0 && code != 1 {
-		t.Fatalf("%s: exit %d, want 0 or 1 (a findings exit, not usage)", name, code)
+		t.Fatalf("exit %d, want 0 or 1 (a findings exit, not usage)", code)
 	}
 	if err := diag.ValidateReport([]byte(stdout)); err != nil {
-		t.Errorf("%s -json output invalid: %v\noutput: %.500s", name, err, stdout)
+		t.Errorf("-json output invalid: %v\noutput: %.500s", err, stdout)
 	}
 }
 
+// assertFamilyReport checks a -json run that must fail on findings of one
+// analysis family: exit 1, a schema-valid report, and at least one
+// diagnostic under the family's tool label and code prefix.
+func assertFamilyReport(t *testing.T, stdout, stderr string, code int, tool, prefix string) {
+	t.Helper()
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %.800s\nstderr: %s", code, stdout, stderr)
+	}
+	if err := diag.ValidateReport([]byte(stdout)); err != nil {
+		t.Fatalf("-json output invalid: %v\noutput: %.500s", err, stdout)
+	}
+	var r diag.Report
+	if err := json.Unmarshal([]byte(stdout), &r); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range r.Diagnostics {
+		if d.Tool == tool && strings.HasPrefix(d.Code, prefix) {
+			return
+		}
+	}
+	t.Errorf("no %s %s* diagnostic in output:\n%.800s", tool, prefix, stdout)
+}
+
+// plantFile writes src at rel (slash-separated) inside a scratch copy.
+func plantFile(t *testing.T, scratch, rel, src string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(scratch, filepath.FromSlash(rel)), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGraphcheckJSONContract: against an empty baseline the checked-in
+// CG003/CG006 warnings on the builtin graphs become fatal, and vet reports
+// them under tool "graphcheck" in a schema-valid report.
 func TestGraphcheckJSONContract(t *testing.T) {
-	stdout, _, code := runCLI(t, "graphcheck", "-all", "-json")
-	assertReport(t, "graphcheck", stdout, code)
+	empty := filepath.Join(t.TempDir(), "empty.baseline.json")
+	if err := os.WriteFile(empty, []byte(`{"version": 1, "findings": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runVet(t, "-all", "-baseline", empty, "-json")
+	assertFamilyReport(t, stdout, stderr, code, "graphcheck", "CG")
 }
 
+// TestCritmapJSONContract: a popped-data loop bound planted in a scratch
+// copy's internal/apps is reported under tool "critmap".
 func TestCritmapJSONContract(t *testing.T) {
-	stdout, _, code := runCLI(t, "critmap", "-all", "-json")
-	assertReport(t, "critmap", stdout, code)
+	scratch := copyRepoSources(t)
+	plantFile(t, scratch, "internal/apps/vet_planted_crit.go", `package apps
+
+import "commguard/internal/stream"
+
+func vetPlantedCrit() *stream.FuncFilter {
+	return stream.NewFuncFilter("planted", 1, 1, 1, func(ctx *stream.Ctx) {
+		for i := 0; i < int(ctx.PopI32(0)); i++ {
+			ctx.Push(0, uint32(i))
+		}
+	})
+}
+`)
+	stdout, stderr, code := runVet(t, "-all", "-root", scratch, "-json")
+	assertFamilyReport(t, stdout, stderr, code, "critmap", "CM")
 }
 
+// TestRepolintJSONContract: a math/rand global-generator call planted in a
+// scratch copy's internal/fault is reported under tool "repolint".
 func TestRepolintJSONContract(t *testing.T) {
-	stdout, _, code := runCLI(t, "repolint", "-json", "./...")
-	assertReport(t, "repolint", stdout, code)
-}
+	scratch := copyRepoSources(t)
+	plantFile(t, scratch, "internal/fault/vet_planted_rand.go", `package fault
 
-func TestVetJSONContract(t *testing.T) {
-	stdout, _, code := runCLI(t, "commguard-vet", "-all", "-json")
-	assertReport(t, "commguard-vet", stdout, code)
+import "math/rand"
+
+func vetPlantedRand() int { return rand.Intn(10) }
+`)
+	stdout, stderr, code := runVet(t, "-all", "-root", scratch, "-json")
+	assertFamilyReport(t, stdout, stderr, code, "repolint", "RL")
 }
 
 func TestVetCleanUnderCheckedInBaseline(t *testing.T) {
 	// The acceptance bar: paper-default protection, checked-in baseline,
 	// zero unbaselined findings on the seven builtin graphs.
-	stdout, stderr, code := runCLI(t, "commguard-vet", "-all")
+	stdout, stderr, code := runVet(t, "-all")
 	if code != 0 {
 		t.Errorf("vet -all: exit %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -105,7 +162,7 @@ func TestVetBaselineDoesNotMaskViolations(t *testing.T) {
 	// Under software-queue protection the fft critical flow becomes a
 	// CS001 violation; the baseline (errors are never suppressible) must
 	// not hide it even though every current warning is accepted.
-	stdout, _, code := runCLI(t, "commguard-vet", "-all", "-protection", "software-queue", "-json")
+	stdout, _, code := runVet(t, "-all", "-protection", "software-queue", "-json")
 	if code != 1 {
 		t.Fatalf("vet -protection software-queue: exit %d, want 1", code)
 	}
@@ -116,7 +173,7 @@ func TestVetBaselineDoesNotMaskViolations(t *testing.T) {
 
 func TestVetSARIFValidates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vet.sarif")
-	_, stderr, code := runCLI(t, "commguard-vet", "-all", "-sarif", path)
+	_, stderr, code := runVet(t, "-all", "-sarif", path)
 	if code != 0 {
 		t.Fatalf("vet -sarif: exit %d\nstderr: %s", code, stderr)
 	}
@@ -191,7 +248,7 @@ func vetInjectedHot(n int) int {
 	}
 
 	// 1. The injected allocation is an unbaselined CS020 with a call path.
-	stdout, stderr, code := runCLI(t, "commguard-vet", "-all", "-root", scratch, "-json")
+	stdout, stderr, code := runVet(t, "-all", "-root", scratch, "-json")
 	if code != 1 {
 		t.Fatalf("injected alloc: exit %d, want 1\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -204,11 +261,11 @@ func vetInjectedHot(n int) int {
 
 	// 2. -write-baseline accepts the warning; with every finding baselined,
 	// vet is clean.
-	_, stderr, code = runCLI(t, "commguard-vet", "-all", "-root", scratch, "-write-baseline")
+	_, stderr, code = runVet(t, "-all", "-root", scratch, "-write-baseline")
 	if code != 0 {
 		t.Fatalf("-write-baseline: exit %d, want 0\nstderr: %s", code, stderr)
 	}
-	stdout, _, code = runCLI(t, "commguard-vet", "-all", "-root", scratch)
+	stdout, _, code = runVet(t, "-all", "-root", scratch)
 	if code != 0 || !strings.Contains(stdout, "0 findings") {
 		t.Fatalf("baselined warnings should exit 0:\nexit %d, %s", code, stdout)
 	}
@@ -218,38 +275,78 @@ func vetInjectedHot(n int) int {
 	if err := os.WriteFile(dct, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code = runCLI(t, "commguard-vet", "-all", "-root", scratch, "-fail-stale")
+	_, stderr, code = runVet(t, "-all", "-root", scratch, "-fail-stale")
 	if code != 1 || !strings.Contains(stderr, "stale baseline") {
 		t.Fatalf("-fail-stale on stranded entry: exit %d, want 1\nstderr: %s", code, stderr)
 	}
 
 	// 4. -prune-baseline repairs the file; the gate passes again.
-	_, stderr, code = runCLI(t, "commguard-vet", "-all", "-root", scratch, "-prune-baseline")
+	_, stderr, code = runVet(t, "-all", "-root", scratch, "-prune-baseline")
 	if code != 0 || !strings.Contains(stderr, "pruned") {
 		t.Fatalf("-prune-baseline: exit %d, want 0\nstderr: %s", code, stderr)
 	}
-	_, stderr, code = runCLI(t, "commguard-vet", "-all", "-root", scratch, "-fail-stale")
+	_, stderr, code = runVet(t, "-all", "-root", scratch, "-fail-stale")
 	if code != 0 {
 		t.Fatalf("post-prune -fail-stale: exit %d, want 0\nstderr: %s", code, stderr)
 	}
 }
 
+// TestVetReportsPoppedLoopBoundOnce plants a filter whose loop bound comes
+// straight from popped data into a scratch copy's internal/apps. The
+// criticality analysis owns that pattern (CM001, an error); no other
+// analysis may report the same line again under a second code.
+func TestVetReportsPoppedLoopBoundOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-repo vet run; skipped with -short")
+	}
+	scratch := copyRepoSources(t)
+	const planted = "internal/apps/vet_planted.go"
+	src := `package apps
+
+import "commguard/internal/stream"
+
+func vetPlantedLoop() *stream.FuncFilter {
+	return stream.NewFuncFilter("planted", 1, 1, 1, func(ctx *stream.Ctx) {
+		n := int(ctx.PopI32(0))
+		for i := 0; i < n; i++ {
+			ctx.Push(0, uint32(i))
+		}
+	})
+}
+`
+	if err := os.WriteFile(filepath.Join(scratch, filepath.FromSlash(planted)), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runVet(t, "-all", "-root", scratch, "-json")
+	if code != 1 {
+		t.Fatalf("planted CM001: exit %d, want 1\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	var r diag.Report
+	if err := json.Unmarshal([]byte(stdout), &r); err != nil {
+		t.Fatalf("-json output: %v\n%.800s", err, stdout)
+	}
+	var onLine []diag.Diagnostic
+	for _, d := range r.Diagnostics {
+		if d.File == planted && d.Line == 8 {
+			onLine = append(onLine, d)
+		}
+	}
+	if len(onLine) != 1 || onLine[0].Code != "CM001" || onLine[0].Severity != "error" {
+		t.Fatalf("want exactly one CM001 error on %s:8, got %+v", planted, onLine)
+	}
+}
+
 func TestUsageErrorsExitTwo(t *testing.T) {
 	cases := [][]string{
-		{"graphcheck"},                                    // neither -app nor -all
-		{"graphcheck", "-app", "nope"},                    // unknown benchmark
-		{"critmap"},                                       // neither -app nor -all
-		{"critmap", "-app", "nope"},                       // unknown benchmark
-		{"repolint", "does/not/exist.go"},                 // unreadable pattern
-		{"commguard-vet"},                                 // neither -app nor -all
-		{"commguard-vet", "-app", "nope"},                 // unknown benchmark
-		{"commguard-vet", "-all", "-protection", "bogus"}, // unknown level
-		{"commguard-vet", "-all", "-write-baseline", "-prune-baseline"}, // mutually exclusive
-		{"commguard-vet", "-app", "fft", "-prune-baseline"},             // staleness needs -all
-		{"commguard-vet", "-app", "fft", "-fail-stale"},                 // staleness needs -all
+		{},                               // neither -app nor -all
+		{"-app", "nope"},                 // unknown benchmark
+		{"-all", "-protection", "bogus"}, // unknown level
+		{"-all", "-write-baseline", "-prune-baseline"}, // mutually exclusive
+		{"-app", "fft", "-prune-baseline"},             // staleness needs -all
+		{"-app", "fft", "-fail-stale"},                 // staleness needs -all
 	}
 	for _, c := range cases {
-		_, stderr, code := runCLI(t, c[0], c[1:]...)
+		_, stderr, code := runVet(t, c...)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %.200s)", c, code, stderr)
 		}

@@ -1,6 +1,7 @@
 // Command streamgraph inspects a benchmark's stream graph: topology,
 // per-edge rates, and the steady-state schedule the balance equations
-// produce (multiplicities and frame sizes per edge).
+// produce (multiplicities and frame sizes per edge). Static verification
+// of the graph lives in commguard-vet.
 //
 // Example:
 //
@@ -13,7 +14,6 @@ import (
 	"os"
 
 	"commguard/internal/apps"
-	"commguard/internal/check"
 	"commguard/internal/fault"
 	"commguard/internal/rely"
 	"commguard/internal/stream"
@@ -22,16 +22,15 @@ import (
 func main() {
 	appName := flag.String("app", "jpeg", "benchmark: audiobeamformer|channelvocoder|complex-fir|fft|jpeg|mp3")
 	mtbe := flag.Float64("mtbe", 0, "if > 0, print the Rely-style frame reliability analysis at this MTBE")
-	doCheck := flag.Bool("check", false, "run the static verification pass (CG001-CG006) and exit non-zero on errors")
 	flag.Parse()
 
-	if err := run(*appName, *mtbe, *doCheck); err != nil {
+	if err := run(*appName, *mtbe); err != nil {
 		fmt.Fprintln(os.Stderr, "streamgraph:", err)
 		os.Exit(1)
 	}
 }
 
-func run(appName string, mtbe float64, doCheck bool) error {
+func run(appName string, mtbe float64) error {
 	b, ok := apps.ByName(appName)
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", appName)
@@ -57,15 +56,6 @@ func run(appName string, mtbe float64, doCheck bool) error {
 			e.ID, e.Src.Name(), e.Dst.Name(), sched.EdgeItems[e.ID])
 	}
 	fmt.Printf("\ntotal items per frame across all edges: %d\n", sched.FrameItems())
-
-	if doCheck {
-		report := check.Run(inst.Graph, check.DefaultConfig())
-		fmt.Println("\nstatic verification:")
-		fmt.Println(report)
-		if report.HasErrors() {
-			return fmt.Errorf("%d error-severity findings", len(report.Errors()))
-		}
-	}
 
 	if mtbe > 0 {
 		a, err := rely.Analyze(inst.Graph, mtbe, fault.DefaultModel(true))

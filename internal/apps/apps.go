@@ -58,7 +58,7 @@ func All() []Builder {
 
 // AllBuiltin returns every built-in benchmark: the paper's six plus the
 // do-all extension (§9). Figure-reproduction experiments iterate All();
-// structural tooling (graphcheck, CI verification) iterates this.
+// structural tooling (commguard-vet, CI verification) iterates this.
 func AllBuiltin() []Builder {
 	return append(All(),
 		Builder{Name: "doall", New: func() (*Instance, error) { return NewDoAll(DefaultDoAllConfig()) }},

@@ -120,8 +120,6 @@ type Config struct {
 	Iterations int
 	// FrameScale is the PPU-level frame enlargement (EngineConfig.FrameScale).
 	FrameScale int
-	// Suppress lists diagnostic codes to skip (e.g. "CG005").
-	Suppress []string
 	// Facts carries cross-package analysis results keyed by producer
 	// (e.g. "crit" -> the repo's crit.ProtectionMap). Rules registered by
 	// other packages type-assert what they need and skip themselves when
@@ -318,8 +316,8 @@ func (r *Report) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// Run evaluates every registered (non-suppressed) graph-scoped rule
-// against the graph under the given configuration.
+// Run evaluates every registered graph-scoped rule against the graph
+// under the given configuration.
 func Run(g *stream.Graph, cfg Config) *Report {
 	if cfg.Queue == (queue.Config{}) {
 		cfg.Queue = queue.DefaultConfig()
@@ -331,22 +329,18 @@ func Run(g *stream.Graph, cfg Config) *Report {
 	return run(ctx, ScopeGraph)
 }
 
-// RunRepo evaluates every registered (non-suppressed) repo-scoped rule.
-// The context carries a nil Graph; rules read their inputs from
-// Config.Facts (e.g. the hotpath analysis result).
+// RunRepo evaluates every registered repo-scoped rule. The context carries
+// a nil Graph; rules read their inputs from Config.Facts (e.g. the hotpath
+// analysis result).
 func RunRepo(cfg Config) *Report {
 	ctx := &Context{Cfg: cfg}
 	return run(ctx, ScopeRepo)
 }
 
 func run(ctx *Context, scope Scope) *Report {
-	suppressed := make(map[string]bool, len(ctx.Cfg.Suppress))
-	for _, code := range ctx.Cfg.Suppress {
-		suppressed[strings.TrimSpace(code)] = true
-	}
 	report := &Report{}
 	for _, rule := range Rules() {
-		if rule.Scope != scope || suppressed[rule.Code] {
+		if rule.Scope != scope {
 			continue
 		}
 		for _, d := range rule.Check(ctx) {

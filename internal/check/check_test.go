@@ -324,19 +324,6 @@ func TestCG006FrameExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestSuppression(t *testing.T) {
-	g := stream.NewGraph()
-	if _, err := g.Chain(stream.NewSource("F6", 192, nil), stream.NewSink("F7", 15360)); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Suppress = []string{"CG006"}
-	r := Run(g, cfg)
-	if codes(r)["CG006"] != 0 {
-		t.Fatalf("suppressed CG006 still reported:\n%s", r)
-	}
-}
-
 func TestCleanGraphNoFindings(t *testing.T) {
 	g := stream.NewGraph()
 	if _, err := g.Chain(
@@ -356,7 +343,7 @@ func TestCleanGraphNoFindings(t *testing.T) {
 }
 
 // Every built-in benchmark must verify with zero errors under the default
-// engine configuration — the CI gate the graphcheck CLI also enforces.
+// engine configuration — the CI gate commguard-vet also enforces.
 func TestAllBuiltinBenchmarksCheckClean(t *testing.T) {
 	builders := apps.AllBuiltin()
 	if len(builders) != 7 {

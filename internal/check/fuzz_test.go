@@ -75,12 +75,12 @@ func buildFuzzGraph(data []byte) (*stream.Graph, queue.Config) {
 //     precondition.
 func FuzzGraphCheck(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 4, 4, 0, 4, 8})          // clean pipeline
-	f.Add([]byte{1, 3, 0, 5, 0, 2, 1})       // zero-rate mid-chain
-	f.Add([]byte{2, 2, 2, 2, 1, 9, 64})      // dangling sink
-	f.Add([]byte{3, 7, 3, 11, 2, 2, 1})      // tiny queue
-	f.Add([]byte{0, 15, 13, 11, 9, 9, 64})   // coprime rates, big mults
-	f.Add([]byte{1, 1, 1, 1, 1, 0, 0})       // invalid queue geometry
+	f.Add([]byte{0, 4, 4, 0, 4, 8})        // clean pipeline
+	f.Add([]byte{1, 3, 0, 5, 0, 2, 1})     // zero-rate mid-chain
+	f.Add([]byte{2, 2, 2, 2, 1, 9, 64})    // dangling sink
+	f.Add([]byte{3, 7, 3, 11, 2, 2, 1})    // tiny queue
+	f.Add([]byte{0, 15, 13, 11, 9, 9, 64}) // coprime rates, big mults
+	f.Add([]byte{1, 1, 1, 1, 1, 0, 0})     // invalid queue geometry
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, qc := buildFuzzGraph(data)
 		cfg := Config{Queue: qc}

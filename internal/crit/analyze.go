@@ -55,13 +55,9 @@ func ParseDirectives(fset *token.FileSet, f *ast.File) []Directive {
 	return out
 }
 
-// Covers reports whether the directive suppresses the given code, honoring
-// the lint-facing aliases (RL004 covers CM001/CM002, RL005 covers CM003).
+// Covers reports whether the directive suppresses the given code.
 func (d Directive) Covers(code string) bool {
-	if len(d.Codes) == 0 {
-		return true
-	}
-	return d.Codes[code] || d.Codes[lintAlias[code]]
+	return len(d.Codes) == 0 || d.Codes[code]
 }
 
 // suppressFindings drops findings covered by a repolint:ignore directive on
@@ -106,7 +102,7 @@ func AnalyzeDir(dir string, mode Mode) (*ProtectionMap, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		fm, err := AnalyzeFile(filepath.Join(dir, name), mode)
+		fm, err := analyzeFile(filepath.Join(dir, name), nil, mode)
 		if err != nil {
 			return nil, err
 		}

@@ -31,8 +31,8 @@
 //	CM003  a control-critical receiver field is mutated outside Work/Init
 //
 // Findings are suppressible with `//repolint:ignore CM00x reason` comments
-// (same directive grammar as internal/lint; the lint-facing aliases RL004
-// for CM001/CM002 and RL005 for CM003 are honored too).
+// (the directive grammar internal/lint shares). commguard-vet reports them
+// as tool "critmap".
 package crit
 
 import (
@@ -76,14 +76,6 @@ const (
 	// Work/Init (CM003).
 	CodeFieldMut = "CM003"
 )
-
-// lintAlias maps finding codes to the repolint rule that wraps them, so a
-// `//repolint:ignore RL004` directive also silences the critmap form.
-var lintAlias = map[string]string{
-	CodeLoopBound: "RL004",
-	CodeIndex:     "RL004",
-	CodeFieldMut:  "RL005",
-}
 
 // Var is one classified variable of a work function. Receiver fields are
 // tracked as "recv.field" composite names.
@@ -278,35 +270,21 @@ const (
 // AnalyzeSource analyzes in-memory source (for tests). Findings covered
 // by an ignore directive are dropped.
 func AnalyzeSource(filename, src string, mode Mode) (*ProtectionMap, error) {
+	return analyzeFile(filename, src, mode)
+}
+
+// analyzeFile parses one file (from src when non-nil, else from disk),
+// analyzes it and drops the findings its directives cover.
+func analyzeFile(filename string, src any, mode Mode) (*ProtectionMap, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
 	if err != nil {
 		return nil, fmt.Errorf("crit: %w", err)
 	}
-	m := AnalyzeParsed(fset, f, mode)
-	suppressFindings(fset, f, m)
-	return m, nil
-}
-
-// AnalyzeFile analyzes one Go source file, applying repolint:ignore
-// suppression.
-func AnalyzeFile(path string, mode Mode) (*ProtectionMap, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("crit: %w", err)
-	}
-	m := AnalyzeParsed(fset, f, mode)
-	suppressFindings(fset, f, m)
-	return m, nil
-}
-
-// AnalyzeParsed analyzes an already-parsed file WITHOUT applying
-// suppression directives; callers embedding the analysis (internal/lint)
-// run their own directive handling over the wrapped findings.
-func AnalyzeParsed(fset *token.FileSet, f *ast.File, mode Mode) *ProtectionMap {
 	a := &fileAnalyzer{fset: fset, file: f, pkg: f.Name.Name, mode: mode, imports: importNames(f)}
-	return a.run()
+	m := a.run()
+	suppressFindings(fset, f, m)
+	return m, nil
 }
 
 // ctxPopFns are the Ctx methods that deliver stream data.

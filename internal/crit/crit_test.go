@@ -265,7 +265,6 @@ func build() *stream.FuncFilter {
 		{"line above, exact code", "//repolint:ignore CM002 bounded upstream", "above", true},
 		{"same line, exact code", "//repolint:ignore CM002 bounded upstream", "same", true},
 		{"file level, exact code", "//repolint:ignore CM002 whole file audited", "file", true},
-		{"lint alias", "//repolint:ignore RL004 bounded upstream", "above", true},
 		{"comma-separated codes", "//repolint:ignore CM001,CM002 audited", "above", true},
 		{"bare directive suppresses all", "//repolint:ignore audited", "above", true},
 		{"wrong code does not suppress", "//repolint:ignore CM003 nope", "above", false},

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-	"sync"
 )
 
 // The exported taint lattice. The fixpoint of dataflow.go classifies every
@@ -90,19 +89,6 @@ func (p TaintPath) String() string {
 		out += v
 	}
 	return out
-}
-
-var (
-	aliasMu sync.Mutex
-)
-
-// RegisterLintAlias maps a finding code owned by another analysis to the
-// repolint rule wrapping it, so an ignore directive may name either
-// spelling (the way RL004 covers CM001/CM002). Call from init functions.
-func RegisterLintAlias(code, rule string) {
-	aliasMu.Lock()
-	defer aliasMu.Unlock()
-	lintAlias[code] = rule
 }
 
 // findEscapes records tainted values leaving the analysis horizon. It runs

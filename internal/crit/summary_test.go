@@ -150,11 +150,3 @@ func work(ctx *stream.Ctx) {
 		t.Fatalf("guarded flow reported critical: %+v, findings %+v", fm.CriticalPaths, fm.Findings)
 	}
 }
-
-func TestRegisterLintAlias(t *testing.T) {
-	RegisterLintAlias("ZZ999", "RL999")
-	d := Directive{Codes: map[string]bool{"RL999": true}}
-	if !d.Covers("ZZ999") {
-		t.Fatal("directive naming the lint alias does not cover the wrapped code")
-	}
-}

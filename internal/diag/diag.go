@@ -1,7 +1,6 @@
-// Package diag is the shared machine-readable diagnostic schema the
-// repo's static-analysis CLIs (graphcheck, critmap, repolint and
-// commguard-vet, each under -json) emit, so CI and editor tooling consume
-// findings from every tool uniformly. It also carries the SARIF 2.1.0
+// Package diag is the shared machine-readable diagnostic schema
+// commguard-vet emits under -json, so CI and editor tooling consume the
+// findings of every analysis uniformly. It also carries the SARIF 2.1.0
 // emitter (sarif.go) and the warning baseline (baseline.go) commguard-vet
 // builds on.
 package diag
@@ -13,14 +12,15 @@ import (
 	"sort"
 )
 
-// Diagnostic is one tool finding in the common schema. Fields that do not
-// apply to a given tool are left zero and omitted from the JSON encoding:
-// graphcheck findings carry App/Node/Edge, critmap findings carry
+// Diagnostic is one analysis finding in the common schema. Fields that do
+// not apply to a given analysis are left zero and omitted from the JSON
+// encoding: graph findings carry App/Node/Edge, criticality findings carry
 // File/Line/Col/Node (the filter name).
 type Diagnostic struct {
-	// Tool names the producer ("graphcheck", "critmap", "repolint").
+	// Tool names the producing analysis ("graphcheck", "soundness",
+	// "critmap", "repolint", "hotpath"); baseline fingerprints include it.
 	Tool string `json:"tool"`
-	// Code is the rule identifier (CG001, CM001, RL004, ...).
+	// Code is the rule identifier (CG001, CM001, RL001, ...).
 	Code string `json:"code"`
 	// Severity is "error" or "warning".
 	Severity string `json:"severity"`

@@ -47,13 +47,12 @@ type HotpathResult struct {
 	Profile       string       `json:"profile"`
 }
 
-// Pre-overhaul baselines (mutex-per-item queue, time.AfterFunc waits),
-// measured with `go test -bench` on the CI machine class before the
-// hot-path rewrite. BenchmarkTable1AlignmentManager spent nearly all of
-// its time in timer churn and broadcast wakeups.
+// Pre-overhaul per-item transit baselines (mutex-per-item queue,
+// time.AfterFunc waits), measured with `go test -bench` on the CI machine
+// class before the hot-path rewrite. Only variants with a like-for-like
+// ns/item measurement belong here.
 var hotpathBaselines = map[string]float64{
-	"push-pop":         32.58,
-	"guarded-per-item": 38985546,
+	"push-pop": 32.58,
 }
 
 const hotpathChunk = 256

@@ -79,9 +79,6 @@ const (
 	CodeOpaque = "CS023"
 )
 
-// Codes lists the hotpath finding codes in order.
-func Codes() []string { return []string{CodeAlloc, CodeBlock, CodeHidden, CodeOpaque} }
-
 // Finding is one purity violation reachable from a //hotpath:entry.
 type Finding struct {
 	// Pos locates the offending operation.
@@ -252,20 +249,14 @@ func AnalyzeDirs(root string, dirs []string) ([]Finding, error) {
 // AnalyzeSource analyzes a single in-memory file leniently: calls whose
 // callee cannot be resolved (missing cross-file declarations, unimported
 // packages) are skipped rather than reported, so a lone file out of a
-// larger package does not drown in spurious CS023. This is the repolint
-// RL008 form for synthetic sources; on-disk files get the whole-program
-// analysis.
+// larger package does not drown in spurious CS023. On-disk code gets the
+// whole-program analysis (AnalyzeRepo).
 func AnalyzeSource(filename string, src []byte) ([]Finding, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
-	return AnalyzeParsed(fset, f)
-}
-
-// AnalyzeParsed is AnalyzeSource for an already-parsed file.
-func AnalyzeParsed(fset *token.FileSet, f *ast.File) ([]Finding, error) {
 	l := newFileLoader(fset)
 	ipath := l.checkFile(f)
 	a := newAnalyzer(l, true)

@@ -162,7 +162,7 @@ func TestRepoFastPathsClean(t *testing.T) {
 		t.Skip("whole-program analysis; skipped with -short")
 	}
 	root := moduleRoot(t)
-	fs, err := RepoFindings(root)
+	fs, err := AnalyzeRepo(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package hotpath
 
 import (
 	"strings"
-	"sync"
 
 	"commguard/internal/check"
-	"commguard/internal/crit"
 )
 
 // FactKey names the check.Config.Facts entry carrying the hotpath
@@ -24,11 +22,6 @@ func factFor(ctx *check.Context) *Fact {
 }
 
 func init() {
-	// A //repolint:ignore RL008 directive silences the wrapped CS02x
-	// spelling too, the way RL007 covers the atomics codes.
-	for _, code := range Codes() {
-		crit.RegisterLintAlias(code, "RL008")
-	}
 	register(CodeAlloc, "hotpath-alloc",
 		"heap allocation reachable from a //hotpath:entry function")
 	register(CodeBlock, "hotpath-block",
@@ -69,28 +62,4 @@ func register(code, name, doc string) {
 			return out
 		},
 	})
-}
-
-// repoCache memoizes AnalyzeRepo per root for the life of the process, so
-// commguard-vet's repo pass and repolint's per-file RL008 wrapping share
-// one whole-program analysis instead of re-type-checking the module (and
-// the stdlib closure) once per consumer.
-var repoCache sync.Map // root -> *repoResult
-
-type repoResult struct {
-	once     sync.Once
-	findings []Finding
-	err      error
-}
-
-// RepoFindings is AnalyzeRepo with process-lifetime memoization keyed by
-// root. Callers that mutate sources mid-process (synthetic-repo tests)
-// should call AnalyzeRepo/AnalyzeDirs directly.
-func RepoFindings(root string) ([]Finding, error) {
-	v, _ := repoCache.LoadOrStore(root, &repoResult{})
-	r := v.(*repoResult)
-	r.once.Do(func() {
-		r.findings, r.err = AnalyzeRepo(root)
-	})
-	return r.findings, r.err
 }

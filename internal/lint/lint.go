@@ -14,42 +14,24 @@
 //	RL003  PushRates/PopRates implementations must be constant: the
 //	       steady-state schedule is solved once from these rates, so they
 //	       cannot mutate state, touch channels, or consult rand/time.
-//	RL004  filter work functions must not derive a loop bound or
-//	       slice/array index from popped data without a bounds guard (the
-//	       statically-detectable catastrophic pattern of §3; backed by
-//	       internal/crit's dataflow analysis, scoped to internal/apps and
-//	       internal/stream).
-//	RL005  control-critical receiver fields identified by the same
-//	       analysis must not be mutated outside Work/Init.
 //	RL006  repolint:ignore directives that suppress nothing are stale and
 //	       reported themselves (directives naming non-RL codes are exempt:
-//	       they target other tools, e.g. critmap's CM codes).
-//	RL007  internal/queue's lock-free fast path must honor its declared
-//	       single-writer ownership protocol (the //queue: annotations);
-//	       backed by internal/soundness's atomics discipline (CS010+),
-//	       evaluated per file here — commguard-vet runs the cross-file
-//	       form.
-//	RL008  functions annotated //hotpath:entry must stay pure: no heap
-//	       allocation, no blocking, no defer/recover/map writes, no
-//	       opaque calls anywhere statically reachable from them; backed
-//	       by internal/hotpath's whole-program walk (CS020–CS023),
-//	       surfaced per file here — commguard-vet runs the repo-wide
-//	       form. Sanctioned slow-path boundaries are marked
-//	       //hotpath:ok with a reason (see the internal/hotpath package
-//	       doc for the annotation grammar).
+//	       they target other analyses, e.g. internal/crit's CM codes).
+//
+// commguard-vet reports these rules under tool "repolint". Popped-data
+// control flow, the queue atomics discipline and hot-path purity are not
+// lint rules: they are internal/crit's CM001–CM003, internal/soundness's
+// CS010–CS012 and internal/hotpath's CS020–CS023, each reported once.
 //
 // Findings can be suppressed with a `//repolint:ignore RL00x reason`
 // comment on the same line, the line directly above, or — file-wide —
 // before the package clause. Multiple codes may be space- or
-// comma-separated; a bare directive suppresses every code. Directives
-// naming a CM code also cover the wrapped RL004/RL005 form and vice
-// versa; the same aliasing covers RL008 and the CS020-series. Hotpath
-// findings additionally honor the //hotpath:ok statement-level waiver,
-// applied inside the analysis itself.
+// comma-separated; a bare directive suppresses every code. The grammar is
+// internal/crit's (crit.ParseDirectives), which honors the same
+// directives for its CM codes.
 //
 // The analyzer is built on go/parser and go/ast alone — no go/packages, no
-// module downloads — so `go run ./cmd/repolint ./...` works in a hermetic
-// CI container.
+// module downloads — so it runs in a hermetic CI container.
 package lint
 
 import (
@@ -58,15 +40,12 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
 	"commguard/internal/crit"
-	"commguard/internal/hotpath"
-	"commguard/internal/soundness"
 )
 
 // Finding is one rule violation.
@@ -111,7 +90,7 @@ func Run(root string) ([]Finding, error) {
 		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
-		fileFindings, ferr := File(path)
+		fileFindings, ferr := lintFile(path, nil)
 		if ferr != nil {
 			return ferr
 		}
@@ -134,38 +113,23 @@ func Run(root string) ([]Finding, error) {
 	return findings, nil
 }
 
-// File lints one Go source file.
-func File(path string) ([]Finding, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	return lintParsed(fset, f, path), nil
-}
-
 // Source lints in-memory source (for tests).
 func Source(filename string, src string) ([]Finding, error) {
+	return lintFile(filename, src)
+}
+
+// lintFile parses one file (from src when non-nil, else from disk) and
+// runs every rule whose path scope covers it.
+func lintFile(path string, src any) ([]Finding, error) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	return lintParsed(fset, f, filename), nil
-}
-
-func lintParsed(fset *token.FileSet, f *ast.File, path string) []Finding {
-	// Each finding carries a matchCode for directive matching: the
-	// underlying CM code for crit-derived findings (so directives may name
-	// either spelling), the rule itself otherwise.
-	var findings []codedFinding
+	var findings []Finding
 	report := func(pos token.Pos, rule, msg string) {
-		findings = append(findings, codedFinding{
-			Finding:   Finding{Pos: fset.Position(pos), Rule: rule, Message: msg},
-			matchCode: rule,
-		})
+		findings = append(findings, Finding{Pos: fset.Position(pos), Rule: rule, Message: msg})
 	}
-
 	if rawChanApplies(path) {
 		checkRawChan(fset, f, report)
 	}
@@ -173,150 +137,13 @@ func lintParsed(fset *token.FileSet, f *ast.File, path string) []Finding {
 		checkGlobalRand(f, report)
 	}
 	checkConstRates(f, report)
-	if critApplies(path) {
-		findings = append(findings, checkCriticality(fset, f)...)
-	}
-	if atomicsApplies(path) {
-		findings = append(findings, checkAtomics(fset, f)...)
-	}
-	if hotpathApplies(path) {
-		findings = append(findings, checkHotpath(fset, f, path)...)
-	}
-
-	return suppress(fset, f, findings)
+	return suppress(fset, f, findings), nil
 }
 
-// atomicsApplies scopes RL007 to the queue runtime, where the //queue:
-// ownership annotations live.
-func atomicsApplies(path string) bool {
-	return inPackageDir(path, "internal/queue") &&
-		!strings.HasSuffix(filepath.Base(path), "_test.go")
-}
-
-// checkAtomics wraps internal/soundness's atomics discipline as RL007.
-// Single-file vision: methods whose struct lives in another file of the
-// package are covered by commguard-vet's directory-wide run instead.
-func checkAtomics(fset *token.FileSet, f *ast.File) []codedFinding {
-	var out []codedFinding
-	for _, fi := range soundness.CheckAtomicsParsed(fset, []*ast.File{f}) {
-		out = append(out, codedFinding{
-			Finding: Finding{
-				Pos:     fi.Pos,
-				Rule:    "RL007",
-				Message: fi.Message,
-			},
-			matchCode: fi.Code,
-		})
-	}
-	return out
-}
-
-// hotpathApplies scopes RL008 to the packages carrying //hotpath:entry
-// annotations (hotpath.Sources), so the rest of the tree never pays for
-// the whole-program analysis.
-func hotpathApplies(path string) bool {
-	if strings.HasSuffix(filepath.Base(path), "_test.go") {
-		return false
-	}
-	return inPackageDir(path, hotpath.Sources()...)
-}
-
-// checkHotpath wraps internal/hotpath's purity analysis as RL008.
-// Single-file vision: an on-disk file is judged by the repo-wide walk
-// (memoized per process, filtered to this file) because hot paths cross
-// files and packages by construction; an in-memory file (Source, tests)
-// gets the lenient single-file analysis, where unresolvable callees are
-// skipped rather than reported.
-func checkHotpath(fset *token.FileSet, f *ast.File, path string) []codedFinding {
-	var fs []hotpath.Finding
-	abs, err := filepath.Abs(path)
-	if err == nil {
-		if _, serr := os.Stat(abs); serr == nil {
-			root := moduleRootFor(filepath.Dir(abs))
-			if root == "" {
-				return nil
-			}
-			repoFs, rerr := hotpath.RepoFindings(root)
-			if rerr != nil {
-				return nil // vet reports analysis errors; the linter stays silent
-			}
-			for _, fi := range repoFs {
-				if fi.Pos.Filename == abs {
-					fs = append(fs, fi)
-				}
-			}
-		} else {
-			fs, _ = hotpath.AnalyzeParsed(fset, f)
-		}
-	}
-	var out []codedFinding
-	for _, fi := range fs {
-		out = append(out, codedFinding{
-			Finding: Finding{
-				Pos:     fi.Pos,
-				Rule:    "RL008",
-				Message: fmt.Sprintf("%s (path: %s)", fi.Message, strings.Join(fi.Path, " -> ")),
-			},
-			matchCode: fi.Code,
-		})
-	}
-	return out
-}
-
-// moduleRootFor walks up from dir to the enclosing go.mod.
-func moduleRootFor(dir string) string {
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return ""
-		}
-		dir = parent
-	}
-}
-
-// critApplies scopes RL004/RL005 to the filter implementations — the app
-// builders and the stream runtime's builtin Work methods. Kernel packages
-// are covered by cmd/critmap directly.
-func critApplies(path string) bool {
-	return inPackageDir(path, "internal/apps", "internal/stream") &&
-		!strings.HasSuffix(filepath.Base(path), "_test.go")
-}
-
-// checkCriticality wraps internal/crit's dataflow analysis as lint rules:
-// CM001/CM002 (control flow from unguarded popped data) surface as RL004,
-// CM003 (critical field mutated outside Work/Init) as RL005. The raw,
-// unsuppressed analysis is used so directive handling — including stale
-// detection — stays in one place here.
-func checkCriticality(fset *token.FileSet, f *ast.File) []codedFinding {
-	var out []codedFinding
-	for _, fi := range crit.AnalyzeParsed(fset, f, crit.FilterMode).Findings() {
-		rule := "RL004"
-		if fi.Code == crit.CodeFieldMut {
-			rule = "RL005"
-		}
-		out = append(out, codedFinding{
-			Finding: Finding{
-				Pos:     fi.Pos,
-				Rule:    rule,
-				Message: fmt.Sprintf("%s: %s", fi.Filter, fi.Message),
-			},
-			matchCode: fi.Code,
-		})
-	}
-	return out
-}
-
-// normPath canonicalizes separators so the path predicates work on both
-// relative and absolute invocations.
-func normPath(path string) string {
-	return filepath.ToSlash(path)
-}
-
+// inPackageDir reports whether path lies in one of pkgs. Separators are
+// canonicalized so relative and absolute invocations match alike.
 func inPackageDir(path string, pkgs ...string) bool {
-	p := normPath(path)
+	p := filepath.ToSlash(path)
 	for _, pkg := range pkgs {
 		if strings.Contains(p, pkg+"/") {
 			return true
@@ -469,26 +296,19 @@ func isFieldRef(e ast.Expr) bool {
 	return false
 }
 
-// codedFinding pairs a finding with the code used for directive matching.
-type codedFinding struct {
-	Finding
-	matchCode string
-}
-
 // suppress drops findings covered by a repolint:ignore directive (same
 // line, line directly above, or file-level before the package clause) and
 // reports RL-targeted directives that suppressed nothing as RL006.
 // Directive parsing is shared with internal/crit (crit.ParseDirectives),
-// so comma-separated codes and the CM<->RL aliasing behave identically in
-// both tools.
-func suppress(fset *token.FileSet, f *ast.File, findings []codedFinding) []Finding {
+// so both analyses read one grammar.
+func suppress(fset *token.FileSet, f *ast.File, findings []Finding) []Finding {
 	dirs := crit.ParseDirectives(fset, f)
 	matched := make([]bool, len(dirs))
 	var kept []Finding
 	for _, fi := range findings {
 		drop := false
 		for i, d := range dirs {
-			if !d.Covers(fi.matchCode) {
+			if !d.Covers(fi.Rule) {
 				continue
 			}
 			if d.FileLevel || d.Line == fi.Pos.Line || d.Line == fi.Pos.Line-1 {
@@ -497,7 +317,7 @@ func suppress(fset *token.FileSet, f *ast.File, findings []codedFinding) []Findi
 			}
 		}
 		if !drop {
-			kept = append(kept, fi.Finding)
+			kept = append(kept, fi)
 		}
 	}
 	for i, d := range dirs {
@@ -515,8 +335,8 @@ func suppress(fset *token.FileSet, f *ast.File, findings []codedFinding) []Findi
 }
 
 // hasNonRLCode exempts a directive from stale detection when it names a
-// code owned by another tool (critmap's CM codes): this linter cannot
-// judge whether those still match.
+// code owned by another analysis (internal/crit's CM codes): this linter
+// cannot judge whether those still match.
 func hasNonRLCode(d crit.Directive) bool {
 	for code := range d.Codes {
 		if !strings.HasPrefix(code, "RL") {

@@ -267,75 +267,6 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
-const poppedIndexSrc = `package apps
-
-import "commguard/internal/stream"
-
-var table [16]uint32
-
-func build() *stream.FuncFilter {
-	return stream.NewFuncFilter("f", 1, 1, 1, func(ctx *stream.Ctx) {
-		k := int(ctx.PopI32(0))
-		ctx.Push(0, table[k])
-	})
-}
-`
-
-func TestRL004FlagsPoppedControlFlow(t *testing.T) {
-	fs, err := Source("internal/apps/f.go", poppedIndexSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rules(fs)["RL004"] != 1 {
-		t.Fatalf("want 1 RL004, got %v", fs)
-	}
-	if !strings.Contains(fs[0].Message, "popped data") {
-		t.Errorf("message should explain the pattern: %s", fs[0].Message)
-	}
-}
-
-func TestRL004ScopedToFilterPackages(t *testing.T) {
-	// The identical source outside internal/apps and internal/stream (or in
-	// a test file) is not RL004's business.
-	for _, path := range []string{"internal/codec/jpegcodec/f.go", "internal/apps/f_test.go"} {
-		fs, err := Source(path, poppedIndexSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rules(fs)["RL004"] != 0 {
-			t.Errorf("%s: RL004 out of scope, got %v", path, fs)
-		}
-	}
-}
-
-func TestRL005FlagsCriticalFieldMutation(t *testing.T) {
-	src := `package stream
-
-type S struct {
-	pos  int
-	data []uint32
-}
-
-func (s *S) Work(ctx *Ctx) {
-	ctx.Push(0, s.data[s.pos])
-	s.pos++
-}
-
-func (s *S) Rewind() { s.pos = 0 }
-
-type Ctx struct{}
-
-func (c *Ctx) Push(port int, v uint32) {}
-`
-	fs, err := Source("internal/stream/s.go", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rules(fs)["RL005"] != 1 {
-		t.Fatalf("want 1 RL005, got %v", fs)
-	}
-}
-
 func TestSuppressionCommaSeparatedCodes(t *testing.T) {
 	src := `package fault
 
@@ -418,8 +349,8 @@ func a() int { return 1 }
 }
 
 func TestStaleExemptsForeignCodes(t *testing.T) {
-	// A directive naming another tool's code (critmap's CM002) is not this
-	// linter's to judge.
+	// A directive naming another analysis's code (internal/crit's CM002) is
+	// not this linter's to judge.
 	src := `package codec
 
 //repolint:ignore CM002 index is total by construction
@@ -431,70 +362,5 @@ func a() int { return 1 }
 	}
 	if len(fs) != 0 {
 		t.Fatalf("foreign-code directive must be exempt from staleness, got %v", fs)
-	}
-}
-
-func TestCMDirectiveCoversRLFinding(t *testing.T) {
-	// The CM spelling and the RL spelling are aliases on both sides.
-	src := strings.Replace(poppedIndexSrc, "ctx.Push(0, table[k])",
-		"//repolint:ignore CM002 bounded upstream\n\t\tctx.Push(0, table[k])", 1)
-	fs, err := Source("internal/apps/f.go", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 0 {
-		t.Fatalf("CM002 directive should cover the RL004 finding, got %v", fs)
-	}
-}
-
-const queueFixture = `package queue
-
-import "sync/atomic"
-
-type Q struct {
-	prodOffset atomic.Uint32 //queue:owned-by producer
-}
-
-//queue:side consumer
-func (q *Q) Steal() { q.prodOffset.Store(0) }
-`
-
-func TestRL007WrapsAtomicsDiscipline(t *testing.T) {
-	fs, err := Source("internal/queue/bad.go", queueFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rules(fs)["RL007"] != 1 {
-		t.Fatalf("RL007 fired %d times, want 1:\n%v", rules(fs)["RL007"], fs)
-	}
-	if !strings.Contains(fs[0].Message, "producer-owned field prodOffset") {
-		t.Errorf("RL007 message: %q", fs[0].Message)
-	}
-}
-
-func TestRL007ScopedToQueuePackage(t *testing.T) {
-	for _, path := range []string{"internal/queue/bad_test.go", "internal/campaign/bad.go"} {
-		fs, err := Source(path, queueFixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rules(fs)["RL007"] != 0 {
-			t.Fatalf("RL007 fired outside scope for %s:\n%v", path, fs)
-		}
-	}
-}
-
-func TestRL007SuppressionCoversBothSpellings(t *testing.T) {
-	for _, code := range []string{"RL007", "CS010"} {
-		src := strings.Replace(queueFixture,
-			"func (q *Q) Steal()",
-			"//repolint:ignore "+code+" injector stress fixture\nfunc (q *Q) Steal()", 1)
-		fs, err := Source("internal/queue/bad.go", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rules(fs)["RL007"] != 0 || rules(fs)["RL006"] != 0 {
-			t.Fatalf("directive naming %s left findings:\n%v", code, fs)
-		}
 	}
 }

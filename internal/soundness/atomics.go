@@ -530,13 +530,10 @@ func (c *checker) run(files []*ast.File) {
 	})
 }
 
-// CheckAtomicsParsed runs the discipline over already-parsed files sharing
+// checkAtomicsParsed runs the discipline over already-parsed files sharing
 // one FileSet. Annotation tables are built across all files, so methods in
-// one file are checked against a struct declared in another. Callers with
-// single-file vision (internal/lint wraps this per file as RL007) get a
-// same-file approximation; CheckAtomicsDir is the authoritative cross-file
-// form.
-func CheckAtomicsParsed(fset *token.FileSet, files []*ast.File) []Finding {
+// one file are checked against a struct declared in another.
+func checkAtomicsParsed(fset *token.FileSet, files []*ast.File) []Finding {
 	c := &checker{fset: fset}
 	c.run(files)
 	return c.findings
@@ -550,7 +547,7 @@ func CheckAtomicsSource(filename, src string) ([]Finding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soundness: %w", err)
 	}
-	return CheckAtomicsParsed(fset, []*ast.File{f}), nil
+	return checkAtomicsParsed(fset, []*ast.File{f}), nil
 }
 
 // CheckAtomicsDir runs the discipline over every non-test .go file of a
@@ -574,5 +571,5 @@ func CheckAtomicsDir(dir string) ([]Finding, error) {
 		}
 		files = append(files, f)
 	}
-	return CheckAtomicsParsed(fset, files), nil
+	return checkAtomicsParsed(fset, files), nil
 }

@@ -19,7 +19,7 @@
 //
 // The edge rules register into internal/check's rule registry and consume
 // their whole-program input through check.Config.Facts[FactKey], so a plain
-// graphcheck run (no fact) is unaffected while commguard-vet lights them up.
+// check.Run (no fact) is unaffected while commguard-vet lights them up.
 package soundness
 
 import (
@@ -144,7 +144,7 @@ func Classify(g *stream.Graph, f *Fact) []EdgeVerdict {
 }
 
 // factFor extracts the soundness fact from a check context; nil when the
-// caller supplied none (plain graphcheck runs).
+// caller supplied none (plain check.Run calls).
 func factFor(ctx *check.Context) *Fact {
 	f, _ := ctx.Fact(FactKey).(*Fact)
 	return f
@@ -168,13 +168,6 @@ func pathSummary(fm *crit.FilterMap) string {
 }
 
 func init() {
-	// repolint wraps the atomics-discipline findings as RL007; register the
-	// aliases so an ignore directive may name either spelling, the way
-	// RL004 covers CM001/CM002.
-	crit.RegisterLintAlias("CS010", "RL007")
-	crit.RegisterLintAlias("CS011", "RL007")
-	crit.RegisterLintAlias("CS012", "RL007")
-
 	check.Register(check.Rule{
 		Code: "CS001",
 		Name: "critical-flow-unprotected",
