@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"strings"
 
 	"commguard/internal/apps"
@@ -35,13 +36,12 @@ func main() {
 		verbose    = flag.Bool("v", false, "print per-core statistics")
 		outPath    = flag.String("out", "", "dump the decoded output (jpeg: .ppm image; mp3/audio apps: .wav)")
 		frames     = flag.Bool("frames", false, "print a per-frame damage map vs the reference (the Fig. 7 view)")
-		trace      = flag.String("trace", "", "record an event trace and write <base>.trace.json (Perfetto), <base>.jsonl (diag schema), <base>.snapshot.json (telemetry); also prints the applied-error timeline and AM state timelines")
+		trace      = flag.String("trace", "", "record an event trace and write <base>.trace.json (Perfetto), <base>.jsonl (diag schema), <base>.snapshot.json (run telemetry); also prints the applied-error timeline and AM state timelines")
 		sequential = flag.Bool("sequential", false, "bit-reproducible single-goroutine execution (static schedule)")
 		coder      = flag.String("coder", "", "ECC backend protecting headers and shared pointers: hamming (default), ldpc, or ldpc-N-WC-WR")
 
-		health        = flag.Bool("health", false, "collect runtime-health latency histograms (queue waits, firing durations, fault→detection latency) and print their quantiles")
-		metricsPath   = flag.String("metrics", "", "write the runtime-health histogram artifact <path>.metrics.json (implies -health)")
-		flight        = flag.String("flight", "", "arm an anomaly-triggered flight recorder: trace rings run continuously, and a fired trigger writes <base>.flight.json plus the trace pair at this artifact base")
+		health        = flag.Bool("health", false, "collect runtime-health latency histograms (queue waits, firing durations, fault→detection latency), print their quantiles and add them to the snapshot's latency section")
+		flight        = flag.String("flight", "", "arm an anomaly-triggered flight recorder: trace rings run continuously, and a fired trigger writes the trace pair and <base>.snapshot.json (with a flight section naming the triggers) at this artifact base")
 		flightQuality = flag.Float64("flight-quality", 0, "with -flight: trigger when output quality falls below this floor (dB, 0 disables)")
 		flightSlow    = flag.Float64("flight-slowpath", 0, "with -flight: trigger when queue timeouts exceed this rate per 1000 delivered items (0 disables)")
 		flightStorm   = flag.Float64("flight-storm", 0, "with -flight: trigger when manifested faults exceed this rate per 1000 committed instructions (0 disables)")
@@ -62,7 +62,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := run(*appName, *protection, *coder, *mtbe, *seed, *scale, *verbose, *outPath, *trace, *frames, *sequential, *health || *metricsPath != "", *metricsPath, fopts); err != nil {
+	if err := run(*appName, *protection, *coder, *mtbe, *seed, *scale, *verbose, *outPath, *trace, *frames, *sequential, *health, fopts); err != nil {
 		fmt.Fprintln(os.Stderr, "commguard-sim:", err)
 		os.Exit(1)
 	}
@@ -84,7 +84,7 @@ func parseProtection(s string) (sim.Protection, error) {
 	return 0, fmt.Errorf("unknown protection %q", s)
 }
 
-func run(appName, protection, coder string, mtbe float64, seed int64, scale int, verbose bool, outPath, tracePath string, frames, sequential, health bool, metricsPath string, fopts *obs.FlightOptions) error {
+func run(appName, protection, coder string, mtbe float64, seed int64, scale int, verbose bool, outPath, tracePath string, frames, sequential, health bool, fopts *obs.FlightOptions) error {
 	b, ok := apps.ByName(appName)
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", appName)
@@ -98,9 +98,6 @@ func run(appName, protection, coder string, mtbe float64, seed int64, scale int,
 	}
 	tracing := tracePath != ""
 	cfg := sim.Config{Protection: prot, MTBE: mtbe, Seed: seed, FrameScale: scale, Coder: coder, Trace: tracing, Sequential: sequential, Health: health, Flight: fopts}
-	if tracing {
-		cfg.TraceEvents = -1 // default ring capacity
-	}
 	res, err := sim.RunBenchmark(b, cfg)
 	if err != nil {
 		return err
@@ -162,11 +159,6 @@ func run(appName, protection, coder string, mtbe float64, seed int64, scale int,
 			qt.PushTimeouts, qt.PopTimeouts, qt.ForcedOverwrites, qt.CorrectedPointerErrors)
 	}
 	if tracing {
-		fmt.Printf("\nerror timeline (%d events):\n", len(res.Errors))
-		for _, ev := range res.Errors {
-			fmt.Printf("  core %-2d %-24s frame %-5d instr %-10d %s\n",
-				ev.Core, ev.Node, ev.Frame, ev.Instructions, ev.Class)
-		}
 		if err := writeTrace(tracePath, res, cfg); err != nil {
 			return err
 		}
@@ -195,13 +187,6 @@ func run(appName, protection, coder string, mtbe float64, seed int64, scale int,
 		for _, s := range res.Health {
 			fmt.Printf("  %-16s %10d %12.0f %12.0f %12.0f %6s\n", s.Name, s.Count, s.P50, s.P90, s.P99, s.Unit)
 		}
-		if metricsPath != "" {
-			p, err := writeMetrics(metricsPath, res, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("metrics        written to %s\n", p)
-		}
 	}
 	if fopts != nil {
 		if len(res.FlightDumps) > 0 {
@@ -219,41 +204,37 @@ func run(appName, protection, coder string, mtbe float64, seed int64, scale int,
 	return nil
 }
 
-// writeMetrics writes the runtime-health histogram artifact
-// <base>.metrics.json under the run's manifest.
-func writeMetrics(base string, res *sim.Result, cfg sim.Config) (string, error) {
-	path := base + ".metrics.json"
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	if err := obs.WriteMetrics(f, res.Manifest(cfg), res.Health); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// writeTrace writes the run's event-trace artifacts next to base and
-// prints the per-consumer AM state timelines.
+// writeTrace prints the applied-error timeline (the trace's fault events
+// by core, then instruction count), writes the run's artifacts next to
+// base, and prints the per-consumer AM state timelines.
 func writeTrace(base string, res *sim.Result, cfg sim.Config) error {
 	if res.Trace == nil {
 		return fmt.Errorf("no trace was recorded")
 	}
-	paths, err := res.Trace.WriteFiles(base)
+	var faults []obs.Event
+	for _, e := range res.Trace.Events {
+		if e.Kind == obs.KindFault {
+			faults = append(faults, e)
+		}
+	}
+	sort.SliceStable(faults, func(i, j int) bool {
+		if faults[i].Core != faults[j].Core {
+			return faults[i].Core < faults[j].Core
+		}
+		return faults[i].Arg2 < faults[j].Arg2
+	})
+	fmt.Printf("\nerror timeline (%d events):\n", len(faults))
+	for _, e := range faults {
+		fmt.Printf("  core %-2d %-24s frame %-5d instr %-10d %s\n",
+			e.Core, res.Trace.CoreName(e.Core), e.FC, e.Arg2, obs.FaultClassName(e.Arg))
+	}
+	if res.Trace.Dropped > 0 {
+		fmt.Printf("  (the trace dropped %d records: the timeline may be missing early faults)\n", res.Trace.Dropped)
+	}
+	paths, err := res.WriteArtifacts(base, cfg)
 	if err != nil {
 		return err
 	}
-	snapPath := base + ".snapshot.json"
-	sf, err := os.Create(snapPath)
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	if err := res.Snapshot(cfg).WriteJSON(sf); err != nil {
-		return err
-	}
-	paths = append(paths, snapPath)
 
 	fmt.Printf("\ntrace          %d events (%d dropped) -> %s\n",
 		len(res.Trace.Events), res.Trace.Dropped, strings.Join(paths, ", "))

@@ -52,7 +52,7 @@ func main() {
 		benchKernels = flag.String("benchkernels", "", "measure only the kernel firing-path variants (per-item vs batch vs abft) and write the JSON snapshot to this path")
 		verbose      = flag.Bool("v", false, "print per-figure start/finish lines with elapsed time and job counts to stderr")
 		trace        = flag.String("trace", "", "record an event trace of Figure 7's representative run and write <base>.trace.json/.jsonl/.snapshot.json")
-		listen       = flag.String("listen", "", "serve live sweep progress counters over HTTP at this address (GET /debug/vars, OpenMetrics at GET /metrics), e.g. :6060")
+		listen       = flag.String("listen", "", "serve live sweep progress counters over HTTP at this address (OpenMetrics at GET /metrics), e.g. :6060")
 		flightDir    = flag.String("flight-dir", "", "arm a flight recorder on detection-latency sweep jobs: trace rings run continuously and are dumped into this directory when a job trips a PPU watchdog refusal or is classified as hung")
 
 		journal    = flag.String("journal", "", "append completed sweep jobs to this JSONL journal (campaign mode: watchdog, retries, graceful SIGINT)")
@@ -82,11 +82,11 @@ func main() {
 		opts.FlightDir = *flightDir
 	}
 	if *listen != "" {
-		opts.Progress = obs.Live()
-		obs.ListenAndServe(*listen, func(format string, a ...any) {
+		opts.Progress = new(obs.Progress)
+		obs.ListenAndServe(*listen, opts.Progress, func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format, a...)
 		})
-		fmt.Fprintf(os.Stderr, "progress counters at http://%s/debug/vars\n", *listen)
+		fmt.Fprintf(os.Stderr, "progress counters at http://%s/metrics\n", *listen)
 	}
 
 	var (

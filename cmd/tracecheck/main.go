@@ -8,11 +8,10 @@
 //	tracecheck run.jsonl run.trace.json run.snapshot.json
 //
 // The file kind is chosen by suffix: .jsonl (trace event stream),
-// .trace.json (Chrome trace-event JSON), .snapshot.json (telemetry
-// snapshot), .metrics.json (runtime-health histograms), .flight.json
-// (flight-recorder dump), *kernels.json (kernel firing-path benchmark,
-// e.g. BENCH_kernels.json). Exit status is 1 if any file fails
-// validation, 2 on usage errors.
+// .trace.json (Chrome trace-event JSON), .snapshot.json (run telemetry
+// snapshot, including its latency and flight sections), *kernels.json
+// (kernel firing-path benchmark, e.g. BENCH_kernels.json). Exit status
+// is 1 if any file fails validation, 2 on usage errors.
 package main
 
 import (
@@ -74,26 +73,6 @@ func check(path string) error {
 		}
 		fmt.Printf("%s: ok (chrome trace)\n", path)
 		return nil
-	case strings.HasSuffix(path, ".metrics.json"):
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := diag.ValidateMetrics(data); err != nil {
-			return err
-		}
-		fmt.Printf("%s: ok (health metrics)\n", path)
-		return nil
-	case strings.HasSuffix(path, ".flight.json"):
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := diag.ValidateFlight(data); err != nil {
-			return err
-		}
-		fmt.Printf("%s: ok (flight dump)\n", path)
-		return nil
 	case strings.HasSuffix(path, ".snapshot.json"):
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -115,5 +94,5 @@ func check(path string) error {
 		fmt.Printf("%s: ok (kernel bench)\n", path)
 		return nil
 	}
-	return fmt.Errorf("unknown artifact kind (want .jsonl, .trace.json, .snapshot.json, .metrics.json, .flight.json or *kernels.json)")
+	return fmt.Errorf("unknown artifact kind (want .jsonl, .trace.json, .snapshot.json or *kernels.json)")
 }

@@ -19,18 +19,18 @@ func write(t *testing.T, dir, name, content string) string {
 
 const (
 	goodManifest = `"manifest": {"go_version": "go1.24.0", "gomaxprocs": 1}`
-	goodMetrics  = `{` + goodManifest + `, "histograms": [
-		{"name": "fire_item", "unit": "ns", "count": 2, "buckets": [0, 1, 1], "p50": 1, "p90": 2, "p99": 2}]}`
-	goodFlight = `{` + goodManifest + `, "triggers": [{"kind": "hang", "detail": "cancelled"}],
-		"events": 4, "artifacts": ["x.trace.json"]}`
+	goodSnapshot = `{` + goodManifest + `, "sections": {
+		"latency": {"histograms": [
+			{"name": "fire_item", "unit": "ns", "count": 2, "buckets": [0, 1, 1], "p50": 1, "p90": 2, "p99": 2}]},
+		"flight": {"triggers": [{"kind": "hang", "detail": "cancelled"}]}}}`
 )
 
 // TestExitCodeContract pins tracecheck's exit statuses: 0 all valid, 1
 // any invalid, 2 usage.
 func TestExitCodeContract(t *testing.T) {
 	dir := t.TempDir()
-	good := write(t, dir, "ok.metrics.json", goodMetrics)
-	bad := write(t, dir, "bad.metrics.json", `{}`)
+	good := write(t, dir, "ok.snapshot.json", goodSnapshot)
+	bad := write(t, dir, "bad.snapshot.json", `{}`)
 
 	if code := run(nil); code != 2 {
 		t.Errorf("no args: exit %d, want 2", code)
@@ -49,27 +49,32 @@ func TestExitCodeContract(t *testing.T) {
 	if code := run([]string{write(t, dir, "what.bin", "x")}); code != 1 {
 		t.Errorf("unknown suffix: exit %d, want 1", code)
 	}
-	if code := run([]string{filepath.Join(dir, "absent.metrics.json")}); code != 1 {
+	if code := run([]string{filepath.Join(dir, "absent.snapshot.json")}); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
 }
 
-// TestDispatchNewArtifacts pins the suffix dispatch for the
-// runtime-health artifacts: .metrics.json and .flight.json land on
-// their validators (rejecting each other's shapes), and dispatch checks
-// the most specific suffix first.
+// TestDispatchNewArtifacts pins that the runtime-health data lives in the
+// snapshot: its latency and flight sections are checked against their
+// schemas (a bad section fails the file), and the retired standalone
+// .metrics.json/.flight.json artifacts are unknown kinds.
 func TestDispatchNewArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := check(write(t, dir, "run.metrics.json", goodMetrics)); err != nil {
-		t.Errorf("valid metrics rejected: %v", err)
+	if err := check(write(t, dir, "run.snapshot.json", goodSnapshot)); err != nil {
+		t.Errorf("valid snapshot rejected: %v", err)
 	}
-	if err := check(write(t, dir, "run.flight.json", goodFlight)); err != nil {
-		t.Errorf("valid flight dump rejected: %v", err)
+	for name, sections := range map[string]string{
+		"bad-latency": `"latency": {"histograms": [{"name": "x", "unit": "ns", "count": 5, "buckets": [1]}]}`,
+		"bad-flight":  `"flight": {"triggers": []}`,
+	} {
+		doc := `{` + goodManifest + `, "sections": {` + sections + `}}`
+		if err := check(write(t, dir, name+".snapshot.json", doc)); err == nil {
+			t.Errorf("%s: snapshot with a bad section accepted", name)
+		}
 	}
-	if err := check(write(t, dir, "cross.metrics.json", goodFlight)); err == nil {
-		t.Error("flight dump accepted as metrics")
-	}
-	if err := check(write(t, dir, "cross.flight.json", goodMetrics)); err == nil {
-		t.Error("metrics accepted as flight dump")
+	for _, name := range []string{"run.metrics.json", "run.flight.json"} {
+		if err := check(write(t, dir, name, goodSnapshot)); err == nil {
+			t.Errorf("%s: retired artifact kind accepted", name)
+		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"io"
 )
 
-// Trace and snapshot schema. internal/obs emits run telemetry in these
-// shapes; cmd/tracecheck and CI validate artifacts against them, the same
-// way Report standardizes the static-analysis tools' findings.
+// Trace schema. internal/obs emits the event trace in these shapes;
+// cmd/tracecheck and CI validate artifacts against them, the same way
+// Report standardizes the static-analysis tools' findings.
 
 // TraceEvent is one line of the trace JSONL stream.
 type TraceEvent struct {
@@ -81,35 +81,6 @@ func ValidateTraceJSONL(r io.Reader) (int, error) {
 		return n, err
 	}
 	return n, nil
-}
-
-// ValidateSnapshot checks a run telemetry document (obs.Snapshot JSON):
-// a manifest object carrying provenance (go_version, gomaxprocs) and a
-// sections object holding the per-subsystem stats.
-func ValidateSnapshot(data []byte) error {
-	var doc struct {
-		Manifest *struct {
-			GoVersion  string `json:"go_version"`
-			GOMAXPROCS int    `json:"gomaxprocs"`
-		} `json:"manifest"`
-		Sections map[string]json.RawMessage `json:"sections"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("diag: snapshot: %w", err)
-	}
-	if doc.Manifest == nil {
-		return fmt.Errorf("diag: snapshot has no manifest")
-	}
-	if doc.Manifest.GoVersion == "" {
-		return fmt.Errorf("diag: snapshot manifest has empty go_version")
-	}
-	if doc.Manifest.GOMAXPROCS < 1 {
-		return fmt.Errorf("diag: snapshot manifest gomaxprocs %d < 1", doc.Manifest.GOMAXPROCS)
-	}
-	if doc.Sections == nil {
-		return fmt.Errorf("diag: snapshot has no sections")
-	}
-	return nil
 }
 
 // ValidateChromeTrace checks the minimal Chrome trace-event JSON contract

@@ -55,24 +55,6 @@ func TestValidateTraceJSONL(t *testing.T) {
 	}
 }
 
-func TestValidateSnapshot(t *testing.T) {
-	good := `{"manifest":{"go_version":"go1.24.0","gomaxprocs":8},"sections":{"quality":{"db":20.2}}}`
-	if err := ValidateSnapshot([]byte(good)); err != nil {
-		t.Fatalf("valid snapshot rejected: %v", err)
-	}
-	for name, doc := range map[string]string{
-		"no manifest":      `{"sections":{}}`,
-		"empty go_version": `{"manifest":{"go_version":"","gomaxprocs":8},"sections":{}}`,
-		"bad gomaxprocs":   `{"manifest":{"go_version":"go1.24.0","gomaxprocs":0},"sections":{}}`,
-		"no sections":      `{"manifest":{"go_version":"go1.24.0","gomaxprocs":8}}`,
-		"not json":         `nope`,
-	} {
-		if err := ValidateSnapshot([]byte(doc)); err == nil {
-			t.Errorf("%s: snapshot accepted, want error", name)
-		}
-	}
-}
-
 func TestValidateChromeTrace(t *testing.T) {
 	good := `{"traceEvents":[{"name":"x","ph":"i","ts":1.5,"pid":1,"tid":0,"s":"t"},{"name":"m","ph":"M","ts":0,"pid":1,"tid":0}]}`
 	if err := ValidateChromeTrace([]byte(good)); err != nil {

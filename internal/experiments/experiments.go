@@ -52,8 +52,8 @@ type Options struct {
 	// its representative run and write <TracePath>.trace.json/.jsonl/
 	// .snapshot.json.
 	TracePath string
-	// Progress, when non-nil, publishes live phase/job counters (the
-	// expvar registry behind -listen). Nil disables publishing.
+	// Progress, when non-nil, counts live phase/job progress (served as
+	// OpenMetrics by -listen). Nil disables counting.
 	Progress *obs.Progress
 	// Sequential runs every simulation in the bit-reproducible
 	// single-goroutine engine mode. Required for resume-equality: the

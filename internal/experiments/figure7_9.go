@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -37,33 +36,18 @@ func Figure7(o Options) (*Fig7Result, error) {
 		return nil, err
 	}
 	const mtbe = 512e3
-	cfg := sim.Config{Protection: sim.CommGuard, MTBE: mtbe, Seed: 2015, Sequential: o.Sequential}
-	if o.TracePath != "" {
-		cfg.TraceEvents = -1
-	}
+	cfg := sim.Config{Protection: sim.CommGuard, MTBE: mtbe, Seed: 2015, Sequential: o.Sequential, Trace: o.TracePath != ""}
 	res, err := sim.Run(inst, cfg, ref)
 	if err != nil {
 		return nil, err
 	}
-	if o.TracePath != "" && res.Trace != nil {
-		paths, err := res.Trace.WriteFiles(o.TracePath)
+	if o.TracePath != "" {
+		paths, err := res.WriteArtifacts(o.TracePath, cfg)
 		if err != nil {
 			return nil, err
 		}
-		snapPath := o.TracePath + ".snapshot.json"
-		sf, err := os.Create(snapPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := res.Snapshot(cfg).WriteJSON(sf); err != nil {
-			sf.Close()
-			return nil, err
-		}
-		if err := sf.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(o.out(), "trace: %d events -> %s, %s\n",
-			len(res.Trace.Events), strings.Join(paths, ", "), snapPath)
+		fmt.Fprintf(o.out(), "trace: %d events -> %s\n",
+			len(res.Trace.Events), strings.Join(paths, ", "))
 	}
 	r := &Fig7Result{MTBE: mtbe, PSNR: res.Quality}
 	if res.Guard != nil {

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"commguard/internal/diag"
 )
@@ -11,19 +9,22 @@ import (
 // Flight recorder: the trace rings already run continuously at negligible
 // cost (fixed-size per-core buffers, oldest records overwritten), so the
 // expensive part of tracing — serializing artifacts — can be deferred
-// until something goes wrong. A FlightRecorder holds the trigger policy;
-// the run evaluates it post-join against the collected trace and run
-// metrics, and only a fired trigger turns the in-memory rings into files.
+// until something goes wrong. FlightOptions holds the trigger policy; the
+// run evaluates it post-join against the collected trace and run metrics,
+// and only a fired trigger turns the in-memory rings into files (the
+// trace pair plus the run snapshot, whose "flight" section records why).
 
 // FlightOptions is the trigger policy of a flight recorder. The zero
-// value never triggers; each field arms one trigger class.
+// value never triggers; each field arms one trigger class, and any armed
+// policy also fires a "hang" trigger when the run is cancelled before it
+// completes (the campaign watchdog's kill).
 type FlightOptions struct {
-	// Path is the artifact base: a fired recorder writes Path+".flight.json"
-	// plus the standard trace pair Path+".trace.json"/Path+".jsonl".
+	// Path is the artifact base: a fired trigger writes the standard trace
+	// pair Path+".trace.json"/Path+".jsonl" and the run snapshot
+	// Path+".snapshot.json" carrying a "flight" section.
 	Path string
 	// Watchdog triggers when the trace contains a PPU loop-guard refusal
-	// (KindWatchdog), or when the campaign watchdog classified the run as
-	// hung (an external Trip).
+	// (KindWatchdog).
 	Watchdog bool
 	// QualityFloorDB triggers when output quality falls below this floor
 	// (dB; 0 disables — note 0 dB itself cannot be used as a floor).
@@ -62,142 +63,53 @@ type FlightMetrics struct {
 	Instructions uint64
 }
 
-// FlightRecorder accumulates fired triggers for one run. It is used by a
-// single goroutine after the run has joined; Trip may also be called by
-// the campaign watchdog path before evaluation. Nil-safe: a nil recorder
-// ignores trips and never dumps.
-type FlightRecorder struct {
-	opts     FlightOptions
-	triggers []Trigger
-	// triggerEvents are the trace events that fired event-scoped triggers
-	// (the watchdog refusals), carried into the dump so the artifact
-	// contains its own cause.
-	triggerEvents []Event
+// FlightSection is the "flight" section of a run snapshot: the fired
+// triggers in firing order, plus the trace events that caused
+// event-scoped triggers (the watchdog refusals), so the snapshot contains
+// its own cause even if the trace pair is discarded. Its shape is the one
+// internal/diag's ValidateSnapshot checks.
+type FlightSection struct {
+	Triggers      []Trigger         `json:"triggers"`
+	TriggerEvents []diag.TraceEvent `json:"trigger_events,omitempty"`
 }
 
-// NewFlightRecorder creates a recorder with the given trigger policy.
-func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
-	return &FlightRecorder{opts: opts}
-}
-
-// Options returns the recorder's trigger policy.
-func (f *FlightRecorder) Options() FlightOptions {
-	if f == nil {
-		return FlightOptions{}
+// Evaluate applies the armed triggers to the run's aggregates and scans
+// the trace (nil is accepted) for watchdog refusals. Call after the run's
+// goroutines have joined. It returns nil when no trigger fired.
+func (o FlightOptions) Evaluate(m FlightMetrics, tr *Trace) *FlightSection {
+	var s FlightSection
+	fire := func(kind, format string, args ...any) {
+		s.Triggers = append(s.Triggers, Trigger{Kind: kind, Detail: fmt.Sprintf(format, args...)})
 	}
-	return f.opts
-}
-
-// Trip fires an external trigger (e.g. the campaign watchdog classifying
-// the run as hung). Nil-safe.
-func (f *FlightRecorder) Trip(kind, detail string) {
-	if f == nil {
-		return
-	}
-	f.triggers = append(f.triggers, Trigger{Kind: kind, Detail: detail})
-}
-
-// Evaluate applies the threshold triggers to the run's aggregates and
-// scans the trace for watchdog refusals. Call after the run's goroutines
-// have joined, with the collected trace (nil is accepted). Nil-safe.
-func (f *FlightRecorder) Evaluate(m FlightMetrics, tr *Trace) {
-	if f == nil {
-		return
-	}
-	if f.opts.Watchdog && tr != nil {
+	if o.Watchdog && tr != nil {
 		n := 0
 		for _, e := range tr.Events {
 			if e.Kind == KindWatchdog {
 				if n == 0 {
-					f.triggerEvents = append(f.triggerEvents, e)
+					s.TriggerEvents = append(s.TriggerEvents, tr.diagEvent(e))
 				}
 				n++
 			}
 		}
 		if n > 0 {
-			f.Trip("watchdog", fmt.Sprintf("%d loop-guard refusals in trace", n))
+			fire("watchdog", "%d loop-guard refusals in trace", n)
 		}
 	}
-	if f.opts.QualityFloorDB != 0 && m.QualityDB == m.QualityDB && m.QualityDB < f.opts.QualityFloorDB {
-		f.Trip("quality", fmt.Sprintf("quality %.2f dB below floor %.2f dB", m.QualityDB, f.opts.QualityFloorDB))
+	if o.QualityFloorDB != 0 && m.QualityDB == m.QualityDB && m.QualityDB < o.QualityFloorDB {
+		fire("quality", "quality %g dB below floor %g dB", m.QualityDB, o.QualityFloorDB)
 	}
-	if f.opts.SlowPathPerKItems > 0 && m.Items > 0 {
-		rate := float64(m.Timeouts) * 1000 / float64(m.Items)
-		if rate > f.opts.SlowPathPerKItems {
-			f.Trip("slow-path", fmt.Sprintf("%.2f queue timeouts per 1000 items (threshold %.2f)", rate, f.opts.SlowPathPerKItems))
+	if o.SlowPathPerKItems > 0 && m.Items > 0 {
+		if rate := float64(m.Timeouts) * 1000 / float64(m.Items); rate > o.SlowPathPerKItems {
+			fire("slow-path", "%g queue timeouts per 1000 items (threshold %g)", rate, o.SlowPathPerKItems)
 		}
 	}
-	if f.opts.FaultsPerKInstr > 0 && m.Instructions > 0 {
-		rate := float64(m.Faults) * 1000 / float64(m.Instructions)
-		if rate > f.opts.FaultsPerKInstr {
-			f.Trip("fault-storm", fmt.Sprintf("%.4f manifested faults per 1000 instructions (threshold %.4f)", rate, f.opts.FaultsPerKInstr))
+	if o.FaultsPerKInstr > 0 && m.Instructions > 0 {
+		if rate := float64(m.Faults) * 1000 / float64(m.Instructions); rate > o.FaultsPerKInstr {
+			fire("fault-storm", "%g manifested faults per 1000 instructions (threshold %g)", rate, o.FaultsPerKInstr)
 		}
 	}
-}
-
-// Triggered reports whether any trigger has fired.
-func (f *FlightRecorder) Triggered() bool {
-	return f != nil && len(f.triggers) > 0
-}
-
-// Triggers returns the fired triggers in firing order.
-func (f *FlightRecorder) Triggers() []Trigger {
-	if f == nil {
+	if len(s.Triggers) == 0 {
 		return nil
 	}
-	return f.triggers
-}
-
-// FlightDump is the <base>.flight.json document: why the recorder fired,
-// what it captured, and where the sibling trace artifacts landed. It is
-// the shape internal/diag's ValidateFlight checks.
-type FlightDump struct {
-	Manifest Manifest  `json:"manifest"`
-	Triggers []Trigger `json:"triggers"`
-	// Events and Dropped summarize the captured trace (dropped = records
-	// lost to ring overwrites before the trigger fired).
-	Events  int    `json:"events"`
-	Dropped uint64 `json:"dropped"`
-	// TriggerEvents are the trace events that caused event-scoped triggers
-	// (the watchdog refusals), so the dump contains its own cause even if
-	// the full trace is discarded.
-	TriggerEvents []diag.TraceEvent `json:"trigger_events,omitempty"`
-	// Artifacts are the sibling files written alongside the dump.
-	Artifacts []string `json:"artifacts"`
-}
-
-// Dump writes the flight artifacts: the full trace pair (Chrome JSON +
-// diag JSONL) and the flight.json document tying them to the fired
-// triggers. It returns every path written, flight.json first. Calling
-// Dump on an untriggered (or nil) recorder is a no-op returning no paths.
-func (f *FlightRecorder) Dump(m Manifest, tr *Trace) ([]string, error) {
-	if !f.Triggered() || f.opts.Path == "" {
-		return nil, nil
-	}
-	doc := FlightDump{Manifest: m, Triggers: f.triggers, Artifacts: []string{}}
-	if tr != nil {
-		doc.Events = len(tr.Events)
-		doc.Dropped = tr.Dropped
-		for _, e := range f.triggerEvents {
-			doc.TriggerEvents = append(doc.TriggerEvents, tr.diagEvent(e))
-		}
-		paths, err := tr.WriteFiles(f.opts.Path)
-		if err != nil {
-			return nil, err
-		}
-		doc.Artifacts = paths
-	}
-	flightPath := f.opts.Path + ".flight.json"
-	w, err := os.Create(flightPath)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(&doc); err != nil {
-		return nil, err
-	}
-	return append([]string{flightPath}, doc.Artifacts...), nil
+	return &s
 }

@@ -1,16 +1,17 @@
 package obs_test
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"bytes"
+	"math"
+	"strings"
 	"testing"
 
+	"commguard/internal/diag"
 	"commguard/internal/obs"
 )
 
-// TestFlightWatchdogDump proves the satellite contract: a watchdog-fired
-// flight dump contains the triggering event itself.
+// TestFlightWatchdogDump pins that a watchdog-fired flight section
+// contains the triggering event itself.
 func TestFlightWatchdogDump(t *testing.T) {
 	tr := obs.NewTracer(2, 16)
 	r0, r1 := tr.Ring(0), tr.Ring(1)
@@ -20,113 +21,85 @@ func TestFlightWatchdogDump(t *testing.T) {
 	r0.EndOfComputation()
 	trace := tr.Collect([]string{"src", "snk"}, nil)
 
-	base := filepath.Join(t.TempDir(), "run")
-	fr := obs.NewFlightRecorder(obs.FlightOptions{Path: base, Watchdog: true})
-	if fr.Triggered() {
-		t.Fatal("triggered before evaluation")
-	}
-	fr.Evaluate(obs.FlightMetrics{}, trace)
-	if !fr.Triggered() {
+	sec := obs.FlightOptions{Watchdog: true}.Evaluate(obs.FlightMetrics{}, trace)
+	if sec == nil {
 		t.Fatal("watchdog refusal in trace did not trigger")
 	}
-	paths, err := fr.Dump(obs.NewManifest(), trace)
-	if err != nil {
+	if len(sec.Triggers) != 1 || sec.Triggers[0].Kind != "watchdog" {
+		t.Fatalf("triggers = %+v, want one watchdog trigger", sec.Triggers)
+	}
+	if len(sec.TriggerEvents) != 1 {
+		t.Fatalf("trigger events = %+v, want the one watchdog refusal", sec.TriggerEvents)
+	}
+	e := sec.TriggerEvents[0]
+	if e.Kind != "watchdog" || e.Core != 1 || e.CoreName != "snk" {
+		t.Errorf("trigger event = %+v, want core 1 (snk) watchdog", e)
+	}
+	if e.Args["bound"] != uint64(4096) {
+		t.Errorf("trigger event bound = %v (%T), want 4096", e.Args["bound"], e.Args["bound"])
+	}
+	snap := obs.NewSnapshot(obs.NewManifest())
+	snap.Add("flight", sec)
+	var buf bytes.Buffer
+	if err := snap.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 3 {
-		t.Fatalf("dump wrote %d artifacts (%v), want flight.json + trace pair", len(paths), paths)
-	}
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("dumped artifact missing: %v", err)
-		}
-	}
-	raw, err := os.ReadFile(base + ".flight.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc obs.FlightDump
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("flight.json is not valid JSON: %v", err)
-	}
-	if len(doc.Triggers) != 1 || doc.Triggers[0].Kind != "watchdog" {
-		t.Fatalf("triggers = %+v, want one watchdog trigger", doc.Triggers)
-	}
-	if doc.Events != 4 {
-		t.Errorf("dump reports %d events, trace holds 4", doc.Events)
-	}
-	found := false
-	for _, e := range doc.TriggerEvents {
-		if e.Kind == "watchdog" && e.Core == 1 {
-			found = true
-			if e.Args["bound"] != float64(4096) {
-				t.Errorf("trigger event bound = %v, want 4096", e.Args["bound"])
-			}
-		}
-	}
-	if !found {
-		t.Errorf("dump does not contain the triggering watchdog event: %+v", doc.TriggerEvents)
-	}
-	if len(doc.Artifacts) != 2 {
-		t.Errorf("flight.json lists %d sibling artifacts, want 2", len(doc.Artifacts))
+	if err := diag.ValidateSnapshot(buf.Bytes()); err != nil {
+		t.Errorf("flight section fails the snapshot schema: %v", err)
 	}
 }
 
 func TestFlightThresholdTriggers(t *testing.T) {
 	cases := []struct {
-		name string
-		opts obs.FlightOptions
-		m    obs.FlightMetrics
-		kind string // "" = must not trigger
+		name   string
+		opts   obs.FlightOptions
+		m      obs.FlightMetrics
+		kind   string // "" = must not trigger
+		detail string // substring the detail must contain
 	}{
-		{"quality-below-floor", obs.FlightOptions{QualityFloorDB: 30}, obs.FlightMetrics{QualityDB: 12.5}, "quality"},
-		{"quality-ok", obs.FlightOptions{QualityFloorDB: 30}, obs.FlightMetrics{QualityDB: 45}, ""},
-		{"slow-path-spike", obs.FlightOptions{SlowPathPerKItems: 1}, obs.FlightMetrics{Items: 1000, Timeouts: 50}, "slow-path"},
-		{"slow-path-ok", obs.FlightOptions{SlowPathPerKItems: 100}, obs.FlightMetrics{Items: 1000, Timeouts: 50}, ""},
-		{"fault-storm", obs.FlightOptions{FaultsPerKInstr: 0.1}, obs.FlightMetrics{Instructions: 10000, Faults: 10}, "fault-storm"},
-		{"fault-rate-ok", obs.FlightOptions{FaultsPerKInstr: 10}, obs.FlightMetrics{Instructions: 10000, Faults: 10}, ""},
-		{"disarmed", obs.FlightOptions{}, obs.FlightMetrics{QualityDB: -100, Timeouts: 1e6, Items: 1, Faults: 1e6, Instructions: 1}, ""},
+		{"quality-below-floor", obs.FlightOptions{QualityFloorDB: 30}, obs.FlightMetrics{QualityDB: 12.5}, "quality", "12.5 dB below floor 30 dB"},
+		{"quality-ok", obs.FlightOptions{QualityFloorDB: 30}, obs.FlightMetrics{QualityDB: 45}, "", ""},
+		{"slow-path-spike", obs.FlightOptions{SlowPathPerKItems: 1}, obs.FlightMetrics{Items: 1000, Timeouts: 50}, "slow-path", "50 queue timeouts"},
+		{"slow-path-ok", obs.FlightOptions{SlowPathPerKItems: 100}, obs.FlightMetrics{Items: 1000, Timeouts: 50}, "", ""},
+		{"fault-storm", obs.FlightOptions{FaultsPerKInstr: 0.1}, obs.FlightMetrics{Instructions: 10000, Faults: 10}, "fault-storm", "(threshold 0.1)"},
+		// A threshold below the fixed-point precision must still print.
+		{"fault-storm-tiny-threshold", obs.FlightOptions{FaultsPerKInstr: 0.000001}, obs.FlightMetrics{Instructions: 1e9, Faults: 10}, "fault-storm", "1e-05 manifested faults per 1000 instructions (threshold 1e-06)"},
+		{"fault-rate-ok", obs.FlightOptions{FaultsPerKInstr: 10}, obs.FlightMetrics{Instructions: 10000, Faults: 10}, "", ""},
+		{"disarmed", obs.FlightOptions{}, obs.FlightMetrics{QualityDB: -100, Timeouts: 1e6, Items: 1, Faults: 1e6, Instructions: 1}, "", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fr := obs.NewFlightRecorder(tc.opts)
-			fr.Evaluate(tc.m, nil)
+			sec := tc.opts.Evaluate(tc.m, nil)
 			if tc.kind == "" {
-				if fr.Triggered() {
-					t.Fatalf("unexpected triggers %+v", fr.Triggers())
+				if sec != nil {
+					t.Fatalf("unexpected triggers %+v", sec.Triggers)
 				}
 				return
 			}
-			trig := fr.Triggers()
-			if len(trig) != 1 || trig[0].Kind != tc.kind {
-				t.Fatalf("triggers = %+v, want one %q", trig, tc.kind)
+			if sec == nil || len(sec.Triggers) != 1 || sec.Triggers[0].Kind != tc.kind {
+				t.Fatalf("flight = %+v, want one %q trigger", sec, tc.kind)
+			}
+			if d := sec.Triggers[0].Detail; !strings.Contains(d, tc.detail) {
+				t.Errorf("detail %q does not contain %q", d, tc.detail)
 			}
 		})
 	}
 }
 
+// An armed policy that nothing trips yields no flight section, so the run
+// writes no artifacts.
 func TestFlightUntriggeredDumpIsNoop(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "quiet")
-	fr := obs.NewFlightRecorder(obs.FlightOptions{Path: base, Watchdog: true})
 	tr := obs.NewTracer(1, 8)
 	tr.Ring(0).FrameStart(1)
 	trace := tr.Collect([]string{"src"}, nil)
-	fr.Evaluate(obs.FlightMetrics{}, trace)
-	paths, err := fr.Dump(obs.NewManifest(), trace)
-	if err != nil || paths != nil {
-		t.Fatalf("untriggered dump wrote %v (err %v)", paths, err)
+	opts := obs.FlightOptions{Watchdog: true, QualityFloorDB: 10, FaultsPerKInstr: 1}
+	if sec := opts.Evaluate(obs.FlightMetrics{QualityDB: 40, Instructions: 1000}, trace); sec != nil {
+		t.Fatalf("untriggered evaluation fired %+v", sec.Triggers)
 	}
-	if _, err := os.Stat(base + ".flight.json"); !os.IsNotExist(err) {
-		t.Error("untriggered dump left a flight.json behind")
-	}
-	var nilFR *obs.FlightRecorder
-	nilFR.Trip("x", "y") // must not panic
-	nilFR.Evaluate(obs.FlightMetrics{}, nil)
-	if nilFR.Triggered() {
-		t.Error("nil recorder triggered")
-	}
-	if p, err := nilFR.Dump(obs.Manifest{}, nil); err != nil || p != nil {
-		t.Error("nil recorder dumped")
+	// Unmeasured quality (NaN) never trips the floor; a nil trace never
+	// trips the watchdog.
+	if sec := opts.Evaluate(obs.FlightMetrics{QualityDB: math.NaN()}, nil); sec != nil {
+		t.Fatalf("NaN quality or nil trace fired %+v", sec.Triggers)
 	}
 }
 

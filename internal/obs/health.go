@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -241,20 +239,4 @@ type HealthSection struct {
 // Nil-safe (a nil Health yields an empty section).
 func (h *Health) Section() HealthSection {
 	return HealthSection{Histograms: h.Summaries()}
-}
-
-// Metrics is the standalone runtime-health artifact (<base>.metrics.json):
-// a provenance manifest plus the merged histogram summaries. It is the
-// shape internal/diag's ValidateMetrics checks.
-type Metrics struct {
-	Manifest   Manifest       `json:"manifest"`
-	Histograms []hist.Summary `json:"histograms"`
-}
-
-// WriteMetrics writes a metrics document for the given manifest and
-// summaries as indented JSON.
-func WriteMetrics(w io.Writer, m Manifest, summaries []hist.Summary) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Metrics{Manifest: m, Histograms: summaries})
 }

@@ -2,7 +2,6 @@ package obs_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -143,50 +142,20 @@ func TestHealthQueueAndFireShards(t *testing.T) {
 	}
 }
 
-func TestWriteMetricsRoundTrip(t *testing.T) {
-	h := obs.NewHealth(1)
-	pw, _, _, _ := h.QueueShards(0, 0)
-	for i := uint64(1); i <= 100; i++ {
-		pw.Record(i)
-	}
-	var buf bytes.Buffer
-	m := obs.NewManifest()
-	m.App = "fft"
-	if err := obs.WriteMetrics(&buf, m, h.Summaries()); err != nil {
-		t.Fatal(err)
-	}
-	var doc obs.Metrics
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("metrics artifact is not valid JSON: %v", err)
-	}
-	if doc.Manifest.App != "fft" {
-		t.Errorf("manifest app = %q, want fft", doc.Manifest.App)
-	}
-	if got := len(doc.Histograms); got != 9 {
-		t.Errorf("histogram count = %d, want 9 (stable schema includes empty hists)", got)
-	}
-	pwDoc := findSummary(t, doc.Histograms, "queue_push_wait")
-	if pwDoc.Count != 100 || pwDoc.Unit != "ns" {
-		t.Errorf("round-tripped queue_push_wait count=%d unit=%q", pwDoc.Count, pwDoc.Unit)
-	}
-}
-
 func TestWriteOpenMetrics(t *testing.T) {
-	h := obs.NewHealth(1)
-	it, _, _ := h.FireShards(0)
-	for i := uint64(1); i <= 1000; i++ {
-		it.Record(i)
-	}
+	p := new(obs.Progress)
+	p.StartPhase("Figure 8", 5)
+	p.JobDone()
+	p.JobHung()
 	var buf bytes.Buffer
-	obs.WriteOpenMetrics(&buf, nil, h)
+	obs.WriteOpenMetrics(&buf, p)
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE commguard_fire_item_ns summary\n",
-		"# UNIT commguard_fire_item_ns ns\n",
-		`commguard_fire_item_ns{quantile="0.5"} 501`,
-		"commguard_fire_item_ns_count 1000\n",
-		"commguard_fire_item_ns_sum 500500\n",
-		"# TYPE commguard_detect_items_items summary\n",
+		"# TYPE commguard_phase info\n",
+		`commguard_phase_info{phase="Figure 8"} 1` + "\n",
+		"# TYPE commguard_jobs_done gauge\ncommguard_jobs_done 1\n",
+		"commguard_jobs_total 5\n",
+		"commguard_jobs_hung 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("OpenMetrics output missing %q\n%s", want, out)
@@ -194,5 +163,10 @@ func TestWriteOpenMetrics(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "# EOF\n") {
 		t.Errorf("OpenMetrics output must end with # EOF, got tail %q", out[max(0, len(out)-20):])
+	}
+	buf.Reset()
+	obs.WriteOpenMetrics(&buf, nil)
+	if buf.String() != "# EOF\n" {
+		t.Errorf("nil progress wrote %q, want only the EOF marker", buf.String())
 	}
 }

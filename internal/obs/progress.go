@@ -1,76 +1,31 @@
 package obs
 
 import (
-	"expvar"
+	"fmt"
+	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 )
 
-// Live progress: long sweeps publish per-figure counters through the
-// stdlib expvar registry so an operator can watch a multi-hour RunAll from
-// a browser (or `curl /debug/vars`) instead of a silent terminal.
+// Live progress: long sweeps count per-figure jobs in a Progress, and
+// ListenAndServe exposes the counters as OpenMetrics text at /metrics so
+// an operator (or a standard scraper such as Prometheus) can watch a
+// multi-hour RunAll instead of a silent terminal.
 
-// Progress publishes sweep progress counters. The zero value is unusable;
-// use Live(). All methods are safe for concurrent use and safe on a nil
-// receiver (progress reporting disabled).
+// Progress holds sweep progress counters. The zero value is ready to use.
+// All methods are safe for concurrent use and safe on a nil receiver
+// (progress reporting disabled).
 type Progress struct {
 	mu    sync.Mutex
-	vars  *expvar.Map
-	phase *expvar.String
-	done  *expvar.Int
-	total *expvar.Int
+	phase string
+	done  atomic.Int64
+	total atomic.Int64
 	// Campaign-lifetime counters (not reset by StartPhase): watchdog
 	// retries, jobs classified as hung, and journal-resume skips.
-	retried *expvar.Int
-	hung    *expvar.Int
-	skipped *expvar.Int
-}
-
-var (
-	liveOnce sync.Once
-	live     *Progress
-)
-
-// Live returns the process-wide progress publisher, registering the
-// "commguard" expvar map on first use (expvar names are process-global,
-// so the registry is a singleton).
-func Live() *Progress {
-	liveOnce.Do(func() {
-		live = newLiveProgress()
-	})
-	return live
-}
-
-// newLiveProgress builds the progress publisher around the process-global
-// "commguard" expvar map. Registration is re-entrant: expvar names are
-// process-global and NewMap panics on a duplicate, so if the map (or any
-// of its members) already exists — a prior construction in the same
-// process, a test that already touched the registry — it is reused
-// instead of re-registered.
-func newLiveProgress() *Progress {
-	p := &Progress{}
-	if m, ok := expvar.Get("commguard").(*expvar.Map); ok {
-		p.vars = m
-	} else {
-		p.vars = expvar.NewMap("commguard")
-	}
-	p.phase = reuseVar(p.vars, "phase", new(expvar.String))
-	p.done = reuseVar(p.vars, "jobs_done", new(expvar.Int))
-	p.total = reuseVar(p.vars, "jobs_total", new(expvar.Int))
-	p.retried = reuseVar(p.vars, "jobs_retried", new(expvar.Int))
-	p.hung = reuseVar(p.vars, "jobs_hung", new(expvar.Int))
-	p.skipped = reuseVar(p.vars, "jobs_skipped", new(expvar.Int))
-	return p
-}
-
-// reuseVar returns the map's existing member of the wanted type, or
-// registers (and returns) fresh otherwise.
-func reuseVar[V expvar.Var](m *expvar.Map, name string, fresh V) V {
-	if v, ok := m.Get(name).(V); ok {
-		return v
-	}
-	m.Set(name, fresh)
-	return fresh
+	retried atomic.Int64
+	hung    atomic.Int64
+	skipped atomic.Int64
 }
 
 // StartPhase marks a new named phase (figure, sweep) with total pending
@@ -81,9 +36,9 @@ func (p *Progress) StartPhase(name string, total int) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.phase.Set(name)
-	p.done.Set(0)
-	p.total.Set(int64(total))
+	p.phase = name
+	p.done.Store(0)
+	p.total.Store(int64(total))
 }
 
 // JobDone increments the completed-job counter of the current phase.
@@ -125,7 +80,7 @@ func (p *Progress) CampaignCounts() (retried, hung, skipped int64) {
 	if p == nil {
 		return 0, 0, 0
 	}
-	return p.retried.Value(), p.hung.Value(), p.skipped.Value()
+	return p.retried.Load(), p.hung.Load(), p.skipped.Load()
 }
 
 // Counts returns the current phase's (done, total) job counters.
@@ -133,7 +88,7 @@ func (p *Progress) Counts() (done, total int64) {
 	if p == nil {
 		return 0, 0
 	}
-	return p.done.Value(), p.total.Value()
+	return p.done.Load(), p.total.Load()
 }
 
 // Phase returns the current phase name ("" before the first StartPhase).
@@ -141,18 +96,48 @@ func (p *Progress) Phase() string {
 	if p == nil {
 		return ""
 	}
-	return p.phase.Value()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.phase
 }
 
-// ListenAndServe serves the expvar endpoint (GET /debug/vars) and the
-// OpenMetrics endpoint (GET /metrics) on addr in a background goroutine,
-// returning once the listener is requested. Serve errors (port in use...)
-// are reported through errf.
-func ListenAndServe(addr string, errf func(format string, args ...any)) {
-	registerMetricsHandler()
+// WriteOpenMetrics renders p's counters in the OpenMetrics text format:
+// the phase as an info metric and the job counters as gauges, terminated
+// by the mandatory # EOF marker. A nil p writes only the marker.
+func WriteOpenMetrics(w io.Writer, p *Progress) {
+	if p != nil {
+		done, total := p.Counts()
+		retried, hung, skipped := p.CampaignCounts()
+		if phase := p.Phase(); phase != "" {
+			fmt.Fprintf(w, "# TYPE commguard_phase info\n")
+			fmt.Fprintf(w, "commguard_phase_info{phase=%q} 1\n", phase)
+		}
+		for _, g := range []struct {
+			name string
+			v    int64
+		}{
+			{"jobs_done", done}, {"jobs_total", total},
+			{"jobs_retried", retried}, {"jobs_hung", hung}, {"jobs_skipped", skipped},
+		} {
+			fmt.Fprintf(w, "# TYPE commguard_%s gauge\n", g.name)
+			fmt.Fprintf(w, "commguard_%s %d\n", g.name, g.v)
+		}
+	}
+	fmt.Fprintf(w, "# EOF\n")
+}
+
+// ListenAndServe serves p's counters as OpenMetrics text at GET /metrics
+// on addr, from a mux of its own, in a background goroutine that lives
+// for the rest of the process. Serve errors (port in use...) are reported
+// through errf.
+func ListenAndServe(addr string, p *Progress, errf func(format string, args ...any)) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+		WriteOpenMetrics(w, p)
+	})
 	go func() {
-		// expvar self-registers its handler on http.DefaultServeMux.
-		if err := http.ListenAndServe(addr, nil); err != nil && errf != nil {
+		if err := http.ListenAndServe(addr, mux); err != nil && errf != nil {
 			errf("obs: listen %s: %v\n", addr, err)
 		}
 	}()

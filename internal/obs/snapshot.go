@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"sort"
 )
 
 // Manifest is the provenance record stamped into every telemetry document:
@@ -85,16 +84,6 @@ func NewSnapshot(m Manifest) *Snapshot {
 // value works; the existing Stats structs are used as-is.
 func (s *Snapshot) Add(name string, v any) {
 	s.Sections[name] = v
-}
-
-// SectionNames returns the registered section names, sorted.
-func (s *Snapshot) SectionNames() []string {
-	names := make([]string, 0, len(s.Sections))
-	for name := range s.Sections {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes the snapshot as an indented JSON document.

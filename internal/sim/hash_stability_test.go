@@ -48,3 +48,19 @@ func TestConfigHashStability(t *testing.T) {
 		t.Error("setting Coder did not change the config hash")
 	}
 }
+
+// Traced runs used to spell their tracer TraceEvents = -1; Trace alone now
+// enables the same tracer, and the run manifest hashes it the old way so
+// commguard-sim -trace snapshots keep their config_hash.
+func TestTracedManifestHashStable(t *testing.T) {
+	cfg := Config{Protection: CommGuard, MTBE: 200e3, Seed: 7, FrameScale: 1, Trace: true, Sequential: true}
+	res := &Result{App: "fft", Protection: CommGuard, MTBE: 200e3, Seed: 7, FrameScale: 1}
+	if got, want := res.Manifest(cfg).ConfigHash, "77e8b92eaa9c8814"; got != want {
+		t.Errorf("traced manifest ConfigHash = %s, want %s", got, want)
+	}
+	sized := cfg
+	sized.TraceEvents = 64
+	if res.Manifest(sized).ConfigHash == res.Manifest(cfg).ConfigHash {
+		t.Error("an explicit ring capacity did not change the manifest hash")
+	}
+}

@@ -18,9 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"commguard/internal/apps"
@@ -103,11 +101,15 @@ type Config struct {
 	// "pkg.Type" for builtin Work methods. Unmatched nodes keep the base
 	// model.
 	CritFractions map[string]float64
-	// Trace records every applied error manifestation in Result.Errors.
+	// Trace enables the internal/obs event tracer (Result.Trace) at
+	// obs.DefaultEventsPerCore records per core unless TraceEvents picks
+	// another capacity. Its KindFault events are the run's applied-error
+	// timeline.
 	Trace bool
-	// TraceEvents enables the internal/obs event tracer: > 0 sets the
-	// per-core ring capacity, < 0 uses obs.DefaultEventsPerCore, 0 disables
-	// tracing (no rings allocated, every emit site a single nil branch).
+	// TraceEvents also enables the event tracer: > 0 sets the per-core
+	// ring capacity, < 0 uses obs.DefaultEventsPerCore. With both fields
+	// zero (and no armed Flight) tracing is off: no rings are allocated
+	// and every emit site is a single nil branch.
 	TraceEvents int
 	// Health enables the runtime-health histogram registry: queue wait and
 	// slow-path funnel latencies, per-filter firing durations, and
@@ -119,8 +121,9 @@ type Config struct {
 	// under an anomaly-triggered flight recorder: the event tracer is
 	// forced on (rings run continuously), and if a trigger fires — PPU
 	// watchdog refusal, quality below floor, slow-path rate spike, fault
-	// storm, or an external hang trip — the rings are serialized to
-	// Flight.Path artifacts (Result.FlightDumps). Excluded from
+	// storm, or a cancelled (hung) run — Result.WriteArtifacts writes the
+	// trace pair and the snapshot, whose "flight" section names the
+	// triggers, at Flight.Path (Result.FlightDumps). Excluded from
 	// serialization (the artifact path is process-local) so
 	// obs.ConfigHash stays process-independent.
 	Flight *obs.FlightOptions `json:"-"`
@@ -156,24 +159,24 @@ type Result struct {
 	// or the error-free run output); nil if no reference was available.
 	Reference []float64
 
-	// Errors is the applied-error timeline (only populated with
-	// Config.Trace), ordered per core by instruction count.
-	Errors []stream.ErrorEvent
 	// Run carries the engine statistics (instructions, memory events,
 	// firing slips, per-edge queue stats).
 	Run *stream.RunStats
 	// Guard carries CommGuard module statistics (nil unless Protection ==
 	// CommGuard).
 	Guard *commguard.Stats
-	// Trace is the merged event stream (nil unless Config.TraceEvents was
-	// set or Config.Flight was armed), with core tracks named after nodes
-	// and queue tracks after edges.
+	// Trace is the merged event stream (nil unless Config.Trace or
+	// Config.TraceEvents was set or Config.Flight was armed), with core
+	// tracks named after nodes and queue tracks after edges.
 	Trace *obs.Trace
 	// Health is the merged runtime-health histogram set (nil unless
 	// Config.Health), in the fixed order of obs.Health.Summaries.
 	Health []hist.Summary
+	// Flight holds the fired flight-recorder triggers (nil when none
+	// fired); Snapshot reports it as the "flight" section.
+	Flight *obs.FlightSection
 	// FlightDumps lists the artifact paths written by a fired flight
-	// recorder (nil when no trigger fired), flight.json first.
+	// recorder (nil when no trigger fired), in WriteArtifacts order.
 	FlightDumps []string
 }
 
@@ -299,7 +302,7 @@ func Run(inst *apps.Instance, cfg Config, reference []float64) (*Result, error) 
 	// continuously-running capture buffer.
 	flightArmed := cfg.Flight != nil && cfg.Flight.Armed()
 	var tracer *obs.Tracer
-	if cfg.TraceEvents != 0 || flightArmed {
+	if cfg.Trace || cfg.TraceEvents != 0 || flightArmed {
 		capacity := cfg.TraceEvents
 		if capacity <= 0 {
 			capacity = obs.DefaultEventsPerCore
@@ -313,15 +316,6 @@ func Run(inst *apps.Instance, cfg Config, reference []float64) (*Result, error) 
 		engCfg.Health = health
 		if guard != nil {
 			guard.Health = health
-		}
-	}
-	var traceMu sync.Mutex
-	var traced []stream.ErrorEvent
-	if cfg.Trace {
-		engCfg.OnError = func(ev stream.ErrorEvent) {
-			traceMu.Lock()
-			traced = append(traced, ev)
-			traceMu.Unlock()
 		}
 	}
 	if cfg.Protection != ErrorFree && cfg.MTBE > 0 {
@@ -372,24 +366,21 @@ func Run(inst *apps.Instance, cfg Config, reference []float64) (*Result, error) 
 		// A cancelled run is the flight recorder's hang trigger: the
 		// engine has joined its goroutines (Run does not return before
 		// unwinding), so the rings are safe to collect and dump.
-		if flightArmed && errors.Is(err, stream.ErrCancelled) {
-			fr := obs.NewFlightRecorder(*cfg.Flight)
-			fr.Trip("hang", "run cancelled before completion: "+err.Error())
+		if flightArmed && cfg.Flight.Path != "" && errors.Is(err, stream.ErrCancelled) {
 			stub := &Result{App: inst.Name, Protection: cfg.Protection,
-				MTBE: cfg.MTBE, Seed: cfg.Seed, FrameScale: cfg.FrameScale}
-			if paths, derr := fr.Dump(stub.Manifest(cfg), collectTrace(tracer, inst)); derr == nil && len(paths) > 0 {
-				err = fmt.Errorf("%w (flight dump: %s)", err, paths[0])
+				MTBE: cfg.MTBE, Seed: cfg.Seed, FrameScale: cfg.FrameScale,
+				Quality: math.NaN(), Metric: inst.Metric,
+				Trace: collectTrace(tracer, inst),
+				Flight: &obs.FlightSection{Triggers: []obs.Trigger{{
+					Kind: "hang", Detail: "run cancelled before completion: " + err.Error()}}},
+			}
+			if paths, derr := stub.WriteArtifacts(cfg.Flight.Path, cfg); derr == nil {
+				err = fmt.Errorf("%w (flight dump: %s)", err, paths[len(paths)-1])
 			}
 		}
 		return nil, err
 	}
 
-	sort.SliceStable(traced, func(i, j int) bool {
-		if traced[i].Core != traced[j].Core {
-			return traced[i].Core < traced[j].Core
-		}
-		return traced[i].Instructions < traced[j].Instructions
-	})
 	res := &Result{
 		App:        inst.Name,
 		Protection: cfg.Protection,
@@ -403,7 +394,6 @@ func Run(inst *apps.Instance, cfg Config, reference []float64) (*Result, error) 
 		Output:  inst.Output(),
 		Run:     runStats,
 	}
-	res.Errors = traced
 	if guard != nil {
 		gs := guard.Stats()
 		res.Guard = &gs
@@ -423,24 +413,25 @@ func Run(inst *apps.Instance, cfg Config, reference []float64) (*Result, error) 
 	}
 
 	if flightArmed {
-		fr := obs.NewFlightRecorder(*cfg.Flight)
 		qt := runStats.QueueTotals()
 		var faults uint64
 		for _, c := range runStats.Cores {
 			faults += c.Errors.Total()
 		}
-		fr.Evaluate(obs.FlightMetrics{
+		res.Flight = cfg.Flight.Evaluate(obs.FlightMetrics{
 			QualityDB:    res.Quality,
 			Items:        qt.ItemLoads,
 			Timeouts:     qt.PushTimeouts + qt.PopTimeouts,
 			Faults:       faults,
 			Instructions: runStats.TotalInstructions(),
 		}, res.Trace)
-		paths, derr := fr.Dump(res.Manifest(cfg), res.Trace)
-		if derr != nil {
-			return nil, fmt.Errorf("sim: flight dump: %w", derr)
+		if res.Flight != nil && cfg.Flight.Path != "" {
+			paths, derr := res.WriteArtifacts(cfg.Flight.Path, cfg)
+			if derr != nil {
+				return nil, fmt.Errorf("sim: flight dump: %w", derr)
+			}
+			res.FlightDumps = paths
 		}
-		res.FlightDumps = paths
 	}
 	return res, nil
 }

@@ -2,15 +2,18 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"commguard/internal/apps"
+	"commguard/internal/diag"
 	"commguard/internal/fault"
 	"commguard/internal/obs"
 	"commguard/internal/obs/hist"
@@ -227,39 +230,63 @@ func TestFrameScalePlumbs(t *testing.T) {
 	}
 }
 
+// faultEvents returns the run's applied-error timeline: the trace's
+// KindFault events in trace order, which are complete only when no ring
+// overwrote any.
+func faultEvents(t *testing.T, res *Result) []obs.Event {
+	t.Helper()
+	if res.Trace == nil {
+		t.Fatal("traced run has no trace")
+	}
+	if res.Trace.Dropped != 0 {
+		t.Fatalf("trace dropped %d of %d records", res.Trace.Dropped, len(res.Trace.Events)+int(res.Trace.Dropped))
+	}
+	var evs []obs.Event
+	for _, e := range res.Trace.Events {
+		if e.Kind == obs.KindFault {
+			evs = append(evs, e)
+		}
+	}
+	return evs
+}
+
 func TestTraceRecordsErrorTimeline(t *testing.T) {
 	res, err := RunBenchmark(smallMP3(), Config{Protection: CommGuard, MTBE: 50_000, Seed: 5, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Errors) == 0 {
-		t.Fatal("trace enabled but no events recorded")
+	evs := faultEvents(t, res)
+	if len(evs) == 0 {
+		t.Fatal("trace enabled but no fault events recorded")
 	}
 	injected := uint64(0)
 	for _, c := range res.Run.Cores {
 		injected += c.Errors.Total()
 	}
-	if uint64(len(res.Errors)) != injected {
-		t.Errorf("trace has %d events, injectors count %d", len(res.Errors), injected)
+	if uint64(len(evs)) != injected {
+		t.Errorf("trace has %d fault events, injectors count %d", len(evs), injected)
 	}
-	// Ordered per core by instruction count.
-	for i := 1; i < len(res.Errors); i++ {
-		a, b := res.Errors[i-1], res.Errors[i]
-		if a.Core == b.Core && a.Instructions > b.Instructions {
-			t.Fatalf("trace out of order at %d", i)
+	// Each core's faults appear in instruction order, at a frame the
+	// core had reached.
+	last := map[int32]uint64{}
+	for i, e := range evs {
+		if e.Arg2 < last[e.Core] {
+			t.Fatalf("fault %d on core %d out of instruction order", i, e.Core)
+		}
+		last[e.Core] = e.Arg2
+		if res.Trace.CoreName(e.Core) == "" {
+			t.Fatal("fault event on an unnamed core")
+		}
+		if obs.FaultClassName(e.Arg) == "invalid" || e.Arg == uint64(fault.None) {
+			t.Errorf("fault event %d has class %d", i, e.Arg)
 		}
 	}
-	for _, ev := range res.Errors {
-		if ev.Node == "" {
-			t.Fatal("event missing node name")
-		}
-	}
-	// Without Trace, no events are collected.
+	// Without Trace, no tracer runs.
 	res2, err := RunBenchmark(smallMP3(), Config{Protection: CommGuard, MTBE: 50_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Errors) != 0 {
+	if res2.Trace != nil {
 		t.Error("trace disabled but events recorded")
 	}
 }
@@ -294,7 +321,7 @@ func TestSequentialRunsBitReproducible(t *testing.T) {
 // forcing it to 0 leaves nothing but DataBitflip.
 func TestCritFractionsReweightInjection(t *testing.T) {
 	build := smallComplexFIR()
-	run := func(frac float64) *Result {
+	run := func(frac float64) []obs.Event {
 		inst, err := build.New()
 		if err != nil {
 			t.Fatal(err)
@@ -310,19 +337,20 @@ func TestCritFractionsReweightInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Errors) == 0 {
+		evs := faultEvents(t, res)
+		if len(evs) == 0 {
 			t.Fatal("no errors traced at MTBE 10k")
 		}
-		return res
+		return evs
 	}
-	for _, ev := range run(1).Errors {
-		if ev.Class == fault.DataBitflip {
-			t.Errorf("frac=1 run injected %v on %s", ev.Class, ev.Node)
+	for _, ev := range run(1) {
+		if fault.Class(ev.Arg) == fault.DataBitflip {
+			t.Errorf("frac=1 run injected %v on core %d", fault.Class(ev.Arg), ev.Core)
 		}
 	}
-	for _, ev := range run(0).Errors {
-		if ev.Class != fault.DataBitflip {
-			t.Errorf("frac=0 run injected %v on %s", ev.Class, ev.Node)
+	for _, ev := range run(0) {
+		if fault.Class(ev.Arg) != fault.DataBitflip {
+			t.Errorf("frac=0 run injected %v on core %d", fault.Class(ev.Arg), ev.Core)
 		}
 	}
 }
@@ -330,7 +358,7 @@ func TestCritFractionsReweightInjection(t *testing.T) {
 // An unmatched CritFractions map must leave the model untouched — same
 // class timeline as a run without the map.
 func TestCritFractionsUnmatchedKeepsBaseModel(t *testing.T) {
-	run := func(fracs map[string]float64) []stream.ErrorEvent {
+	run := func(fracs map[string]float64) []obs.Event {
 		inst, err := smallComplexFIR().New()
 		if err != nil {
 			t.Fatal(err)
@@ -342,7 +370,11 @@ func TestCritFractionsUnmatchedKeepsBaseModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Errors
+		// Concurrent runs interleave cores differently run to run; each
+		// core's own timeline is what must match.
+		evs := faultEvents(t, res)
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Core < evs[j].Core })
+		return evs
 	}
 	base := run(nil)
 	unmatched := run(map[string]float64{"no-such-filter": 0.99})
@@ -350,7 +382,7 @@ func TestCritFractionsUnmatchedKeepsBaseModel(t *testing.T) {
 		t.Fatalf("event counts differ: %d vs %d", len(base), len(unmatched))
 	}
 	for i := range base {
-		if base[i].Class != unmatched[i].Class || base[i].Core != unmatched[i].Core {
+		if base[i].Arg != unmatched[i].Arg || base[i].Core != unmatched[i].Core {
 			t.Fatalf("timelines diverge at %d: %+v vs %+v", i, base[i], unmatched[i])
 		}
 	}
@@ -539,9 +571,29 @@ func TestHealthHistogramsPopulated(t *testing.T) {
 			t.Errorf("detection units = %q/%q", wall.Unit, items.Unit)
 		}
 		detections += wall.Count
-		snap := res.Snapshot(Config{Protection: CommGuard, MTBE: 50_000, Seed: seed, Health: true})
-		if _, ok := snap.Sections["latency"]; !ok {
-			t.Error("snapshot missing latency section")
+		if seed > 1 {
+			continue
+		}
+		// The written snapshot's latency section round-trips every
+		// histogram, in order, with its unit and count.
+		cfg := Config{Protection: CommGuard, MTBE: 50_000, Seed: seed, Health: true}
+		paths, err := res.WriteArtifacts(filepath.Join(t.TempDir(), "h"), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) != 1 {
+			t.Errorf("untraced run wrote %v, want the snapshot alone", paths)
+		}
+		var latency struct{ Histograms []hist.Summary }
+		readSection(t, readSnapshot(t, paths[0]), "latency", &latency)
+		if len(latency.Histograms) != len(res.Health) {
+			t.Fatalf("latency section has %d histograms, want %d", len(latency.Histograms), len(res.Health))
+		}
+		for i, h := range latency.Histograms {
+			w := res.Health[i]
+			if h.Name != w.Name || h.Unit != w.Unit || h.Count != w.Count {
+				t.Errorf("latency histogram %d = %s/%s/%d, want %s/%s/%d", i, h.Name, h.Unit, h.Count, w.Name, w.Unit, w.Count)
+			}
 		}
 	}
 	if detections == 0 {
@@ -549,9 +601,40 @@ func TestHealthHistogramsPopulated(t *testing.T) {
 	}
 }
 
+// readSnapshot reads a written snapshot, checks it against the diag
+// schema, and returns its sections.
+func readSnapshot(t *testing.T, path string) map[string]json.RawMessage {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := diag.ValidateSnapshot(raw); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	var doc struct{ Sections map[string]json.RawMessage }
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Sections
+}
+
+// readSection decodes one snapshot section into v.
+func readSection(t *testing.T, sections map[string]json.RawMessage, name string, v any) {
+	t.Helper()
+	raw, ok := sections[name]
+	if !ok {
+		t.Fatalf("snapshot has no %q section", name)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s section: %v", name, err)
+	}
+}
+
 // TestFlightTriggerDumpsArtifacts pins the flight-recorder integration: a
-// run whose fault rate exceeds the armed threshold writes the artifact
-// trio even though event tracing was never explicitly enabled.
+// run whose fault rate exceeds the armed threshold writes the trace pair
+// and a snapshot naming the trigger, even though event tracing was never
+// explicitly enabled.
 func TestFlightTriggerDumpsArtifacts(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "storm")
 	res, err := RunBenchmark(smallComplexFIR(), Config{
@@ -564,27 +647,48 @@ func TestFlightTriggerDumpsArtifacts(t *testing.T) {
 	if res.Trace == nil {
 		t.Fatal("armed flight recorder did not force the tracer on")
 	}
-	if len(res.FlightDumps) != 3 {
-		t.Fatalf("FlightDumps = %v, want flight.json + trace pair", res.FlightDumps)
-	}
-	raw, err := os.ReadFile(res.FlightDumps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump obs.FlightDump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	if len(dump.Triggers) != 1 || dump.Triggers[0].Kind != "fault-storm" {
-		t.Errorf("triggers = %+v, want one fault-storm", dump.Triggers)
-	}
-	if len(dump.Artifacts) != 2 {
-		t.Errorf("artifacts = %v", dump.Artifacts)
+	want := []string{base + ".trace.json", base + ".jsonl", base + ".snapshot.json"}
+	if fmt.Sprint(res.FlightDumps) != fmt.Sprint(want) {
+		t.Fatalf("FlightDumps = %v, want %v", res.FlightDumps, want)
 	}
 	for _, p := range res.FlightDumps {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("listed artifact missing: %v", err)
 		}
+	}
+	var flight obs.FlightSection
+	readSection(t, readSnapshot(t, want[2]), "flight", &flight)
+	if len(flight.Triggers) != 1 || flight.Triggers[0].Kind != "fault-storm" {
+		t.Errorf("triggers = %+v, want one fault-storm", flight.Triggers)
+	}
+}
+
+// TestFlightHangDumpsSnapshot covers the cancelled-run path: a run whose
+// Cancel fires before it completes is the watchdog's "hang" trigger, and
+// its artifacts are written even though the run returns only an error.
+func TestFlightHangDumpsSnapshot(t *testing.T) {
+	inst, err := smallComplexFIR().New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel := make(chan struct{})
+	close(cancel)
+	base := filepath.Join(t.TempDir(), "hang")
+	_, err = Run(inst, Config{
+		Protection: CommGuard, MTBE: 10_000, Seed: 3, Cancel: cancel,
+		Flight: &obs.FlightOptions{Path: base, Watchdog: true},
+	}, nil)
+	if !errors.Is(err, stream.ErrCancelled) {
+		t.Fatalf("err = %v, want stream.ErrCancelled", err)
+	}
+	snapPath := base + ".snapshot.json"
+	if !strings.Contains(err.Error(), snapPath) {
+		t.Errorf("error %q does not name the snapshot %s", err, snapPath)
+	}
+	var flight obs.FlightSection
+	readSection(t, readSnapshot(t, snapPath), "flight", &flight)
+	if len(flight.Triggers) != 1 || flight.Triggers[0].Kind != "hang" {
+		t.Errorf("triggers = %+v, want exactly one hang", flight.Triggers)
 	}
 }
 
@@ -599,8 +703,11 @@ func TestFlightUntriggeredWritesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FlightDumps != nil {
-		t.Errorf("FlightDumps = %v on a clean run", res.FlightDumps)
+	if res.FlightDumps != nil || res.Flight != nil {
+		t.Errorf("FlightDumps = %v, Flight = %+v on a clean run", res.FlightDumps, res.Flight)
+	}
+	if _, ok := res.Snapshot(Config{}).Sections["flight"]; ok {
+		t.Error("untriggered run's snapshot has a flight section")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

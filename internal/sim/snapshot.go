@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"os"
 
 	"commguard/internal/obs"
 )
@@ -19,6 +20,12 @@ func (r *Result) Manifest(cfg Config) obs.Manifest {
 	}
 	m.FrameScale = r.FrameScale
 	m.Coder = cfg.Coder
+	// Trace alone runs the same tracer as the TraceEvents = -1 that
+	// traced runs spelled out before Trace enabled it; hash it alike so
+	// their manifests keep the same ConfigHash.
+	if cfg.Trace && cfg.TraceEvents == 0 {
+		cfg.TraceEvents = -1
+	}
 	m.ConfigHash = obs.ConfigHash(cfg)
 	return m
 }
@@ -63,6 +70,9 @@ func (r *Result) Snapshot(cfg Config) *obs.Snapshot {
 	if len(r.Health) > 0 {
 		s.Add("latency", obs.HealthSection{Histograms: r.Health})
 	}
+	if r.Flight != nil {
+		s.Add("flight", r.Flight)
+	}
 	if r.Trace != nil {
 		s.Add("trace", map[string]any{
 			"events":  len(r.Trace.Events),
@@ -72,4 +82,31 @@ func (r *Result) Snapshot(cfg Config) *obs.Snapshot {
 		})
 	}
 	return s
+}
+
+// WriteArtifacts writes the run's artifact set next to base: the trace
+// pair base.trace.json and base.jsonl (when the run was traced) and the
+// snapshot base.snapshot.json. It returns the paths written, snapshot
+// last.
+func (r *Result) WriteArtifacts(base string, cfg Config) ([]string, error) {
+	var paths []string
+	if r.Trace != nil {
+		var err error
+		if paths, err = r.Trace.WriteFiles(base); err != nil {
+			return nil, err
+		}
+	}
+	snapPath := base + ".snapshot.json"
+	f, err := os.Create(snapPath)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Snapshot(cfg).WriteJSON(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	return append(paths, snapPath), nil
 }

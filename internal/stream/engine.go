@@ -26,11 +26,6 @@ type EngineConfig struct {
 	// NewInjector, when non-nil, supplies the per-core fault injector
 	// (nil return = error-free core). Core IDs equal node IDs.
 	NewInjector func(coreID int) *fault.Injector
-	// OnError, when non-nil, observes every applied error manifestation:
-	// the core it hit, its class, and the core's frame and committed
-	// instruction count at that moment. Called from node goroutines;
-	// implementations must be safe for concurrent use.
-	OnError func(ev ErrorEvent)
 	// Tracer, when non-nil, records per-core event streams (frame starts,
 	// guard-module actions, queue slow-path events, fault manifestations).
 	// Core IDs equal node IDs; ring i belongs exclusively to node i's
@@ -58,15 +53,6 @@ type EngineConfig struct {
 	// hashes stay process-independent.
 	//repolint:ignore RL001 teardown signal from the campaign watchdog, not inter-node data
 	Cancel <-chan struct{} `json:"-"`
-}
-
-// ErrorEvent describes one applied error manifestation for tracing.
-type ErrorEvent struct {
-	Core         int
-	Node         string
-	Class        fault.Class
-	Frame        uint32
-	Instructions uint64
 }
 
 // CoreStats aggregates one node thread's activity.
@@ -273,7 +259,6 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 			inj = e.cfg.NewInjector(n.ID)
 		}
 		th := newThread(n, cores[n.ID], e.sched.Multiplicity[n.ID], inj)
-		th.onError = e.cfg.OnError
 		th.cancel = e.cfg.Cancel
 		th.abft = e.cfg.ABFT && th.ak != nil
 		th.health = e.cfg.Health
@@ -438,7 +423,6 @@ type thread struct {
 	outs      []*outShim
 	rawQueues []*queue.Queue
 	stats     CoreStats
-	onError   func(ErrorEvent)
 	trace     *obs.Ring
 	//repolint:ignore RL001 teardown signal from the campaign watchdog, not inter-node data
 	cancel <-chan struct{}
@@ -561,15 +545,6 @@ func (t *thread) fireWithFaults(ctx *Ctx) {
 	skip, repeat := false, false
 	for _, c := range classes {
 		t.trace.Fault(uint64(c), t.core.ActiveFC(), t.core.Stats().Instructions)
-		if t.onError != nil {
-			t.onError(ErrorEvent{
-				Core:         t.core.ID(),
-				Node:         t.node.Name(),
-				Class:        c,
-				Frame:        t.core.ActiveFC(),
-				Instructions: t.core.Stats().Instructions,
-			})
-		}
 		switch c {
 		case fault.DataBitflip:
 			t.planDataFlip()
