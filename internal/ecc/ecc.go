@@ -8,13 +8,29 @@
 // six parity bits cover positions addressed by powers of two, plus one
 // overall parity bit for double-error detection.
 //
+// The codec is table-driven, the software analogue of the single XOR
+// tree the paper prices per check. Every check bit is an XOR over data
+// bits, so Encode looks up the seven check bits contributed by each of
+// the four data bytes and XORs the four entries. Decode recomputes them
+// the same way and indexes a 128-entry table with the seven-bit mismatch
+// against the stored ones: the mismatch's parity (the overall parity of
+// the received word) separates single from double errors, and its six
+// syndrome bits name the data bit to flip back. Decode is branch-free and
+// inlinable; the codec allocates nothing, and its tables are built once
+// at package init. Its speed on the host does not enter the results:
+// Table 3's prices are modelled suboperation counts (CostModel), charged
+// per protected access whatever Encode and Decode cost to run.
+//
 // The package-level Encode/Decode/FlipBit are that fixed Hamming code;
 // the Coder interface (coder.go) makes the backend pluggable, with the
 // Hamming singleton as the bit-identical default and a configurable
 // bit-flipping LDPC family (ldpc.go) as the alternative.
 package ecc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Codeword is a word-sized ECC codeword stored in the low bits of a
 // uint64: 39 bits for the default Hamming backend, up to 63 for LDPC
@@ -57,14 +73,9 @@ func (r CheckResult) String() string {
 	return "invalid"
 }
 
-// hammingPosition maps logical bit index (0-based within the 38-bit
-// Hamming codeword, data+parity interleaved in the textbook layout) is not
-// materialized; instead we use the standard trick of computing parity over
-// data bits whose (position+1) has a given bit set, where data bit i is
-// assigned Hamming position dataPos[i].
-//
-// Positions 1..38 in Hamming numbering; powers of two are parity positions.
-// Data bits occupy the remaining positions in increasing order.
+// dataPos[i] is the textbook Hamming position (1..38) of data bit i.
+// Positions that are powers of two belong to the parity bits; data bits
+// occupy the remaining positions in increasing order.
 var dataPos = func() [dataBits]uint {
 	var pos [dataBits]uint
 	p := uint(1)
@@ -80,83 +91,82 @@ var dataPos = func() [dataBits]uint {
 	return pos
 }()
 
-// parityMask[j] is a mask over the 32 data bits covered by parity bit 2^j.
-var parityMask = func() [hammingBits]uint32 {
-	var masks [hammingBits]uint32
-	for i := 0; i < dataBits; i++ {
-		for j := 0; j < hammingBits; j++ {
-			if dataPos[i]&(1<<uint(j)) != 0 {
-				masks[j] |= 1 << uint(i)
+// checkTable[b][v] holds the seven check bits (bits 0..5 Hamming parity
+// p1..p32, bit 6 overall parity) contributed by data byte b holding v.
+// Check bits are linear in the data, so a word's check bits are the XOR
+// of its four bytes' entries.
+var checkTable = func() [4][256]uint8 {
+	var t [4][256]uint8
+	for b := 0; b < 4; b++ {
+		for v := 0; v < 256; v++ {
+			var p uint8
+			for i := 0; i < 8; i++ {
+				if v&(1<<uint(i)) != 0 {
+					p ^= uint8(dataPos[8*b+i]) & (1<<hammingBits - 1)
+				}
+			}
+			overall := (bits.OnesCount8(uint8(v)) + bits.OnesCount8(p)) & 1
+			t[b][v] = p | uint8(overall)<<hammingBits
+		}
+	}
+	return t
+}()
+
+// checkBits returns the seven check bits of a data word.
+func checkBits(data uint32) uint64 {
+	return uint64(checkTable[0][uint8(data)] ^ checkTable[1][uint8(data>>8)] ^
+		checkTable[2][uint8(data>>16)] ^ checkTable[3][data>>24])
+}
+
+// checkFix is how Decode answers one pattern of mismatched check bits:
+// the data bit to flip back (none when no data bit flipped) and the
+// classification.
+type checkFix struct {
+	flip uint32
+	res  CheckResult
+}
+
+// checkMask selects the seven check bits of a codeword shifted down by
+// dataBits.
+const checkMask = 1<<(hammingBits+1) - 1
+
+// correction maps the seven-bit mismatch between recomputed and stored
+// check bits to its fix; no mismatch is the zero fix (OK). A valid
+// codeword has even overall parity, so the mismatch's parity is that of
+// all 39 received bits: even means an even number of flips
+// (Uncorrectable); odd means one flip, whose six-bit syndrome names its
+// Hamming position. A syndrome of 0 (the overall bit) or a power of two
+// (a parity bit) leaves the data intact; syndromes past the last data
+// position (39..63) name no bit.
+var correction = func() [checkMask + 1]checkFix {
+	var t [checkMask + 1]checkFix
+	for m := 1; m < len(t); m++ {
+		syndrome := uint(m) & (1<<hammingBits - 1)
+		if bits.OnesCount8(uint8(m))&1 == 0 || syndrome > dataPos[dataBits-1] {
+			t[m].res = Uncorrectable
+			continue
+		}
+		t[m].res = Corrected
+		for i, pos := range dataPos {
+			if pos == syndrome {
+				t[m].flip = 1 << uint(i)
 			}
 		}
 	}
-	return masks
+	return t
 }()
-
-func parity32(x uint32) uint64 {
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return uint64(x & 1)
-}
 
 // Encode computes the SEC-DED codeword for a 32-bit data word.
 func Encode(data uint32) Codeword {
-	cw := Codeword(data)
-	var syndromeBits uint64
-	for j := 0; j < hammingBits; j++ {
-		syndromeBits |= parity32(data&parityMask[j]) << uint(j)
-	}
-	cw |= Codeword(syndromeBits) << dataBits
-	// Overall parity covers data and Hamming parity bits.
-	overall := parity32(data) ^ parity32(uint32(syndromeBits))
-	cw |= Codeword(overall) << (dataBits + hammingBits)
-	return cw
+	return Codeword(data) | Codeword(checkBits(data))<<dataBits
 }
 
 // Decode checks cw, correcting a single-bit error if present. It returns
 // the (possibly corrected) data word and the classification of what it saw.
+// Bits of cw above TotalBits are ignored.
 func Decode(cw Codeword) (uint32, CheckResult) {
-	data := uint32(cw)
-	storedParity := uint32(cw>>dataBits) & ((1 << hammingBits) - 1)
-	storedOverall := uint64(cw>>(dataBits+hammingBits)) & 1
-
-	var syndrome uint
-	for j := 0; j < hammingBits; j++ {
-		p := parity32(data & parityMask[j])
-		if p != uint64(storedParity>>uint(j))&1 {
-			syndrome |= 1 << uint(j)
-		}
-	}
-	overall := parity32(data) ^ parity32(storedParity) ^ storedOverall
-
-	switch {
-	case syndrome == 0 && overall == 0:
-		return data, OK
-	case overall == 1:
-		// Single-bit error somewhere; locate and correct it.
-		if syndrome == 0 {
-			// The overall parity bit itself flipped; data is intact.
-			return data, Corrected
-		}
-		// Syndrome names the Hamming position of the flipped bit.
-		if syndrome&(syndrome-1) == 0 {
-			// A parity position flipped; data is intact.
-			return data, Corrected
-		}
-		for i := 0; i < dataBits; i++ {
-			if dataPos[i] == syndrome {
-				return data ^ (1 << uint(i)), Corrected
-			}
-		}
-		// Syndrome points outside the codeword: treat as uncorrectable.
-		return data, Uncorrectable
-	default:
-		// syndrome != 0 but overall parity matches: double-bit error.
-		return data, Uncorrectable
-	}
+	fix := correction[(checkBits(uint32(cw))^uint64(cw>>dataBits))&checkMask]
+	return uint32(cw) ^ fix.flip, fix.res
 }
 
 // FlipBit returns cw with bit i (0 <= i < TotalBits) inverted. It is used

@@ -99,16 +99,38 @@ func TestCheckResultString(t *testing.T) {
 	}
 }
 
+// sink keeps the benchmarked codec calls from being optimized away.
+var sink uint64
+
 func BenchmarkEncode(b *testing.B) {
+	var s Codeword
 	for i := 0; i < b.N; i++ {
-		Encode(uint32(i))
+		s ^= Encode(uint32(i))
 	}
+	sink = uint64(s)
 }
 
 func BenchmarkDecodeClean(b *testing.B) {
 	cw := Encode(0xDEADBEEF)
+	var s uint32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Decode(cw)
+		v, _ := Decode(cw)
+		s ^= v
 	}
+	sink = uint64(s)
+}
+
+// BenchmarkDecodeCorrected decodes a codeword with one flipped data bit:
+// the path a corrupted shared working-set pointer takes through the
+// queue's sharedCounter.load.
+func BenchmarkDecodeCorrected(b *testing.B) {
+	cw := FlipBit(Encode(0xDEADBEEF), 17)
+	var s uint32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := Decode(cw)
+		s ^= v
+	}
+	sink = uint64(s)
 }

@@ -215,6 +215,8 @@ func Sources() []string {
 		"internal/stream",
 		"internal/dsp",
 		"internal/codec/mp3codec",
+		"internal/ecc",
+		"internal/obs",
 	}
 }
 

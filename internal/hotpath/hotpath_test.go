@@ -203,6 +203,55 @@ func TestRepoHasEntries(t *testing.T) {
 	}
 }
 
+// TestEveryEntryIsAnalyzed fails when a non-test file carries a
+// //hotpath:entry directive in a directory Sources does not list: the
+// analyzer discovers entries only there, so such an entry would be
+// silently unproven.
+func TestEveryEntryIsAnalyzed(t *testing.T) {
+	root := moduleRoot(t)
+	listed := map[string]bool{}
+	for _, dir := range Sources() {
+		listed[dir] = true
+	}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // another module, fixtures, or tool state
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "//"+entryMarker) {
+				rel, err := filepath.Rel(root, filepath.Dir(path))
+				if err != nil {
+					return err
+				}
+				if !listed[filepath.ToSlash(rel)] {
+					t.Errorf("%s has a //%s directive, but %s is not in Sources()", path, entryMarker, rel)
+				}
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func moduleRoot(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()

@@ -525,7 +525,9 @@ func (q *Queue) canFill() bool {
 	q.mu.Lock()
 	d, c := q.drained.load()
 	q.mu.Unlock()
-	q.stats.correctedPointerErrors.Add(c)
+	if c != 0 {
+		q.stats.correctedPointerErrors.Add(c)
+	}
 	q.stats.pointerECCOps.Add(q.cost.RefreshFillOps + c*q.cost.ScrubOps)
 	q.cachedDrained = d
 	if ws-d < k {
@@ -643,7 +645,9 @@ func (q *Queue) publish(n uint32) {
 	f, c := q.filled.load()
 	q.filled.store(f + 1)
 	q.mu.Unlock()
-	q.stats.correctedPointerErrors.Add(c)
+	if c != 0 {
+		q.stats.correctedPointerErrors.Add(c)
+	}
 	q.stats.pointerECCOps.Add(q.cost.WorksetExchangeOps + c*q.cost.ScrubOps)
 	if q.hPublish != nil {
 		q.hPublish.Record(uint64(time.Since(t0)))
@@ -689,7 +693,9 @@ func (q *Queue) canDrain() bool {
 	q.mu.Lock()
 	f, c := q.filled.load()
 	q.mu.Unlock()
-	q.stats.correctedPointerErrors.Add(c)
+	if c != 0 {
+		q.stats.correctedPointerErrors.Add(c)
+	}
 	q.stats.pointerECCOps.Add(q.cost.RefreshDrainOps + c*q.cost.ScrubOps)
 	q.cachedFilled = f
 	// Comparison is on free-running counters; after a raw-pointer
@@ -806,7 +812,9 @@ func (q *Queue) returnWS() {
 	d, c := q.drained.load()
 	q.drained.store(d + 1)
 	q.mu.Unlock()
-	q.stats.correctedPointerErrors.Add(c)
+	if c != 0 {
+		q.stats.correctedPointerErrors.Add(c)
+	}
 	q.stats.pointerECCOps.Add(q.cost.WorksetExchangeOps + c*q.cost.ScrubOps)
 	if q.hReturn != nil {
 		q.hReturn.Record(uint64(time.Since(t0)))

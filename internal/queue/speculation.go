@@ -130,7 +130,9 @@ func (q *Queue) PeekAt(k int) (Unit, bool) {
 	q.mu.Lock()
 	f, c := q.filled.load()
 	q.mu.Unlock()
-	q.stats.correctedPointerErrors.Add(c)
+	if c != 0 {
+		q.stats.correctedPointerErrors.Add(c)
+	}
 	q.stats.pointerECCOps.Add(1)
 	kk := uint32(k)
 	wsCount := uint32(q.cfg.WorkingSets)
