@@ -203,9 +203,11 @@ func BenchmarkTable1AlignmentManager(b *testing.B) {
 // BenchmarkQueueTransfer measures ns/item for the four hot-path transit
 // variants the overhaul targets: raw per-item Push/Pop, batch
 // PushDataN/PopDataN, guarded per-item transit through the HI/AM, and
-// guarded batch transit (AM.PopN). Each sub-benchmark moves one item per
-// reported op, so the variants are directly comparable. The same
-// measurements back `cmd/experiments -benchjson` (BENCH_hotpath.json).
+// guarded batch transit (AM.PopN). Each of these moves one item per
+// reported op between two goroutines, so they are directly comparable.
+// The same measurements back `cmd/experiments -benchjson`
+// (BENCH_hotpath.json). Sequential instead reports ns/frame on one
+// goroutine (see there).
 func BenchmarkQueueTransfer(b *testing.B) {
 	qcfg := queue.Config{WorkingSets: 8, WorkingSetUnits: 1024, ProtectPointers: true, Timeout: 0}
 	const chunk = 256
@@ -272,6 +274,32 @@ func BenchmarkQueueTransfer(b *testing.B) {
 		b.ResetTimer()
 		for got := 0; got < b.N; got += chunk {
 			am.PopN(dst)
+		}
+	})
+
+	// Sequential is one frame on one guarded edge of the sequential
+	// engine, which drives both sides from one goroutine: the HI's frame
+	// header, a firing's PushDataN of 2 items, the per-iteration Flush
+	// (one working-set exchange), then the AM's PopN. The queue is in
+	// one-goroutine mode, so no word access is atomic. One op is one frame.
+	b.Run("Sequential", func(b *testing.B) {
+		q := queue.MustNew(0, qcfg)
+		q.SetSequential()
+		hi := commguard.NewHeaderInserter(q)
+		am := commguard.NewAlignmentManager(q, 0)
+		data := []uint32{1, 2}
+		dst := make([]uint32, len(data))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hi.NewFrameComputation(0)
+			hi.PushData(data)
+			q.Flush()
+			am.NewFrameComputation(0)
+			am.PopN(dst)
+		}
+		b.StopTimer()
+		if st := am.Stats(); st.ItemsDelivered != uint64(2*b.N) || st.DataLossItems() != 0 {
+			b.Fatalf("frames did not transit intact: %+v", st)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Command commguard-vet is the repo's one static verifier: it runs the
 // graph checker (CG001–CG006), the soundness edge verdicts (CS001–CS003),
 // the criticality dataflow (CM001–CM003), the repo linter (RL001–RL003,
-// RL006), the queue atomics discipline (CS010–CS012) and the hot-path
+// RL006), the queue atomics discipline (CS010, CS012) and the hot-path
 // purity analysis (CS020–CS023) in a single invocation, merges everything
 // into the shared diagnostic schema (internal/diag), and applies the
 // checked-in baseline: error-severity findings always fail, warnings fail
@@ -306,10 +306,9 @@ func run(root string, builders []apps.Builder, repoWide, guarded bool) ([]diag.D
 		})
 	}
 
-	// Queue atomics discipline, cross-file. Ownership breaches and lock
-	// bracket violations (CS010/CS011) are proven races — errors. A missing
-	// annotation (CS012) is uncertainty, baselineable like the other
-	// uncertain verdicts.
+	// Queue atomics discipline, cross-file. Ownership breaches (CS010) are
+	// proven races — errors. A missing annotation (CS012) is uncertainty,
+	// baselineable like the other uncertain verdicts.
 	afs, err := soundness.CheckAtomicsDir(filepath.Join(root, "internal", "queue"))
 	if err != nil {
 		return nil, fmt.Errorf("atomics: %w", err)

@@ -21,9 +21,9 @@ func TestHotpathAllocFree(t *testing.T) {
 		t.Helper()
 		q := queue.MustNew(1, queue.Config{WorkingSets: 4, WorkingSetUnits: 64, ProtectPointers: true, Timeout: time.Second, Coder: coder})
 		// Each run produces and consumes exactly one working set, so the
-		// exchange never waits; non-blocking mode keeps even a pathological
+		// exchange never waits; sequential mode keeps even a pathological
 		// schedule out of the timer machinery.
-		q.SetNonBlocking(true)
+		q.SetSequential()
 		return NewHeaderInserter(q), NewAlignmentManager(q, 0)
 	}
 	newEdge := func(t *testing.T) (*HeaderInserter, *AlignmentManager) {

@@ -17,11 +17,11 @@
 //	func (q *Queue) Push(u unit.Unit) bool { ... }
 //
 // A function that is a sanctioned slow-path boundary — the working-set
-// exchange funnels of Fig. 6, which legitimately take a mutex once per
-// working set — is marked //hotpath:ok with a reason; the walk stops there
-// and the function body is exempt:
+// exchange funnels of Fig. 6, which legitimately wait and pay the ECC
+// pointer exchange once per working set — is marked //hotpath:ok with a
+// reason; the walk stops there and the function body is exempt:
 //
-//	//hotpath:ok working-set exchange: mutexed ECC pointer swap (Table 3)
+//	//hotpath:ok working-set exchange: lock-free ECC pointer advance (Table 3)
 //	func (q *Queue) publish() { ... }
 //
 // A statement-level finding can be suppressed in place, naming the codes
@@ -67,7 +67,7 @@ import (
 )
 
 // Finding codes. The CS02x block follows CS001-CS003 (soundness verdicts)
-// and CS010-CS012 (queue atomics discipline).
+// and CS010/CS012 (queue atomics discipline; CS011 is retired).
 const (
 	// CodeAlloc flags a heap allocation on a hot path (CS020).
 	CodeAlloc = "CS020"

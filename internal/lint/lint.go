@@ -21,7 +21,7 @@
 // commguard-vet reports these rules under tool "repolint". Popped-data
 // control flow, the queue atomics discipline and hot-path purity are not
 // lint rules: they are internal/crit's CM001–CM003, internal/soundness's
-// CS010–CS012 and internal/hotpath's CS020–CS023, each reported once.
+// CS010/CS012 and internal/hotpath's CS020–CS023, each reported once.
 //
 // Findings can be suppressed with a `//repolint:ignore RL00x reason`
 // comment on the same line, the line directly above, or — file-wide —

@@ -22,7 +22,7 @@ import (
 //     spent blocked in the Fig. 6 slow-path funnel waiting for space or
 //     data. The fast path (slot available on the cached view) records
 //     nothing — zero observations means pure fast-path transit.
-//   - queue_publish / queue_return (ns): duration of the mutexed ECC
+//   - queue_publish / queue_return (ns): duration of the lock-free ECC
 //     working-set exchange funnels.
 //   - fire_item / fire_batch / fire_abft (ns): filter firing duration by
 //     execution path (per-item Work, batch WorkBatch, checksummed

@@ -33,13 +33,12 @@ const (
 //queue:side producer
 //hotpath:entry
 func (q *Queue) PushN(batch []Unit) {
-	k := uint32(q.cfg.WorkingSets)
 	s := uint32(q.cfg.WorkingSetUnits)
 	for len(batch) > 0 {
-		off := q.prodOffset.Load()
+		off := uint32(q.prodOffset.load(q.plain))
 		if off == 0 {
 			q.acquireFillSlot()
-			off = q.prodOffset.Load()
+			off = uint32(q.prodOffset.load(q.plain))
 		}
 		if off >= s {
 			// Corrupted producer offset: per-item Push wraps modulo the
@@ -52,11 +51,11 @@ func (q *Queue) PushN(batch []Unit) {
 		if room := s - off; n > room {
 			n = room
 		}
-		base := (q.prodWS.Load() % k) * s
+		base := q.prodBase
 		var items, headers uint64
 		for i := uint32(0); i < n; i++ {
 			u := batch[i]
-			q.buf[base+off+i].Store(uint64(u))
+			q.buf[base+off+i].store(q.plain, uint64(u))
 			if u.IsHeader() {
 				headers++
 			} else {
@@ -64,13 +63,13 @@ func (q *Queue) PushN(batch []Unit) {
 			}
 		}
 		if items > 0 {
-			q.stats.itemStores.Add(items)
+			q.stats.itemStores.add(q.plain, items)
 		}
 		if headers > 0 {
-			q.stats.headerStores.Add(headers)
+			q.stats.headerStores.add(q.plain, headers)
 		}
 		off += n
-		q.prodOffset.Store(off)
+		q.prodOffset.store(q.plain, uint64(off))
 		if off >= s {
 			q.publish(s)
 		}
@@ -84,13 +83,12 @@ func (q *Queue) PushN(batch []Unit) {
 //queue:side producer
 //hotpath:entry
 func (q *Queue) PushDataN(vs []uint32) {
-	k := uint32(q.cfg.WorkingSets)
 	s := uint32(q.cfg.WorkingSetUnits)
 	for len(vs) > 0 {
-		off := q.prodOffset.Load()
+		off := uint32(q.prodOffset.load(q.plain))
 		if off == 0 {
 			q.acquireFillSlot()
-			off = q.prodOffset.Load()
+			off = uint32(q.prodOffset.load(q.plain))
 		}
 		if off >= s {
 			q.Push(DataUnit(vs[0]))
@@ -101,13 +99,13 @@ func (q *Queue) PushDataN(vs []uint32) {
 		if room := s - off; n > room {
 			n = room
 		}
-		base := (q.prodWS.Load() % k) * s
+		base := q.prodBase
 		for i := uint32(0); i < n; i++ {
-			q.buf[base+off+i].Store(uint64(DataUnit(vs[i])))
+			q.buf[base+off+i].store(q.plain, uint64(DataUnit(vs[i])))
 		}
-		q.stats.itemStores.Add(uint64(n))
+		q.stats.itemStores.add(q.plain, uint64(n))
 		off += n
-		q.prodOffset.Store(off)
+		q.prodOffset.store(q.plain, uint64(off))
 		if off >= s {
 			q.publish(s)
 		}
@@ -122,16 +120,14 @@ func (q *Queue) PushDataN(vs []uint32) {
 //queue:side consumer
 //hotpath:entry
 func (q *Queue) PopN(dst []Unit) int {
-	k := uint32(q.cfg.WorkingSets)
 	s := uint32(q.cfg.WorkingSetUnits)
 	popped := 0
 	for popped < len(dst) {
 		if !q.acquireDrainSlot() {
 			return popped
 		}
-		ws := q.consWS.Load()
-		off := q.consOffset.Load()
-		limit := q.wsLen[ws%k].Load()
+		off := uint32(q.consOffset.load(q.plain))
+		limit := uint32(q.wsLen[q.consWSIdx].load(q.plain))
 		if off >= limit || limit > s {
 			// Degenerate geometry (corrupted offset or published length):
 			// the per-item path reproduces the modeled misbehavior.
@@ -147,10 +143,10 @@ func (q *Queue) PopN(dst []Unit) int {
 		if avail := limit - off; n > avail {
 			n = avail
 		}
-		base := (ws % k) * s
+		base := q.consBase
 		var items, headers uint64
 		for i := uint32(0); i < n; i++ {
-			u := Unit(q.buf[base+off+i].Load())
+			u := Unit(q.buf[base+off+i].load(q.plain))
 			dst[popped+int(i)] = u
 			if u.IsHeader() {
 				headers++
@@ -159,13 +155,13 @@ func (q *Queue) PopN(dst []Unit) int {
 			}
 		}
 		if items > 0 {
-			q.stats.itemLoads.Add(items)
+			q.stats.itemLoads.add(q.plain, items)
 		}
 		if headers > 0 {
-			q.stats.headerLoads.Add(headers)
+			q.stats.headerLoads.add(q.plain, headers)
 		}
 		off += n
-		q.consOffset.Store(off)
+		q.consOffset.store(q.plain, uint64(off))
 		if off >= limit {
 			q.returnWS()
 		}
@@ -182,26 +178,24 @@ func (q *Queue) PopN(dst []Unit) int {
 //queue:side consumer
 //hotpath:entry
 func (q *Queue) PopDataN(dst []uint32) (int, PopStop) {
-	k := uint32(q.cfg.WorkingSets)
 	s := uint32(q.cfg.WorkingSetUnits)
 	popped := 0
 	for popped < len(dst) {
 		if !q.acquireDrainSlot() {
 			return popped, PopStopFail
 		}
-		ws := q.consWS.Load()
-		off := q.consOffset.Load()
-		limit := q.wsLen[ws%k].Load()
+		off := uint32(q.consOffset.load(q.plain))
+		limit := uint32(q.wsLen[q.consWSIdx].load(q.plain))
 		if off >= limit || limit > s {
 			// Degenerate geometry: replicate one per-item Pop, except a
 			// header is left in place for the caller's FSM path.
-			u := Unit(q.buf[(ws%k)*s+off%s].Load())
+			u := Unit(q.buf[q.consBase+off%s].load(q.plain))
 			if u.IsHeader() {
 				return popped, PopStopHeader
 			}
-			q.stats.itemLoads.Add(1)
+			q.stats.itemLoads.add(q.plain, 1)
 			off++
-			q.consOffset.Store(off)
+			q.consOffset.store(q.plain, uint64(off))
 			if off >= limit {
 				q.returnWS()
 			}
@@ -213,11 +207,11 @@ func (q *Queue) PopDataN(dst []uint32) (int, PopStop) {
 		if avail := limit - off; n > avail {
 			n = avail
 		}
-		base := (ws % k) * s
+		base := q.consBase
 		consumed := uint32(0)
 		sawHeader := false
 		for i := uint32(0); i < n; i++ {
-			u := Unit(q.buf[base+off+i].Load())
+			u := Unit(q.buf[base+off+i].load(q.plain))
 			if u.IsHeader() {
 				sawHeader = true
 				break
@@ -226,9 +220,9 @@ func (q *Queue) PopDataN(dst []uint32) (int, PopStop) {
 			consumed++
 		}
 		if consumed > 0 {
-			q.stats.itemLoads.Add(uint64(consumed))
+			q.stats.itemLoads.add(q.plain, uint64(consumed))
 			off += consumed
-			q.consOffset.Store(off)
+			q.consOffset.store(q.plain, uint64(off))
 			if off >= limit {
 				q.returnWS()
 			}

@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -20,70 +22,155 @@ func mixedUnits(n, headerStride int) []Unit {
 	return us
 }
 
+// modeTwins builds two queues of one configuration, one per word mode:
+// an atomic-mode queue, as the concurrent engine drives it, and a
+// one-goroutine queue (SetSequential, plain words). The tests drive both
+// from one goroutine with the same operations. The atomic twin's Cancel is
+// closed, so where the sequential twin gives up at once on an empty or
+// full working set, the atomic twin gives up at the same point instead of
+// waiting. A cancelled queue books no timeout; that is the only intended
+// difference between the twins (see assertSameModes).
+func modeTwins(cfg Config) (atomicQ, plainQ *Queue) {
+	cancel := make(chan struct{})
+	close(cancel)
+	acfg := cfg
+	acfg.Cancel = cancel
+	plainQ = MustNew(1, cfg)
+	plainQ.SetSequential()
+	return MustNew(1, acfg), plainQ
+}
+
+// assertSameModes fails unless the twins delivered the same units and
+// booked the same Stats. The sequential twin books one pop timeout per
+// failed pop (failedPops) and a push timeout with each forced overwrite;
+// the atomic twin, cancelled, books neither.
+func assertSameModes(t *testing.T, what string, atomicQ, plainQ *Queue, outA, outP []Unit, failedPops uint64) {
+	t.Helper()
+	if len(outA) != len(outP) {
+		t.Fatalf("%s: atomic mode delivered %d units, sequential mode %d", what, len(outA), len(outP))
+	}
+	for i := range outA {
+		if outA[i] != outP[i] {
+			t.Fatalf("%s: unit %d differs: atomic %x sequential %x", what, i, outA[i], outP[i])
+		}
+	}
+	as, ps := atomicQ.Stats(), plainQ.Stats()
+	if as.PushTimeouts != 0 || as.ForcedOverwrites != 0 || as.PopTimeouts != 0 {
+		t.Fatalf("%s: the cancelled atomic twin booked timeouts: %+v", what, as)
+	}
+	if ps.PopTimeouts != failedPops || ps.ForcedOverwrites != ps.PushTimeouts {
+		t.Fatalf("%s: sequential timeouts %+v, want %d pop timeouts and one push timeout per forced overwrite",
+			what, ps, failedPops)
+	}
+	as.PushTimeouts, as.ForcedOverwrites, as.PopTimeouts = ps.PushTimeouts, ps.ForcedOverwrites, ps.PopTimeouts
+	if as != ps {
+		t.Fatalf("%s: stats diverged\natomic     %+v\nsequential %+v", what, as, ps)
+	}
+}
+
+// transitFunc pushes a chunk, flushes, and pops as many units, returning
+// what was delivered and how many pops failed.
+type transitFunc func(q *Queue, us []Unit) (out []Unit, failedPops uint64)
+
+func transitPerItem(q *Queue, us []Unit) (out []Unit, failedPops uint64) {
+	for _, u := range us {
+		q.Push(u)
+	}
+	q.Flush()
+	for range us {
+		u, ok := q.Pop()
+		if !ok {
+			failedPops++
+			continue
+		}
+		out = append(out, u)
+	}
+	return out, failedPops
+}
+
+func transitBatch(q *Queue, us []Unit) (out []Unit, failedPops uint64) {
+	q.PushN(us)
+	q.Flush()
+	dst := make([]Unit, len(us))
+	n := q.PopN(dst)
+	if n < len(dst) {
+		failedPops = 1 // PopN stops at the first failed pop
+	}
+	return dst[:n], failedPops
+}
+
+// corruptRounds drives the twins through rounds of the same seeded faults
+// (CorruptPointer, CorruptLocalOffset, CorruptUnit), each followed by one
+// chunk of transit, and checks after every round that they still agree.
+func corruptRounds(t *testing.T, what string, atomicQ, plainQ *Queue, seed int64, chunk []Unit, transit transitFunc) {
+	t.Helper()
+	ra, rp := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	var failedA, failedP uint64
+	for round := 0; round < 6; round++ {
+		atomicQ.CorruptPointer(ra)
+		atomicQ.CorruptLocalOffset(ra)
+		atomicQ.CorruptUnit(ra)
+		plainQ.CorruptPointer(rp)
+		plainQ.CorruptLocalOffset(rp)
+		plainQ.CorruptUnit(rp)
+		outA, fa := transit(atomicQ, chunk)
+		outP, fp := transit(plainQ, chunk)
+		failedA += fa
+		failedP += fp
+		if failedA != failedP {
+			t.Fatalf("%s round %d: %d failed pops in atomic mode, %d in sequential mode", what, round, failedA, failedP)
+		}
+		assertSameModes(t, fmt.Sprintf("%s, faults round %d", what, round), atomicQ, plainQ, outA, outP, failedP)
+	}
+}
+
 // Batch transit must be indistinguishable from per-item transit: same
 // delivered sequence, same Stats. Exercised across geometries and batch
-// sizes that straddle working-set boundaries.
+// sizes that straddle working-set boundaries. Every op sequence also runs
+// in both word modes, which must agree, before and after seeded faults.
 func TestBatchMatchesPerItem(t *testing.T) {
 	geoms := []Config{
 		{WorkingSets: 2, WorkingSetUnits: 2, ProtectPointers: true, Timeout: time.Second},
 		{WorkingSets: 4, WorkingSetUnits: 8, ProtectPointers: true, Timeout: time.Second},
 		{WorkingSets: 3, WorkingSetUnits: 7, ProtectPointers: false, Timeout: time.Second},
 	}
-	for _, cfg := range geoms {
+	for gi, cfg := range geoms {
 		for _, stride := range []int{0, 3, 1} {
 			in := mixedUnits(2*cfg.WorkingSets*cfg.WorkingSetUnits+3, stride)
-
-			// Reference: per-item transit, single goroutine, chunked so the
-			// queue never fills (capacity minus one working set per round).
-			ref := MustNew(1, cfg)
-			ref.SetNonBlocking(false)
+			// Chunked so the queue never fills (capacity minus one working
+			// set per round).
 			chunk := (cfg.WorkingSets - 1) * cfg.WorkingSetUnits
-			var refOut []Unit
-			for i := 0; i < len(in); i += chunk {
-				end := i + chunk
-				if end > len(in) {
-					end = len(in)
-				}
-				for _, u := range in[i:end] {
-					ref.Push(u)
-				}
-				ref.Flush()
-				for range in[i:end] {
-					u, ok := ref.Pop()
-					if !ok {
-						t.Fatalf("reference pop failed")
+			drive := func(q *Queue, transit transitFunc) []Unit {
+				var out []Unit
+				for i := 0; i < len(in); i += chunk {
+					got, failed := transit(q, in[i:min(i+chunk, len(in))])
+					if failed != 0 {
+						t.Fatalf("cfg %+v stride %d: a pop failed with data published", cfg, stride)
 					}
-					refOut = append(refOut, u)
+					out = append(out, got...)
 				}
+				return out
 			}
+			what := fmt.Sprintf("cfg %+v stride %d", cfg, stride)
 
-			// Batch: PushN + PopN over the same chunks.
-			bq := MustNew(1, cfg)
-			var batchOut []Unit
-			for i := 0; i < len(in); i += chunk {
-				end := i + chunk
-				if end > len(in) {
-					end = len(in)
-				}
-				bq.PushN(in[i:end])
-				bq.Flush()
-				dst := make([]Unit, end-i)
-				if got := bq.PopN(dst); got != len(dst) {
-					t.Fatalf("PopN delivered %d of %d", got, len(dst))
-				}
-				batchOut = append(batchOut, dst...)
-			}
-
+			refA, refP := modeTwins(cfg)
+			bA, bP := modeTwins(cfg)
+			refOut := drive(refA, transitPerItem)
+			batchOut := drive(bA, transitBatch)
 			for i := range refOut {
 				if refOut[i] != batchOut[i] {
-					t.Fatalf("cfg %+v stride %d: unit %d differs: per-item %x batch %x",
-						cfg, stride, i, refOut[i], batchOut[i])
+					t.Fatalf("%s: unit %d differs: per-item %x batch %x", what, i, refOut[i], batchOut[i])
 				}
 			}
-			if rs, bs := ref.Stats(), bq.Stats(); rs != bs {
-				t.Errorf("cfg %+v stride %d: stats diverged\nper-item %+v\nbatch    %+v",
-					cfg, stride, rs, bs)
+			if rs, bs := refA.Stats(), bA.Stats(); rs != bs {
+				t.Errorf("%s: stats diverged\nper-item %+v\nbatch    %+v", what, rs, bs)
 			}
+			assertSameModes(t, what+" per-item", refA, refP, refOut, drive(refP, transitPerItem), 0)
+			assertSameModes(t, what+" batch", bA, bP, batchOut, drive(bP, transitBatch), 0)
+
+			seed := int64(100*gi + stride)
+			corruptRounds(t, what+" per-item", refA, refP, seed, in[:chunk], transitPerItem)
+			corruptRounds(t, what+" batch", bA, bP, seed, in[:chunk], transitBatch)
 		}
 	}
 }
@@ -126,46 +213,59 @@ func TestPopDataNStopsAtHeaderAndFail(t *testing.T) {
 }
 
 // Property: PushDataN/PopDataN round-trip arbitrary payload sequences for
-// arbitrary geometry, matching per-item stats.
+// arbitrary geometry, matching per-item stats, and both word modes agree,
+// before and after seeded faults.
 func TestQuickBatchDataRoundTrip(t *testing.T) {
-	f := func(values []uint32, wsUnits uint8) bool {
+	f := func(values []uint32, wsUnits uint8, seed int64) bool {
 		if len(values) > 300 {
 			values = values[:300]
 		}
 		s := int(wsUnits%16) + 1
 		cfg := Config{WorkingSets: 3, WorkingSetUnits: s, ProtectPointers: true, Timeout: time.Second}
-		q := MustNew(1, cfg)
-		ref := MustNew(2, cfg)
 		chunk := 2 * s
-		out := make([]uint32, 0, len(values))
-		for i := 0; i < len(values); i += chunk {
-			end := i + chunk
-			if end > len(values) {
-				end = len(values)
-			}
-			q.PushDataN(values[i:end])
-			q.Flush()
-			dst := make([]uint32, end-i)
-			n, stop := q.PopDataN(dst)
-			if n != len(dst) || stop != PopStopFull {
-				return false
-			}
-			out = append(out, dst...)
+		run := func(q, ref *Queue) []uint32 {
+			out := make([]uint32, 0, len(values))
+			for i := 0; i < len(values); i += chunk {
+				end := min(i+chunk, len(values))
+				q.PushDataN(values[i:end])
+				q.Flush()
+				dst := make([]uint32, end-i)
+				n, stop := q.PopDataN(dst)
+				if n != len(dst) || stop != PopStopFull {
+					return nil
+				}
+				out = append(out, dst...)
 
-			for _, v := range values[i:end] {
-				ref.Push(DataUnit(v))
+				for _, v := range values[i:end] {
+					ref.Push(DataUnit(v))
+				}
+				ref.Flush()
+				for range values[i:end] {
+					ref.Pop()
+				}
 			}
-			ref.Flush()
-			for range values[i:end] {
-				ref.Pop()
-			}
+			return out
+		}
+		q, qP := modeTwins(cfg)
+		ref, refP := modeTwins(cfg)
+		out, outP := run(q, ref), run(qP, refP)
+		if len(out) != len(values) || len(outP) != len(values) {
+			return false
 		}
 		for i := range values {
-			if out[i] != values[i] {
+			if out[i] != values[i] || outP[i] != values[i] {
 				return false
 			}
 		}
-		return q.Stats() == ref.Stats()
+		if q.Stats() != ref.Stats() || qP.Stats() != q.Stats() || refP.Stats() != ref.Stats() {
+			return false
+		}
+		units := make([]Unit, min(chunk, len(values)))
+		for i := range units {
+			units[i] = DataUnit(values[i])
+		}
+		corruptRounds(t, fmt.Sprintf("quick seed %d", seed), q, qP, seed, units, transitBatch)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

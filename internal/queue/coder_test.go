@@ -27,7 +27,7 @@ func coderTestConfig(coder string) Config {
 // unaccounted — this is the regression test for that undercount.
 func TestScrubOpsAccounting(t *testing.T) {
 	q := MustNew(1, coderTestConfig(""))
-	q.SetNonBlocking(true)
+	q.SetSequential()
 	push4 := func() {
 		for i := 0; i < 4; i++ {
 			q.Push(DataUnit(uint32(i)))
@@ -57,9 +57,7 @@ func TestScrubOpsAccounting(t *testing.T) {
 	// Corrupt the shared filled pointer. The next refresh decodes it as
 	// Corrected and writes the scrubbed word back: refresh (+1) plus
 	// scrub (+1).
-	q.mu.Lock()
-	q.filled.cw = ecc.FlipBit(q.filled.cw, 7)
-	q.mu.Unlock()
+	q.filled.flip(q.plain, uint64(ecc.FlipBit(0, 7)))
 	if _, ok := q.Pop(); ok {
 		t.Fatal("pop succeeded on an empty queue")
 	}
@@ -73,9 +71,7 @@ func TestScrubOpsAccounting(t *testing.T) {
 
 	// Same on the exchange path: a corrupted drained pointer is scrubbed
 	// during returnWS (exchange price + scrub).
-	q.mu.Lock()
-	q.drained.cw = ecc.FlipBit(q.drained.cw, 3)
-	q.mu.Unlock()
+	q.drained.flip(q.plain, uint64(ecc.FlipBit(0, 3)))
 	push4() // publish: +10 (filled pointer is clean again)
 	pop4()  // refresh +1, returnWS +10 +1 scrub, corrected +1
 	s = q.Stats()
@@ -85,13 +81,40 @@ func TestScrubOpsAccounting(t *testing.T) {
 	if want := uint64(23 + 10 + 1 + 10 + 1); s.PointerECCOps != want {
 		t.Fatalf("exchange scrub: PointerECCOps = %d, want %d", s.PointerECCOps, want)
 	}
+	assertPeekAtPrice(t, q)
+}
+
+// assertPeekAtPrice pins PeekAt's refresh of the filled pointer at
+// canDrain's price: the backend's refresh, plus one scrub when the word
+// needed correcting. PeekAt used to charge a flat 1 and no scrub, which
+// undercounts every backend whose refresh costs more than Hamming's.
+func assertPeekAtPrice(t *testing.T, q *Queue) {
+	t.Helper()
+	cost := q.Coder().Cost()
+	before := q.Stats()
+	q.PeekAt(0)
+	after := q.Stats()
+	if got := after.PointerECCOps - before.PointerECCOps; got != cost.RefreshDrainOps {
+		t.Fatalf("clean PeekAt: %d ops, want the refresh price %d", got, cost.RefreshDrainOps)
+	}
+	q.filled.flip(q.plain, uint64(q.coder.FlipBit(0, 5)))
+	before = after
+	q.PeekAt(0)
+	after = q.Stats()
+	if after.CorrectedPointerErrors != before.CorrectedPointerErrors+1 {
+		t.Fatalf("PeekAt on a flipped filled word: CorrectedPointerErrors %d -> %d, want +1",
+			before.CorrectedPointerErrors, after.CorrectedPointerErrors)
+	}
+	if got, want := after.PointerECCOps-before.PointerECCOps, cost.RefreshDrainOps+cost.ScrubOps; got != want {
+		t.Fatalf("scrubbing PeekAt: %d ops, want %d (refresh + scrub)", got, want)
+	}
 }
 
 // The same walk under the LDPC backend: every price scales by the
 // backend's cost model (m=16 checks -> 3x Hamming), pinned exactly.
 func TestScrubOpsAccountingLDPC(t *testing.T) {
 	q := MustNew(1, coderTestConfig("ldpc"))
-	q.SetNonBlocking(true)
+	q.SetSequential()
 	cost := q.Coder().Cost()
 	if cost.WorksetExchangeOps != 30 || cost.RefreshDrainOps != 3 || cost.ScrubOps != 3 {
 		t.Fatalf("unexpected ldpc cost model: %+v", cost)
@@ -107,9 +130,7 @@ func TestScrubOpsAccountingLDPC(t *testing.T) {
 	if got, want := q.Stats().PointerECCOps, uint64(30+3+30); got != want {
 		t.Fatalf("ldpc transit: PointerECCOps = %d, want %d", got, want)
 	}
-	q.mu.Lock()
-	q.filled.cw = q.Coder().FlipBit(q.filled.cw, 40) // bit beyond Hamming's 39 bits
-	q.mu.Unlock()
+	q.filled.flip(q.plain, uint64(q.Coder().FlipBit(0, 40))) // bit beyond Hamming's 39 bits
 	if _, ok := q.Pop(); ok {
 		t.Fatal("pop succeeded on an empty queue")
 	}
@@ -120,6 +141,7 @@ func TestScrubOpsAccountingLDPC(t *testing.T) {
 	if got, want := s.PointerECCOps, uint64(63+3+3); got != want {
 		t.Fatalf("ldpc scrub: PointerECCOps = %d, want %d (refresh + scrub at 3x)", got, want)
 	}
+	assertPeekAtPrice(t, q)
 }
 
 // Pointer corruption draws flip positions from the backend's width;
@@ -128,19 +150,14 @@ func TestScrubOpsAccountingLDPC(t *testing.T) {
 func TestCorruptPointerLDPCWidth(t *testing.T) {
 	q := MustNew(2, coderTestConfig("ldpc"))
 	rng := rand.New(rand.NewSource(11))
-	var corrected uint64
 	for i := 0; i < 200; i++ {
 		q.CorruptPointer(rng)
-		q.mu.Lock()
-		f, cf := q.filled.load()
-		d, cd := q.drained.load()
-		q.mu.Unlock()
-		corrected += cf + cd
+		f, d := q.refreshFilled(), q.refreshDrained()
 		if f != 0 || d != 0 {
 			t.Fatalf("iteration %d: protected pointers decoded (%d,%d), want (0,0)", i, f, d)
 		}
 	}
-	if corrected == 0 {
+	if q.Stats().CorrectedPointerErrors == 0 {
 		t.Fatal("no corruption was ever injected")
 	}
 }
@@ -213,14 +230,14 @@ func TestWithUnitBitFlippedTagBit(t *testing.T) {
 // per call, and can hit the tag bit.
 func TestCorruptUnit(t *testing.T) {
 	q := MustNew(3, coderTestConfig(""))
-	q.SetNonBlocking(true)
+	q.SetSequential()
 	for i := 0; i < 4; i++ {
 		q.Push(DataUnit(uint32(i)))
 	}
 	snapshot := func() []uint64 {
 		out := make([]uint64, len(q.buf))
 		for i := range q.buf {
-			out[i] = q.buf[i].Load()
+			out[i] = q.buf[i].load(q.plain)
 		}
 		return out
 	}

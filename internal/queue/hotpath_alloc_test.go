@@ -21,9 +21,9 @@ func allocTestQueueCoder(t *testing.T, coder string) *Queue {
 	t.Helper()
 	q := MustNew(1, Config{WorkingSets: 4, WorkingSetUnits: 64, ProtectPointers: true, Timeout: time.Second, Coder: coder})
 	// Production and consumption below are balanced per run, so the
-	// working-set exchange never waits; non-blocking mode keeps even a
+	// working-set exchange never waits; sequential mode keeps even a
 	// pathological scheduler from entering the timer machinery.
-	q.SetNonBlocking(true)
+	q.SetSequential()
 	return q
 }
 

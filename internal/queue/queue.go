@@ -3,7 +3,6 @@ package queue
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -119,95 +118,101 @@ func (s *Stats) Add(other Stats) {
 	s.ForcedOverwrites += other.ForcedOverwrites
 }
 
-// atomicStats mirrors Stats with atomic counters so the lock-free fast
-// path and concurrent diagnostics (Stats, the corruption stress tests)
-// never race. Per-item operations touch exactly one of these. The
+// word is one queue word: a buffer slot, a published working-set length,
+// a local offset, a stats counter or a shared pointer. Its accessors take
+// the queue's mode (Queue.plain). Across goroutines they are sync/atomic
+// operations. When one goroutine drives both sides (SetSequential) they
+// are plain memory operations: program order already orders every access
+// and no other goroutine can observe the word, so a lock prefix would
+// protect nothing.
+type word struct {
+	_ [0]atomic.Uint64 // 64-bit alignment on 32-bit platforms
+	v uint64
+}
+
+func (w *word) load(plain bool) uint64 {
+	if plain {
+		return w.v
+	}
+	return atomic.LoadUint64(&w.v)
+}
+
+func (w *word) store(plain bool, v uint64) {
+	if plain {
+		w.v = v
+		return
+	}
+	atomic.StoreUint64(&w.v, v)
+}
+
+func (w *word) add(plain bool, d uint64) {
+	if plain {
+		w.v += d
+		return
+	}
+	atomic.AddUint64(&w.v, d)
+}
+
+func (w *word) cas(plain bool, old, nw uint64) bool {
+	if plain {
+		if w.v != old {
+			return false
+		}
+		w.v = nw
+		return true
+	}
+	return atomic.CompareAndSwapUint64(&w.v, old, nw)
+}
+
+// flip XORs mask into the word with a CAS loop, so a concurrent owner
+// update is never shadowed: the flip lands either before it (and is seen)
+// or on the new value. It is the fault injector's only write.
+func (w *word) flip(plain bool, mask uint64) {
+	for {
+		old := w.load(plain)
+		if w.cas(plain, old, old^mask) {
+			return
+		}
+	}
+}
+
+// statWords mirrors Stats with word counters so the lock-free fast path
+// and concurrent diagnostics (Stats, the corruption stress tests) never
+// race. Per-item operations touch exactly one of these. The
 // producer-written and consumer-written counters live on separate cache
 // lines: both sides increment one counter per item, and co-locating them
 // would put a coherence miss on every fast-path operation.
-type atomicStats struct {
+type statWords struct {
 	// Producer-written.
-	itemStores       atomic.Uint64
-	headerStores     atomic.Uint64
-	pushTimeouts     atomic.Uint64
-	forcedOverwrites atomic.Uint64
+	itemStores       word
+	headerStores     word
+	pushTimeouts     word
+	forcedOverwrites word
 	_                [4]uint64
 
 	// Consumer-written.
-	itemLoads   atomic.Uint64
-	headerLoads atomic.Uint64
-	popTimeouts atomic.Uint64
+	itemLoads   word
+	headerLoads word
+	popTimeouts word
 	_           [5]uint64
 
 	// Written by both sides, only at working-set exchanges.
-	pointerECCOps          atomic.Uint64
-	correctedPointerErrors atomic.Uint64
+	pointerECCOps          word
+	correctedPointerErrors word
 }
 
-func (s *atomicStats) snapshot() Stats {
+func (s *statWords) snapshot(plain bool) Stats {
 	return Stats{
-		ItemStores:             s.itemStores.Load(),
-		ItemLoads:              s.itemLoads.Load(),
-		HeaderStores:           s.headerStores.Load(),
-		HeaderLoads:            s.headerLoads.Load(),
-		PointerECCOps:          s.pointerECCOps.Load(),
-		CorrectedPointerErrors: s.correctedPointerErrors.Load(),
-		PushTimeouts:           s.pushTimeouts.Load(),
-		PopTimeouts:            s.popTimeouts.Load(),
-		ForcedOverwrites:       s.forcedOverwrites.Load(),
+		ItemStores:             s.itemStores.load(plain),
+		ItemLoads:              s.itemLoads.load(plain),
+		HeaderStores:           s.headerStores.load(plain),
+		HeaderLoads:            s.headerLoads.load(plain),
+		PointerECCOps:          s.pointerECCOps.load(plain),
+		CorrectedPointerErrors: s.correctedPointerErrors.load(plain),
+		PushTimeouts:           s.pushTimeouts.load(plain),
+		PopTimeouts:            s.popTimeouts.load(plain),
+		ForcedOverwrites:       s.forcedOverwrites.load(plain),
 	}
-}
-
-// sharedCounter is a free-running counter that is either stored raw
-// (corruptible) or as an ECC codeword (single-bit corruptions repaired on
-// access). It models the shared working-set pointers of Fig. 6. Access is
-// serialized by Queue.mu: the shared pointer exchange is the queue's
-// mutexed slow path, entered once per working set, never per item.
-type sharedCounter struct {
-	protected bool
-	coder     ecc.Coder
-	raw       uint32
-	cw        ecc.Codeword
-}
-
-func newSharedCounter(protected bool, coder ecc.Coder) sharedCounter {
-	return sharedCounter{protected: protected, coder: coder, cw: coder.Encode(0)}
-}
-
-// load reads the counter, correcting single-bit errors when protected.
-// It returns the value and the number of corrected errors (0 or 1); a
-// correction implies one extra encode (the scrub write-back), which the
-// caller charges as CostModel.ScrubOps.
-func (c *sharedCounter) load() (uint32, uint64) {
-	if !c.protected {
-		return c.raw, 0
-	}
-	v, res := c.coder.Decode(c.cw)
-	if res == ecc.Corrected {
-		c.cw = c.coder.Encode(v) // scrub (charged as ScrubOps by the caller)
-		return v, 1
-	}
-	return v, 0
-}
-
-func (c *sharedCounter) store(v uint32) {
-	if !c.protected {
-		c.raw = v
-		return
-	}
-	c.cw = c.coder.Encode(v)
-}
-
-// corrupt flips one random bit of the stored representation. For protected
-// counters the flip lands in the codeword (and will be repaired); for raw
-// counters it lands in the value. Flip positions are drawn from the
-// backend's codeword width, not a hardwired 39.
-func (c *sharedCounter) corrupt(r *rand.Rand) {
-	if !c.protected {
-		c.raw ^= 1 << uint(r.Intn(32))
-		return
-	}
-	c.cw = c.coder.FlipBit(c.cw, r.Intn(c.coder.Width()))
 }
 
 // Queue is a single-producer single-consumer working-set queue.
@@ -226,12 +231,19 @@ func (c *sharedCounter) corrupt(r *rand.Rand) {
 //   - The mid-working-set fast path is lock-free. Each side reads and
 //     writes only its own local offset and its cached view of the peer's
 //     shared pointer; buffer slots and published working-set lengths are
-//     atomic words so that even a corrupted raw pointer (the software
-//     queue of Fig. 3b) makes the consumer read stale garbage — the
-//     modeled failure — rather than a Go data race.
-//   - The shared filled/drained exchanges remain serialized by mu and pay
-//     the ECC suboperation costs of Table 3. They run once per working
-//     set, so the mutex is off the per-item path entirely.
+//     words so that even a corrupted raw pointer (the software queue of
+//     Fig. 3b) makes the consumer read stale garbage — the modeled
+//     failure — rather than a Go data race.
+//   - The shared filled/drained exchanges are lock-free too and pay the
+//     ECC suboperation costs of Table 3. Each pointer is one word holding
+//     the raw counter or its ECC codeword. Its owner advances it with a
+//     load–decode–encode–CAS loop; the peer refreshes its view with one
+//     load and a decode. A corrected word is scrubbed with a CAS, and the
+//     injector flips a bit with one, so neither can shadow the owner's
+//     advance: a flip is either seen and corrected, or lands on the new
+//     word.
+//   - When one goroutine drives both sides (SetSequential), every word
+//     access is plain memory: see word.
 //   - Blocking uses one wake channel per side (capacity 1) plus a
 //     reusable per-side timer: a consumer timeout can never wake a
 //     blocked producer (and vice versa), and a timed wait allocates
@@ -247,20 +259,21 @@ type Queue struct {
 	coder ecc.Coder
 	cost  ecc.CostModel
 
-	// mu guards the shared working-set pointers (filled/drained). It is
-	// the working-set-exchange slow path; per-item operations do not take
-	// it. The //queue: annotations below declare the concurrency
-	// discipline of each field; internal/soundness verifies every method
-	// against them (CS010–CS012).
-	mu      sync.Mutex    //queue:lock
-	filled  sharedCounter //queue:shared
-	drained sharedCounter //queue:shared
+	// plain selects the word accessors' one-goroutine mode. It is set
+	// before transit starts (SetSequential) and never changes after.
+	plain bool
 
-	buf   []atomic.Uint64 // Unit values //queue:shared-atomic
-	wsLen []atomic.Uint32 // published length of each working set slot //queue:shared-atomic
+	// filled and drained are the shared working-set pointers, stored as
+	// encodePointer words. The //queue: annotations below declare the
+	// concurrency discipline of each field; internal/soundness verifies
+	// every method against them (CS010, CS012).
+	filled  word //queue:owned-by producer
+	drained word //queue:owned-by consumer
 
-	closed      atomic.Bool //queue:owned-by producer
-	nonBlocking atomic.Bool //queue:shared-atomic
+	buf   []word // Unit values //queue:shared-atomic
+	wsLen []word // published length of each working set slot //queue:shared-atomic
+
+	closed atomic.Bool //queue:owned-by producer
 
 	// notFull wakes the producer (sent by the consumer when it returns a
 	// working set); notEmpty wakes the consumer (sent by the producer when
@@ -274,11 +287,11 @@ type Queue struct {
 
 	// Producer-local state (reliable: lives in CommGuard's QIT when
 	// CommGuard is present; register-resident otherwise and corruptible
-	// via CorruptLocalOffset). Atomic so injected corruption and
-	// diagnostics are race-free; only the producer stores to them.
-	// Each side's per-item state is padded onto its own cache line:
-	// prodOffset and consOffset are both stored once per item, and
-	// sharing a line would ping-pong it between the two cores.
+	// via CorruptLocalOffset). The offset is a word so injected
+	// corruption and diagnostics are race-free; only the producer stores
+	// to it. Each side's per-item state is padded onto its own cache line:
+	// prodOffset and consOffset are both stored once per item, and sharing
+	// a line would ping-pong it between the two cores.
 	//
 	// cachedDrained/cachedFilled are each side's view of the other side's
 	// shared pointer. Per-item operations compare against the cached view
@@ -295,24 +308,24 @@ type Queue struct {
 	// (ws%k)*s for the working set currently in use; they change only at
 	// publish/return, sparing the per-item path two integer divisions.
 	_             [64]byte
-	prodOffset    atomic.Uint32 //queue:owned-by producer
-	prodWS        atomic.Uint32 // working set currently being filled //queue:owned-by producer
-	prodWSIdx     uint32        // prodWS % WorkingSets //queue:owned-by producer
-	prodBase      uint32        // prodWSIdx * WorkingSetUnits //queue:owned-by producer
-	cachedDrained uint32        // producer's view of the consumer's progress //queue:owned-by producer
-	pushStreak    uint32        //queue:owned-by producer
-	_             [40]byte
+	prodOffset    word   //queue:owned-by producer
+	prodWS        uint32 // working set currently being filled //queue:owned-by producer
+	prodWSIdx     uint32 // prodWS % WorkingSets //queue:owned-by producer
+	prodBase      uint32 // prodWSIdx * WorkingSetUnits //queue:owned-by producer
+	cachedDrained uint32 // producer's view of the consumer's progress //queue:owned-by producer
+	pushStreak    uint32 //queue:owned-by producer
+	_             [36]byte
 
 	// Consumer-local state.
-	consOffset   atomic.Uint32 //queue:owned-by consumer
-	consWS       atomic.Uint32 // working set currently being drained //queue:owned-by consumer
-	consWSIdx    uint32        // consWS % WorkingSets //queue:owned-by consumer
-	consBase     uint32        // consWSIdx * WorkingSetUnits //queue:owned-by consumer
-	cachedFilled uint32        // consumer's view of the producer's progress //queue:owned-by consumer
-	popStreak    uint32        //queue:owned-by consumer
-	_            [40]byte
+	consOffset   word   //queue:owned-by consumer
+	consWS       uint32 // working set currently being drained //queue:owned-by consumer
+	consWSIdx    uint32 // consWS % WorkingSets //queue:owned-by consumer
+	consBase     uint32 // consWSIdx * WorkingSetUnits //queue:owned-by consumer
+	cachedFilled uint32 // consumer's view of the producer's progress //queue:owned-by consumer
+	popStreak    uint32 //queue:owned-by consumer
+	_            [36]byte
 
-	stats atomicStats //queue:counters
+	stats statWords //queue:counters
 
 	// traceProd/traceCons record this queue's slow-path events (working-set
 	// publish/return, timeouts) into the owning side's core ring. Nil when
@@ -324,8 +337,8 @@ type Queue struct {
 	// record time spent blocked in the acquire funnels — entered only
 	// after the cached peer view says no slot is available, so the
 	// lock-free per-item fast path never reads the clock. The
-	// publish/return shards time the mutexed ECC pointer exchanges. Each
-	// shard belongs to the side that writes it, like the rings above.
+	// publish/return shards time the ECC pointer exchanges. Each shard
+	// belongs to the side that writes it, like the rings above.
 	hPushWait *hist.Shard //queue:owned-by producer
 	hPublish  *hist.Shard //queue:owned-by producer
 	hPopWait  *hist.Shard //queue:owned-by consumer
@@ -362,13 +375,13 @@ func New(id int, cfg Config) (*Queue, error) {
 		cfg:      cfg,
 		coder:    coder,
 		cost:     coder.Cost(),
-		buf:      make([]atomic.Uint64, cfg.WorkingSets*cfg.WorkingSetUnits),
-		wsLen:    make([]atomic.Uint32, cfg.WorkingSets),
-		filled:   newSharedCounter(cfg.ProtectPointers, coder),
-		drained:  newSharedCounter(cfg.ProtectPointers, coder),
+		buf:      make([]word, cfg.WorkingSets*cfg.WorkingSetUnits),
+		wsLen:    make([]word, cfg.WorkingSets),
 		notFull:  make(chan struct{}, 1),
 		notEmpty: make(chan struct{}, 1),
 	}
+	q.filled.v = q.encodePointer(0)
+	q.drained.v = q.encodePointer(0)
 	return q, nil
 }
 
@@ -414,13 +427,81 @@ func (q *Queue) SetLatency(pushWait, publish, popWait, ret *hist.Shard) {
 	q.hReturn = ret
 }
 
-// SetNonBlocking makes Pop fail immediately on an empty queue and Push
-// overwrite immediately on a full one, instead of waiting for the peer.
-// Sequential (statically scheduled) execution uses this: the peer runs on
-// the same goroutine, so blocking could never be satisfied.
+// SetSequential declares that one goroutine drives both sides of the
+// queue, as sequential (statically scheduled) execution does. Pop then
+// fails immediately on an empty queue and Push overwrites immediately on
+// a full one, instead of waiting for the peer, since blocking could never
+// be satisfied; and every queue word is accessed as plain memory (see
+// word). Call it before transit starts. From then on every method,
+// Stats and Len included, must run on that goroutine or after transit.
 //
 //queue:side init
-func (q *Queue) SetNonBlocking(v bool) { q.nonBlocking.Store(v) }
+func (q *Queue) SetSequential() { q.plain = true }
+
+// encodePointer is the stored form of a shared pointer value: the raw
+// counter on the software queue, its ECC codeword when ProtectPointers is
+// set.
+func (q *Queue) encodePointer(v uint32) uint64 {
+	if !q.cfg.ProtectPointers {
+		return uint64(v)
+	}
+	return uint64(q.coder.Encode(v))
+}
+
+// decodePointer reads a shared pointer value out of its stored word,
+// correcting a single-bit error when protected. corrected is 0 or 1; a
+// correction implies one extra encode (the scrub write-back), which is
+// charged as CostModel.ScrubOps.
+func (q *Queue) decodePointer(w uint64) (v uint32, corrected uint64) {
+	if !q.cfg.ProtectPointers {
+		return uint32(w), 0
+	}
+	v, res := q.coder.Decode(ecc.Codeword(w))
+	if res == ecc.Corrected {
+		return v, 1
+	}
+	return v, 0
+}
+
+// charge books one shared-pointer access at the Table 3 price ops, plus
+// one scrub re-encode per corrected word.
+func (q *Queue) charge(ops, corrected uint64) {
+	if corrected != 0 {
+		q.stats.correctedPointerErrors.add(q.plain, corrected)
+	}
+	q.stats.pointerECCOps.add(q.plain, ops+corrected*q.cost.ScrubOps)
+}
+
+// refreshDrained is the producer's read of the consumer's shared pointer:
+// one load and a decode at the Table 3 refresh price. A corrected word is
+// scrubbed with a CAS; if the consumer or the injector replaced the word
+// in between, the CAS fails harmlessly and the correction is left to
+// whoever reads the new word, so every flip is counted once.
+//
+//queue:side producer
+func (q *Queue) refreshDrained() uint32 {
+	old := q.drained.load(q.plain)
+	d, c := q.decodePointer(old)
+	if c != 0 && !q.drained.cas(q.plain, old, q.encodePointer(d)) {
+		c = 0
+	}
+	q.charge(q.cost.RefreshFillOps, c)
+	return d
+}
+
+// refreshFilled is refreshDrained for the consumer's read of the
+// producer's shared pointer.
+//
+//queue:side consumer
+func (q *Queue) refreshFilled() uint32 {
+	old := q.filled.load(q.plain)
+	f, c := q.decodePointer(old)
+	if c != 0 && !q.filled.cas(q.plain, old, q.encodePointer(f)) {
+		c = 0
+	}
+	q.charge(q.cost.RefreshDrainOps, c)
+	return f
+}
 
 // signal performs a non-blocking send on a capacity-1 wake channel: if the
 // peer is waiting it wakes exactly that peer; otherwise the token is kept
@@ -512,23 +593,17 @@ func (q *Queue) cancelled() bool {
 
 // canFill reports whether the producer may start filling its next working
 // set. The cached consumer-progress view is refreshed (one shared ECC
-// pointer access under mu) only when it says the ring is full.
+// pointer access) only when it says the ring is full.
 //
 //queue:side producer
 func (q *Queue) canFill() bool {
 	k := uint32(q.cfg.WorkingSets)
-	ws := q.prodWS.Load()
+	ws := q.prodWS
 	if ws-q.cachedDrained < k {
 		q.pushStreak = 0
 		return true
 	}
-	q.mu.Lock()
-	d, c := q.drained.load()
-	q.mu.Unlock()
-	if c != 0 {
-		q.stats.correctedPointerErrors.Add(c)
-	}
-	q.stats.pointerECCOps.Add(q.cost.RefreshFillOps + c*q.cost.ScrubOps)
+	d := q.refreshDrained()
 	q.cachedDrained = d
 	if ws-d < k {
 		q.pushStreak = 0
@@ -544,12 +619,12 @@ func (q *Queue) canFill() bool {
 // at frame boundaries).
 //
 //queue:side producer
-//hotpath:ok working-set exchange slow path: bounded wait + mutexed ECC pointer access (Fig. 6, Table 3)
+//hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
 func (q *Queue) acquireFillSlot() {
-	if q.nonBlocking.Load() {
+	if q.plain {
 		if !q.canFill() {
-			q.stats.pushTimeouts.Add(1)
-			q.stats.forcedOverwrites.Add(1)
+			q.stats.pushTimeouts.add(q.plain, 1)
+			q.stats.forcedOverwrites.add(q.plain, 1)
 			q.traceProd.PushTimeout(int32(q.id))
 		}
 		return
@@ -578,8 +653,8 @@ func (q *Queue) acquireFillSlot() {
 		if q.cfg.Timeout > 0 {
 			now := time.Now()
 			if !now.Before(deadline) {
-				q.stats.pushTimeouts.Add(1)
-				q.stats.forcedOverwrites.Add(1)
+				q.stats.pushTimeouts.add(q.plain, 1)
+				q.stats.forcedOverwrites.add(q.plain, 1)
 				q.pushStreak++
 				q.traceProd.PushTimeout(int32(q.id))
 				return // proceed, overwriting undrained data
@@ -603,23 +678,23 @@ func (q *Queue) acquireFillSlot() {
 //hotpath:entry
 func (q *Queue) Push(u Unit) {
 	// A free working set is only needed when starting one.
-	if q.prodOffset.Load() == 0 {
+	if q.prodOffset.load(q.plain) == 0 {
 		q.acquireFillSlot()
 	}
 	s := uint32(q.cfg.WorkingSetUnits)
-	off := q.prodOffset.Load()
+	off := uint32(q.prodOffset.load(q.plain))
 	idx := off
 	if idx >= s { // corrupted offset: wrap like the pre-cache indexing did
 		idx = off % s
 	}
-	q.buf[q.prodBase+idx].Store(uint64(u))
+	q.buf[q.prodBase+idx].store(q.plain, uint64(u))
 	if u.IsHeader() {
-		q.stats.headerStores.Add(1)
+		q.stats.headerStores.add(q.plain, 1)
 	} else {
-		q.stats.itemStores.Add(1)
+		q.stats.itemStores.add(q.plain, 1)
 	}
 	off++
-	q.prodOffset.Store(off)
+	q.prodOffset.store(q.plain, uint64(off))
 	if off >= s {
 		q.publish(s)
 	}
@@ -632,30 +707,32 @@ func (q *Queue) Push(u Unit) {
 // scrub re-encode when the load corrected a corrupted pointer).
 //
 //queue:side producer
-//hotpath:ok working-set exchange slow path: mutexed ECC pointer swap once per working set (Fig. 6, Table 3)
+//hotpath:ok working-set exchange slow path: lock-free ECC pointer advance once per working set (Fig. 6, Table 3)
 func (q *Queue) publish(n uint32) {
 	var t0 time.Time
 	if q.hPublish != nil {
 		t0 = time.Now()
 	}
 	k := uint32(q.cfg.WorkingSets)
-	q.wsLen[q.prodWSIdx].Store(n)
-	q.traceProd.QueuePublish(int32(q.id), q.prodWS.Load(), n)
-	q.mu.Lock()
-	f, c := q.filled.load()
-	q.filled.store(f + 1)
-	q.mu.Unlock()
-	if c != 0 {
-		q.stats.correctedPointerErrors.Add(c)
+	q.wsLen[q.prodWSIdx].store(q.plain, uint64(n))
+	q.traceProd.QueuePublish(int32(q.id), q.prodWS, n)
+	var f uint32
+	var c uint64
+	for {
+		old := q.filled.load(q.plain)
+		f, c = q.decodePointer(old)
+		if q.filled.cas(q.plain, old, q.encodePointer(f+1)) {
+			break
+		}
 	}
-	q.stats.pointerECCOps.Add(q.cost.WorksetExchangeOps + c*q.cost.ScrubOps)
+	q.charge(q.cost.WorksetExchangeOps, c)
 	if q.hPublish != nil {
 		q.hPublish.Record(uint64(time.Since(t0)))
 	}
-	q.prodWS.Store(f + 1)
+	q.prodWS = f + 1
 	q.prodWSIdx = (f + 1) % k
 	q.prodBase = q.prodWSIdx * uint32(q.cfg.WorkingSetUnits)
-	q.prodOffset.Store(0)
+	q.prodOffset.store(q.plain, 0)
 	signal(q.notEmpty)
 }
 
@@ -665,7 +742,7 @@ func (q *Queue) publish(n uint32) {
 //
 //queue:side producer
 func (q *Queue) Flush() {
-	if n := q.prodOffset.Load(); n > 0 {
+	if n := uint32(q.prodOffset.load(q.plain)); n > 0 {
 		q.publish(n)
 	}
 }
@@ -681,22 +758,16 @@ func (q *Queue) Close() {
 
 // canDrain reports whether the consumer's current working set has been
 // published. The cached producer-progress view is refreshed (one shared
-// ECC pointer access under mu) only when it is exhausted.
+// ECC pointer access) only when it is exhausted.
 //
 //queue:side consumer
 func (q *Queue) canDrain() bool {
-	ws := q.consWS.Load()
+	ws := q.consWS
 	if int32(q.cachedFilled-ws) > 0 {
 		q.popStreak = 0
 		return true
 	}
-	q.mu.Lock()
-	f, c := q.filled.load()
-	q.mu.Unlock()
-	if c != 0 {
-		q.stats.correctedPointerErrors.Add(c)
-	}
-	q.stats.pointerECCOps.Add(q.cost.RefreshDrainOps + c*q.cost.ScrubOps)
+	f := q.refreshFilled()
 	q.cachedFilled = f
 	// Comparison is on free-running counters; after a raw-pointer
 	// corruption these can disagree wildly — the consumer may see a huge
@@ -715,13 +786,13 @@ func (q *Queue) canDrain() bool {
 // the queue is closed and fully drained.
 //
 //queue:side consumer
-//hotpath:ok working-set exchange slow path: bounded wait + mutexed ECC pointer access (Fig. 6, Table 3)
+//hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
 func (q *Queue) acquireDrainSlot() bool {
 	if q.canDrain() {
 		return true
 	}
-	if q.nonBlocking.Load() {
-		q.stats.popTimeouts.Add(1)
+	if q.plain {
+		q.stats.popTimeouts.add(q.plain, 1)
 		q.traceCons.PopTimeout(int32(q.id))
 		return false
 	}
@@ -750,7 +821,7 @@ func (q *Queue) acquireDrainSlot() bool {
 		if q.cfg.Timeout > 0 {
 			now := time.Now()
 			if !now.Before(deadline) {
-				q.stats.popTimeouts.Add(1)
+				q.stats.popTimeouts.add(q.plain, 1)
 				q.popStreak++
 				q.traceCons.PopTimeout(int32(q.id))
 				return false
@@ -777,20 +848,20 @@ func (q *Queue) Pop() (u Unit, ok bool) {
 		return 0, false
 	}
 	s := uint32(q.cfg.WorkingSetUnits)
-	off := q.consOffset.Load()
+	off := uint32(q.consOffset.load(q.plain))
 	idx := off
 	if idx >= s { // corrupted offset: wrap like the pre-cache indexing did
 		idx = off % s
 	}
-	u = Unit(q.buf[q.consBase+idx].Load())
+	u = Unit(q.buf[q.consBase+idx].load(q.plain))
 	if u.IsHeader() {
-		q.stats.headerLoads.Add(1)
+		q.stats.headerLoads.add(q.plain, 1)
 	} else {
-		q.stats.itemLoads.Add(1)
+		q.stats.itemLoads.add(q.plain, 1)
 	}
 	off++
-	q.consOffset.Store(off)
-	if off >= q.wsLen[q.consWSIdx].Load() {
+	q.consOffset.store(q.plain, uint64(off))
+	if off >= uint32(q.wsLen[q.consWSIdx].load(q.plain)) {
 		q.returnWS()
 	}
 	return u, true
@@ -801,45 +872,47 @@ func (q *Queue) Pop() (u Unit, ok bool) {
 // Hamming — CostModel.WorksetExchangeOps in general).
 //
 //queue:side consumer
-//hotpath:ok working-set exchange slow path: mutexed ECC pointer swap once per working set (Fig. 6, Table 3)
+//hotpath:ok working-set exchange slow path: lock-free ECC pointer advance once per working set (Fig. 6, Table 3)
 func (q *Queue) returnWS() {
 	var t0 time.Time
 	if q.hReturn != nil {
 		t0 = time.Now()
 	}
-	q.traceCons.QueueReturn(int32(q.id), q.consWS.Load())
-	q.mu.Lock()
-	d, c := q.drained.load()
-	q.drained.store(d + 1)
-	q.mu.Unlock()
-	if c != 0 {
-		q.stats.correctedPointerErrors.Add(c)
+	q.traceCons.QueueReturn(int32(q.id), q.consWS)
+	var c uint64
+	for {
+		old := q.drained.load(q.plain)
+		var d uint32
+		d, c = q.decodePointer(old)
+		if q.drained.cas(q.plain, old, q.encodePointer(d+1)) {
+			break
+		}
 	}
-	q.stats.pointerECCOps.Add(q.cost.WorksetExchangeOps + c*q.cost.ScrubOps)
+	q.charge(q.cost.WorksetExchangeOps, c)
 	if q.hReturn != nil {
 		q.hReturn.Record(uint64(time.Since(t0)))
 	}
-	nw := q.consWS.Load() + 1
-	q.consWS.Store(nw)
+	nw := q.consWS + 1
+	q.consWS = nw
 	q.consWSIdx = nw % uint32(q.cfg.WorkingSets)
 	q.consBase = q.consWSIdx * uint32(q.cfg.WorkingSetUnits)
-	q.consOffset.Store(0)
+	q.consOffset.store(q.plain, 0)
 	signal(q.notFull)
 }
 
 // Len reports the number of published, undrained units (approximate under
-// corruption and during concurrent transit). Intended for tests and
-// diagnostics.
+// corruption and during concurrent transit). It reads the consumer's
+// working set from the drained pointer, so it is safe from any goroutine
+// of a concurrently driven queue, and it never scrubs. Intended for tests
+// and diagnostics.
 func (q *Queue) Len() int {
-	q.mu.Lock()
-	f, _ := q.filled.load()
-	q.mu.Unlock()
+	f, _ := q.decodePointer(q.filled.load(q.plain))
+	consWS, _ := q.decodePointer(q.drained.load(q.plain))
 	n := 0
 	k := uint32(q.cfg.WorkingSets)
-	consWS := q.consWS.Load()
-	consOffset := q.consOffset.Load()
+	consOffset := uint32(q.consOffset.load(q.plain))
 	for ws := consWS; int32(f-ws) > 0 && ws-consWS < k; ws++ {
-		l := q.wsLen[ws%k].Load()
+		l := uint32(q.wsLen[ws%k].load(q.plain))
 		if ws == consWS {
 			if l >= consOffset {
 				n += int(l - consOffset)
@@ -853,18 +926,25 @@ func (q *Queue) Len() int {
 
 // CorruptPointer flips one random bit in one of the shared working-set
 // pointers, modeling a queue-management error (§3, QME). With protected
-// pointers the flip is repaired on the next access; with the raw software
-// queue it corrupts the producer/consumer handshake.
+// pointers the flip lands in the codeword and is repaired on the next
+// access; with the raw software queue it lands in the value and corrupts
+// the producer/consumer handshake. Flip positions are drawn from the
+// backend's codeword width, not a hardwired 39.
 //
 //queue:side injector
 func (q *Queue) CorruptPointer(r *rand.Rand) {
-	q.mu.Lock()
-	if r.Intn(2) == 0 {
-		q.filled.corrupt(r)
+	toFilled := r.Intn(2) == 0
+	var mask uint64
+	if q.cfg.ProtectPointers {
+		mask = uint64(q.coder.FlipBit(0, r.Intn(q.coder.Width())))
 	} else {
-		q.drained.corrupt(r)
+		mask = 1 << uint(r.Intn(32))
 	}
-	q.mu.Unlock()
+	if toFilled {
+		q.filled.flip(q.plain, mask)
+	} else {
+		q.drained.flip(q.plain, mask)
+	}
 	signal(q.notEmpty)
 	signal(q.notFull)
 }
@@ -874,20 +954,14 @@ func (q *Queue) CorruptPointer(r *rand.Rand) {
 // is-header tag bit (bit 63). Tag-bit flips model header<->data
 // confusion — a data unit masquerading as a header, or a header
 // demoted to a garbage item — which payload-only injection
-// (Unit.WithBitFlipped) can never produce. The CAS makes the flip
-// race-free against the owner sides' atomic slot accesses.
+// (Unit.WithBitFlipped) can never produce. The flip's CAS makes it
+// race-free against the owner sides' slot accesses.
 //
 //queue:side injector
 func (q *Queue) CorruptUnit(r *rand.Rand) {
-	slot := &q.buf[r.Intn(len(q.buf))]
+	slot := r.Intn(len(q.buf))
 	bit := r.Intn(q.coder.Width() + 1) // the last draw targets the tag bit
-	for {
-		old := slot.Load()
-		nw := uint64(Unit(old).WithUnitBitFlipped(q.coder, bit))
-		if slot.CompareAndSwap(old, nw) {
-			return
-		}
-	}
+	q.buf[slot].flip(q.plain, uint64(Unit(0).WithUnitBitFlipped(q.coder, bit)))
 }
 
 // CorruptLocalOffset flips a bit in a local (per-core, register-resident)
@@ -899,21 +973,18 @@ func (q *Queue) CorruptUnit(r *rand.Rand) {
 //
 //queue:side injector
 func (q *Queue) CorruptLocalOffset(r *rand.Rand) {
-	mask := uint32(1) << uint(r.Intn(16)) // offsets are small; flip a low bit
-	target := &q.prodOffset
-	if r.Intn(2) != 0 {
-		target = &q.consOffset
-	}
-	for {
-		old := target.Load()
-		if target.CompareAndSwap(old, old^mask) {
-			return
-		}
+	mask := uint64(1) << uint(r.Intn(16)) // offsets are small; flip a low bit
+	if r.Intn(2) == 0 {
+		q.prodOffset.flip(q.plain, mask)
+	} else {
+		q.consOffset.flip(q.plain, mask)
 	}
 }
 
-// Stats returns a snapshot of the queue's event counters. Safe to call
-// concurrently with transit; every counter is monotonic.
+// Stats returns a snapshot of the queue's event counters. Every counter is
+// monotonic. Safe to call concurrently with transit on a queue driven from
+// two goroutines; after SetSequential, call it from the driving goroutine
+// or after transit.
 func (q *Queue) Stats() Stats {
-	return q.stats.snapshot()
+	return q.stats.snapshot(q.plain)
 }

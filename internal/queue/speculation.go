@@ -123,28 +123,23 @@ func (c *SpecConsumer) Abort() { c.ahead = 0 }
 // PeekAt returns the k-th unread published unit without consuming it
 // (k = 0 is what Pop would return next). ok is false if fewer than k+1
 // units are published. It never blocks. Like canDrain, it pays one shared
-// ECC pointer access for the filled-pointer refresh.
+// ECC pointer access for the filled-pointer refresh, at the same Table 3
+// price.
 //
 //queue:side consumer
 func (q *Queue) PeekAt(k int) (Unit, bool) {
-	q.mu.Lock()
-	f, c := q.filled.load()
-	q.mu.Unlock()
-	if c != 0 {
-		q.stats.correctedPointerErrors.Add(c)
-	}
-	q.stats.pointerECCOps.Add(1)
+	f := q.refreshFilled()
 	kk := uint32(k)
 	wsCount := uint32(q.cfg.WorkingSets)
 	s := uint32(q.cfg.WorkingSetUnits)
-	consWS := q.consWS.Load()
-	offset := q.consOffset.Load()
+	consWS := q.consWS
+	offset := uint32(q.consOffset.load(q.plain))
 	for ws := consWS; int32(f-ws) > 0 && ws-consWS < wsCount; ws++ {
-		l := q.wsLen[ws%wsCount].Load()
+		l := uint32(q.wsLen[ws%wsCount].load(q.plain))
 		if l > offset {
 			avail := l - offset
 			if kk < avail {
-				return Unit(q.buf[(ws%wsCount)*s+(offset+kk)%s].Load()), true
+				return Unit(q.buf[(ws%wsCount)*s+(offset+kk)%s].load(q.plain)), true
 			}
 			kk -= avail
 		}

@@ -12,11 +12,11 @@ func TestQueueTraceEvents(t *testing.T) {
 	tracer := obs.NewTracer(2, 64)
 	q := MustNew(3, Config{WorkingSets: 2, WorkingSetUnits: 4, ProtectPointers: true, Timeout: 0})
 	q.SetTrace(tracer.Ring(0), tracer.Ring(1))
-	q.SetNonBlocking(true)
+	q.SetSequential()
 
-	// Empty queue: a nonblocking pop gives up immediately.
+	// Empty queue: a sequential pop gives up immediately.
 	if _, ok := q.Pop(); ok {
-		t.Fatal("pop on empty nonblocking queue should fail")
+		t.Fatal("pop on empty sequential queue should fail")
 	}
 	// Fill both working sets (2x4 units), then one more push must force an
 	// overwrite (push timeout).

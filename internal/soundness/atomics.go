@@ -1,17 +1,15 @@
 package soundness
 
-// The atomics-discipline checker. internal/queue's mid-working-set fast
-// path is lock-free by construction: each side owns its local offset
-// atomics (stored only by that side), observes the peer only through
-// atomic loads and the mutexed shared-counter (ECC) exchanges, and the
-// fault injector is restricted to CompareAndSwap so a flip can never
-// shadow an in-flight increment. `go test -race` samples this protocol;
-// this checker proves it, keyed on annotations in the queue source:
+// The atomics-discipline checker. internal/queue is lock-free by
+// construction: each side owns its local offsets and its shared
+// working-set pointer (stored only by that side), observes the peer only
+// through atomic loads, and the fault injector and a peer's scrub of a
+// corrected pointer are restricted to CompareAndSwap so neither can
+// shadow an in-flight update. `go test -race` samples this protocol; this
+// checker proves it, keyed on annotations in the queue source:
 //
-//	//queue:lock                 the mutex guarding the shared counters
 //	//queue:owned-by producer    field stored only by producer-side methods
 //	//queue:owned-by consumer    field stored only by consumer-side methods
-//	//queue:shared               field accessed only under the lock
 //	//queue:shared-atomic        lock-free by design; any side, atomically
 //	//queue:counters             subtree exempt (per-item stat counters)
 //	//queue:side producer        method runs on the producer's goroutine
@@ -20,13 +18,17 @@ package soundness
 //	//queue:side init            runs before transit starts; exempt from
 //	                             ownership checks
 //
+// The atomic types are sync/atomic's and the queue's word type, whose
+// load/store/add/cas switch between atomic and plain memory by the
+// queue's mode. A word's store and add count as stores; cas and flip (an
+// XOR applied by a CAS loop) count as CompareAndSwap.
+//
 // Codes:
 //
 //	CS010  ownership breach: a store to an owned atomic field from the
 //	       wrong side (or from a method with no declared side), a
-//	       non-CAS store by the injector, or any cross-side access to a
-//	       plain (non-atomic) owned field
-//	CS011  a //queue:shared field accessed outside the lock bracket
+//	       non-CAS store by the injector or the peer side, or any
+//	       cross-side access to a plain (non-atomic) owned field
 //	CS012  an atomic-typed field of an annotated struct carrying no
 //	       //queue: annotation at all
 
@@ -57,24 +59,21 @@ type fieldDiscipline int
 
 const (
 	fieldOwned fieldDiscipline = iota
-	fieldShared
 	fieldSharedAtomic
 	fieldCounters
-	fieldLock
 )
 
 type fieldInfo struct {
 	discipline fieldDiscipline
 	owner      string // "producer"/"consumer", for fieldOwned
-	atomic     bool   // the declared type mentions sync/atomic
+	atomic     bool   // the declared type is one of the atomic types
 	pos        token.Pos
 }
 
 // structInfo is the annotation table of one struct type.
 type structInfo struct {
 	name       string
-	lock       string // name of the //queue:lock field ("" when absent)
-	directives int    // count of real //queue: field annotations
+	directives int // count of real //queue: field annotations
 	fields     map[string]*fieldInfo
 }
 
@@ -108,15 +107,22 @@ func queueDirectives(groups ...*ast.CommentGroup) [][]string {
 	return out
 }
 
+// wordType is the name of internal/queue's mode-switched word type.
+const wordType = "word"
+
 // typeMentionsAtomic reports whether a field type references sync/atomic
-// (atomic.Uint32, []atomic.Uint64, *atomic.Bool, ...).
+// (atomic.Uint32, []atomic.Uint64, *atomic.Bool, ...) or the word type
+// (word, []word).
 func typeMentionsAtomic(t ast.Expr) bool {
 	found := false
 	ast.Inspect(t, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if id, isID := sel.X.(*ast.Ident); isID && id.Name == "atomic" {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if id, isID := x.X.(*ast.Ident); isID && id.Name == "atomic" {
 				found = true
 			}
+		case *ast.Ident:
+			found = found || x.Name == wordType
 		}
 		return !found
 	})
@@ -168,9 +174,6 @@ func collectStructs(files []*ast.File) map[string]*structInfo {
 					fc.pos = name.Pos()
 					info.fields[name.Name] = &fc
 					info.directives++
-					if fi.discipline == fieldLock {
-						info.lock = name.Name
-					}
 				}
 			}
 			if info.annotated() {
@@ -191,14 +194,10 @@ func parseFieldDirective(words []string) *fieldInfo {
 		if len(words) > 1 && (words[1] == "producer" || words[1] == "consumer") {
 			return &fieldInfo{discipline: fieldOwned, owner: words[1]}
 		}
-	case "shared":
-		return &fieldInfo{discipline: fieldShared}
 	case "shared-atomic":
 		return &fieldInfo{discipline: fieldSharedAtomic}
 	case "counters":
 		return &fieldInfo{discipline: fieldCounters}
-	case "lock":
-		return &fieldInfo{discipline: fieldLock}
 	}
 	return nil
 }
@@ -239,82 +238,13 @@ func recvStruct(fn *ast.FuncDecl) (structName, recvName string) {
 	return id.Name, name
 }
 
-// atomicStoreFns / atomicLoadFns split the sync/atomic method set by
-// whether the call mutates.
-var atomicStoreFns = map[string]bool{"Store": true, "Add": true, "Swap": true, "Or": true, "And": true}
-
-const atomicCAS = "CompareAndSwap"
-
-// lockSpan is one region of a method body during which the lock is held.
-type lockSpan struct{ from, to token.Pos }
-
-// lockSpans computes the position intervals of a method body where the
-// annotated lock is held. A deferred Unlock extends the current span to
-// the end of the body. The computation is positional, not path-sensitive:
-// the queue's brackets are straight-line Lock/.../Unlock sequences, and
-// fixtures that interleave them across branches are out of scope.
-func lockSpans(body *ast.BlockStmt, recvName, lockField string) []lockSpan {
-	type event struct {
-		pos      token.Pos
-		lock     bool
-		deferred bool
-	}
-	var events []event
-	ast.Inspect(body, func(n ast.Node) bool {
-		var call *ast.CallExpr
-		deferred := false
-		switch node := n.(type) {
-		case *ast.DeferStmt:
-			call = node.Call
-			deferred = true
-		case *ast.CallExpr:
-			call = node
-		default:
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "Unlock") {
-			return true
-		}
-		inner, ok := sel.X.(*ast.SelectorExpr)
-		if !ok || inner.Sel.Name != lockField {
-			return true
-		}
-		if id, isID := inner.X.(*ast.Ident); !isID || id.Name != recvName {
-			return true
-		}
-		events = append(events, event{pos: call.Pos(), lock: sel.Sel.Name == "Lock", deferred: deferred})
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-	var spans []lockSpan
-	open := token.NoPos
-	for _, ev := range events {
-		switch {
-		case ev.lock:
-			open = ev.pos
-		case open != token.NoPos && ev.deferred:
-			spans = append(spans, lockSpan{from: open, to: body.End()})
-			open = token.NoPos
-		case open != token.NoPos:
-			spans = append(spans, lockSpan{from: open, to: ev.pos})
-			open = token.NoPos
-		}
-	}
-	if open != token.NoPos {
-		spans = append(spans, lockSpan{from: open, to: body.End()})
-	}
-	return spans
-}
-
-func inSpans(spans []lockSpan, pos token.Pos) bool {
-	for _, s := range spans {
-		if pos >= s.from && pos < s.to {
-			return true
-		}
-	}
-	return false
-}
+// storeOps are the mutating operations of sync/atomic's types and of
+// the word type; casOps are the compare-and-swap ones, the only writes
+// open to the injector and to the peer side.
+var (
+	storeOps = map[string]bool{"Store": true, "Add": true, "Swap": true, "Or": true, "And": true, "store": true, "add": true}
+	casOps   = map[string]bool{"CompareAndSwap": true, "cas": true, "flip": true}
+)
 
 // checker runs the discipline over one parsed package's files.
 type checker struct {
@@ -393,7 +323,6 @@ func (c *checker) checkMethod(fn *ast.FuncDecl) {
 		return
 	}
 	side := methodSide(fn)
-	spans := lockSpans(fn.Body, recvName, info.lock)
 	method := fn.Name.Name
 
 	// fieldOf resolves the annotated field an expression touches, skipping
@@ -418,14 +347,14 @@ func (c *checker) checkMethod(fn *ast.FuncDecl) {
 		case side == "":
 			c.report(pos, "CS010",
 				"method %s writes %s-owned field %s (%s) but declares no //queue:side", method, fi.owner, fname, op)
+		case side == fi.owner || casOps[op]:
+			// The owner writes freely; the peer and the injector by CAS.
 		case side == "injector":
-			if op != atomicCAS {
-				c.report(pos, "CS010",
-					"injector method %s must CompareAndSwap owned field %s, not %s: a blind store can shadow the owner's in-flight update", method, fname, op)
-			}
-		case side != fi.owner:
 			c.report(pos, "CS010",
-				"%s-side method %s writes %s-owned field %s (%s)", side, method, fi.owner, fname, op)
+				"injector method %s must CompareAndSwap owned field %s, not %s: a blind store can shadow the owner's in-flight update", method, fname, op)
+		default:
+			c.report(pos, "CS010",
+				"%s-side method %s writes %s-owned field %s (%s): only a CompareAndSwap is open to the peer", side, method, fi.owner, fname, op)
 		}
 	}
 
@@ -436,31 +365,14 @@ func (c *checker) checkMethod(fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.CallExpr:
-			// Shared-field bracket checks happen on the inner selector
-			// below; here only ownership of atomic mutations.
 			sel, ok := node.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
 			op := sel.Sel.Name
 			fname, fi := fieldOf(sel.X)
-			if fi != nil && fi.discipline == fieldOwned &&
-				(atomicStoreFns[op] || op == atomicCAS) {
+			if fi != nil && fi.discipline == fieldOwned && (storeOps[op] || casOps[op]) {
 				ownershipStore(node.Pos(), fname, fi, op)
-			}
-			return true
-		case *ast.SelectorExpr:
-			// Only the innermost receiver-rooted selector counts as the
-			// access; enclosing selectors (q.filled.load) resolve to the
-			// same field and would double-report.
-			id, ok := node.X.(*ast.Ident)
-			if !ok || id.Name != recvName {
-				return true
-			}
-			fi := info.fields[node.Sel.Name]
-			if fi != nil && fi.discipline == fieldShared && !inSpans(spans, node.Pos()) {
-				c.report(node.Pos(), "CS011",
-					"method %s accesses shared field %s outside the %s bracket", method, node.Sel.Name, info.lock)
 			}
 			return true
 		case *ast.AssignStmt:

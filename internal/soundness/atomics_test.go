@@ -19,18 +19,21 @@ type Q struct {
 //queue:side consumer
 func (q *Q) Steal() { q.prodOffset.Store(0) }
 `
-	// srcCS011: a shared field accessed outside the lock bracket.
-	srcCS011 = `package queue
+	// srcCS010Word: a consumer-side method stores a producer-owned word,
+	// the queue's mode-switched atomic type.
+	srcCS010Word = `package queue
 
-import "sync"
+type word struct{ v uint64 }
+
+func (w *word) store(plain bool, v uint64) { w.v = v }
 
 type Q struct {
-	mu     sync.Mutex //queue:lock
-	filled int        //queue:shared
+	plain  bool
+	filled word //queue:owned-by producer
 }
 
-//queue:side producer
-func (q *Q) Bad() int { return q.filled }
+//queue:side consumer
+func (q *Q) Steal() { q.filled.store(q.plain, 0) }
 `
 	// srcCS012: an atomic field of an annotated struct with no annotation.
 	srcCS012 = `package queue
@@ -155,66 +158,113 @@ func (q *Q) Smash() { q.cachedDrained = 9 }
 	assertExactlyOne(t, atomicsFindings(t, src), "CS010")
 }
 
-func TestCS011OutsideBracket(t *testing.T) {
-	f := assertExactlyOne(t, atomicsFindings(t, srcCS011), "CS011")
-	if !contains(f.Message, "shared field filled outside the mu bracket") {
-		t.Errorf("CS011 message: %q", f.Message)
+func TestCS010WordWrongSideStore(t *testing.T) {
+	f := assertExactlyOne(t, atomicsFindings(t, srcCS010Word), "CS010")
+	if want := "consumer-side method Steal writes producer-owned field filled (store)"; !contains(f.Message, want) {
+		t.Errorf("message %q lacks %q", f.Message, want)
 	}
 }
 
-func TestCS011BracketedAccessClean(t *testing.T) {
-	src := `package queue
+// wordFixture declares a queue whose owned fields are words, followed by
+// the given methods.
+func wordFixture(methods string) string {
+	return `package queue
 
-import "sync"
+type word struct{ v uint64 }
+
+func (w *word) store(plain bool, v uint64)         { w.v = v }
+func (w *word) add(plain bool, d uint64)           { w.v += d }
+func (w *word) cas(plain bool, old, nw uint64) bool { return true }
+func (w *word) flip(plain bool, mask uint64)       { w.v ^= mask }
 
 type Q struct {
-	mu     sync.Mutex //queue:lock
-	filled int        //queue:shared
+	plain      bool
+	filled     word //queue:owned-by producer
+	prodOffset word //queue:owned-by producer
+}
+` + methods
 }
 
-//queue:side producer
-func (q *Q) Good() int {
-	q.mu.Lock()
-	v := q.filled
-	q.mu.Unlock()
-	return v
+// CAS is the only write open to the injector and to the peer side: a
+// blind store or add from either is CS010, a cas or flip is clean, and
+// the owner may do all four.
+func TestCS010WordNonOwnersMustCAS(t *testing.T) {
+	for _, tc := range []struct{ name, methods string }{
+		{"injector store", `
+//queue:side injector
+func (q *Q) Corrupt() { q.prodOffset.store(q.plain, 7) }
+`},
+		{"injector add", `
+//queue:side injector
+func (q *Q) Corrupt() { q.filled.add(q.plain, 1) }
+`},
+		{"peer store", `
+//queue:side consumer
+func (q *Q) Scrub() { q.filled.store(q.plain, 0) }
+`},
+		{"peer add", `
+//queue:side consumer
+func (q *Q) Bump() { q.prodOffset.add(q.plain, 1) }
+`},
+	} {
+		fs := atomicsFindings(t, wordFixture(tc.methods))
+		if len(fs) != 1 || fs[0].Code != "CS010" {
+			t.Errorf("%s: want exactly one CS010, got %v", tc.name, fs)
+		}
+	}
+
+	clean := wordFixture(`
+//queue:side injector
+func (q *Q) Corrupt() {
+	q.filled.flip(q.plain, 1)
+	q.prodOffset.cas(q.plain, 0, 1)
 }
 
+//queue:side consumer
+func (q *Q) Scrub(old uint64) bool { return q.filled.cas(q.plain, old, 0) }
+
 //queue:side producer
-func (q *Q) Deferred() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.filled
+func (q *Q) Advance() {
+	q.filled.cas(q.plain, 0, 1)
+	q.filled.store(q.plain, 2)
+	q.prodOffset.add(q.plain, 1)
+	q.prodOffset.flip(q.plain, 4)
 }
-`
-	if fs := atomicsFindings(t, src); len(fs) != 0 {
-		t.Fatalf("bracketed accesses must be clean, got %v", fs)
+`)
+	if fs := atomicsFindings(t, clean); len(fs) != 0 {
+		t.Fatalf("owner writes and non-owner CAS must be clean, got %v", fs)
 	}
 }
 
-func TestCS011AccessAfterUnlock(t *testing.T) {
-	src := `package queue
-
-import "sync"
-
-type Q struct {
-	mu     sync.Mutex //queue:lock
-	filled int        //queue:shared
-}
-
-//queue:side producer
-func (q *Q) Leak() int {
-	q.mu.Lock()
-	q.mu.Unlock()
-	return q.filled
-}
-`
-	assertExactlyOne(t, atomicsFindings(t, src), "CS011")
+func TestCS010WordSidelessStore(t *testing.T) {
+	fs := atomicsFindings(t, wordFixture(`
+func (q *Q) Reset() { q.prodOffset.cas(q.plain, 3, 0) }
+`))
+	f := assertExactlyOne(t, fs, "CS010")
+	if !contains(f.Message, "declares no //queue:side") {
+		t.Errorf("sideless word store message: %q", f.Message)
+	}
 }
 
 func TestCS012UnannotatedAtomic(t *testing.T) {
 	f := assertExactlyOne(t, atomicsFindings(t, srcCS012), "CS012")
 	if !contains(f.Message, "Q.rogue") {
+		t.Errorf("CS012 message: %q", f.Message)
+	}
+}
+
+func TestCS012UnannotatedWord(t *testing.T) {
+	src := `package queue
+
+type word struct{ v uint64 }
+
+type Q struct {
+	filled word //queue:owned-by producer
+	slots  []word
+}
+`
+	f := assertExactlyOne(t, atomicsFindings(t, src), "CS012")
+	if !contains(f.Message, "Q.slots") {
 		t.Errorf("CS012 message: %q", f.Message)
 	}
 }
@@ -236,24 +286,17 @@ type stats struct {
 func TestProseMentionCannotMaskDirective(t *testing.T) {
 	src := `package queue
 
-import "sync"
-
 type Q struct {
-	// mu serializes the exchange; see the //queue: annotations note.
-	mu     sync.Mutex //queue:lock
-	filled int        //queue:shared
+	// cachedDrained is the producer's view; see the //queue: annotations note.
+	cachedDrained uint32 //queue:owned-by producer
 }
 
-//queue:side producer
-func (q *Q) Good() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.filled
-}
+//queue:side consumer
+func (q *Q) Spy() uint32 { return q.cachedDrained }
 `
-	if fs := atomicsFindings(t, src); len(fs) != 0 {
-		t.Fatalf("prose mention must not mask the lock directive, got %v", fs)
-	}
+	// Had the prose candidate masked the directive, the field would be
+	// unannotated and the cross-side read would go unreported.
+	assertExactlyOne(t, atomicsFindings(t, src), "CS010")
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }

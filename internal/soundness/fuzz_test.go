@@ -30,7 +30,7 @@ func FuzzSoundness(f *testing.F) {
 		}
 		f.Add(string(src))
 	}
-	for _, fixture := range []string{srcCS001, srcCS002, srcCS003, srcBoth, srcCS010, srcCS011, srcCS012} {
+	for _, fixture := range []string{srcCS001, srcCS002, srcCS003, srcBoth, srcCS010, srcCS010Word, srcCS012} {
 		f.Add(fixture)
 	}
 
@@ -80,11 +80,12 @@ func TestFixturesFireExactlyTheirCode(t *testing.T) {
 			t.Errorf("%s fixture: got %v", code, ds)
 		}
 	}
-	atomicsCases := map[string]string{"CS010": srcCS010, "CS011": srcCS011, "CS012": srcCS012}
-	for code, src := range atomicsCases {
-		fs := atomicsFindings(t, src)
-		if len(fs) != 1 || fs[0].Code != code {
-			t.Errorf("%s fixture: got %v", code, fs)
+	for _, tc := range []struct{ code, src string }{
+		{"CS010", srcCS010}, {"CS010", srcCS010Word}, {"CS012", srcCS012},
+	} {
+		fs := atomicsFindings(t, tc.src)
+		if len(fs) != 1 || fs[0].Code != tc.code {
+			t.Errorf("%s fixture: got %v", tc.code, fs)
 		}
 	}
 }

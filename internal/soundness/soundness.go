@@ -15,7 +15,7 @@
 //	             function-value calls the fixpoint cannot follow
 //
 // A second analysis family (atomics.go) verifies the single-writer
-// ownership discipline of internal/queue's lock-free fast path (CS010+).
+// ownership discipline of internal/queue's lock-free transit (CS010, CS012).
 //
 // The edge rules register into internal/check's rule registry and consume
 // their whole-program input through check.Config.Facts[FactKey], so a plain

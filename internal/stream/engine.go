@@ -302,10 +302,11 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 			}
 		}
 		// The peer of every queue runs on this same goroutine: blocking
-		// could never be satisfied, so empty/full resolve immediately.
+		// could never be satisfied, so empty/full resolve immediately,
+		// and no queue word needs an atomic access.
 		for _, q := range rawQs {
 			if q != nil {
-				q.SetNonBlocking(true)
+				q.SetSequential()
 			}
 		}
 		order := e.topoOrder()
