@@ -39,6 +39,7 @@ import (
 	"commguard/internal/hotpath"
 	"commguard/internal/lint"
 	"commguard/internal/soundness"
+	"commguard/internal/srcload"
 	"commguard/internal/stream"
 )
 
@@ -76,7 +77,7 @@ func main() {
 	r := *root
 	if r == "" {
 		var err error
-		r, err = crit.FindRepoRoot()
+		r, err = srcload.FindRoot()
 		if err != nil {
 			fatal(err)
 		}
@@ -205,12 +206,18 @@ func guardedFor(name string) (bool, bool) {
 // graph-scoped families (graph checker + soundness edge verdicts) run per
 // benchmark; the source-scoped families (criticality, lint, hot path,
 // atomics) run once over the repo and only with -all, so -app stays cheap
-// and focused. Each diagnostic's Tool names its family, which baseline
+// and focused: it parses only crit's sources and never type-checks. One
+// srcload.Program serves every source analysis but lint, so each package
+// is parsed once. Each diagnostic's Tool names its family, which baseline
 // fingerprints include.
 func run(root string, builders []apps.Builder, repoWide, guarded bool) ([]diag.Diagnostic, error) {
-	m, err := crit.AnalyzeRepo(root)
+	prog, err := srcload.Open(root)
 	if err != nil {
-		return nil, fmt.Errorf("crit analysis: %w", err)
+		return nil, err
+	}
+	m, err := crit.AnalyzeRepo(prog)
+	if err != nil {
+		return nil, err
 	}
 	fact := &soundness.Fact{Crit: m}
 	if guarded {
@@ -286,34 +293,34 @@ func run(root string, builders []apps.Builder, repoWide, guarded bool) ([]diag.D
 	}
 
 	// Hot-path purity (CS020–CS023): whole-program walk from the
-	// //hotpath:entry annotations, registered as repo-scoped check rules.
-	hfs, err := hotpath.AnalyzeRepo(root)
+	// //hotpath:entry annotations, the one typed analysis. Warnings,
+	// baselineable.
+	hfs, err := hotpath.AnalyzeRepo(prog)
 	if err != nil {
-		return nil, fmt.Errorf("hotpath: %w", err)
+		return nil, err
 	}
-	hcfg := check.Config{Facts: map[string]any{hotpath.FactKey: &hotpath.Fact{Findings: hfs}}}
-	for _, d := range check.RunRepo(hcfg).Diagnostics {
+	for _, f := range hfs {
 		ds = append(ds, diag.Diagnostic{
 			Tool:     "hotpath",
-			Code:     d.Code,
-			Severity: d.Severity.String(),
-			File:     relTo(root, d.File),
-			Line:     d.Line,
-			Col:      d.Col,
-			Node:     d.Symbol,
-			Message:  d.Message,
-			Fix:      d.Fix,
+			Code:     f.Code,
+			Severity: "warning",
+			File:     relTo(root, f.Pos.Filename),
+			Line:     f.Pos.Line,
+			Col:      f.Pos.Column,
+			Node:     f.Func(),
+			Message:  f.Message + " [entry " + f.Entry + "; path " + strings.Join(f.Path, " -> ") + "]",
+			Fix:      "make the path pure, mark a sanctioned boundary //hotpath:ok with a reason, or baseline the finding",
 		})
 	}
 
 	// Queue atomics discipline, cross-file. Ownership breaches (CS010) are
 	// proven races — errors. A missing annotation (CS012) is uncertainty,
 	// baselineable like the other uncertain verdicts.
-	afs, err := soundness.CheckAtomicsDir(filepath.Join(root, "internal", "queue"))
+	qfiles, err := prog.Files("internal/queue")
 	if err != nil {
 		return nil, fmt.Errorf("atomics: %w", err)
 	}
-	for _, f := range afs {
+	for _, f := range soundness.CheckAtomics(prog.Fset, qfiles) {
 		sev := "error"
 		if f.Code == "CS012" {
 			sev = "warning"

@@ -63,6 +63,7 @@ func runVet(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 func TestVetJSONContract(t *testing.T) {
+	t.Parallel()
 	stdout, _, code := runVet(t, "-all", "-json")
 	if code != 0 && code != 1 {
 		t.Fatalf("exit %d, want 0 or 1 (a findings exit, not usage)", code)
@@ -107,6 +108,7 @@ func plantFile(t *testing.T, scratch, rel, src string) {
 // CG003/CG006 warnings on the builtin graphs become fatal, and vet reports
 // them under tool "graphcheck" in a schema-valid report.
 func TestGraphcheckJSONContract(t *testing.T) {
+	t.Parallel()
 	empty := filepath.Join(t.TempDir(), "empty.baseline.json")
 	if err := os.WriteFile(empty, []byte(`{"version": 1, "findings": []}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -118,6 +120,7 @@ func TestGraphcheckJSONContract(t *testing.T) {
 // TestCritmapJSONContract: a popped-data loop bound planted in a scratch
 // copy's internal/apps is reported under tool "critmap".
 func TestCritmapJSONContract(t *testing.T) {
+	t.Parallel()
 	scratch := copyRepoSources(t)
 	plantFile(t, scratch, "internal/apps/vet_planted_crit.go", `package apps
 
@@ -135,9 +138,62 @@ func vetPlantedCrit() *stream.FuncFilter {
 	assertFamilyReport(t, stdout, stderr, code, "critmap", "CM")
 }
 
+// TestAtomicsJSONContract: a consumer-side method planted in a scratch
+// copy's internal/queue stores to a producer-owned word. The atomics
+// discipline reports exactly one CS010 error under tool "soundness".
+func TestAtomicsJSONContract(t *testing.T) {
+	t.Parallel()
+	scratch := copyRepoSources(t)
+	plantFile(t, scratch, "internal/queue/vet_planted_atomics.go", `package queue
+
+//queue:side consumer
+func (q *Queue) vetPlantedSteal() { q.filled.store(q.plain, 0) }
+`)
+	stdout, stderr, code := runVet(t, "-all", "-root", scratch, "-json")
+	assertFamilyReport(t, stdout, stderr, code, "soundness", "CS010")
+	var r diag.Report
+	if err := json.Unmarshal([]byte(stdout), &r); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Diagnostics) != 1 || r.Diagnostics[0].Severity != "error" ||
+		r.Diagnostics[0].File != "internal/queue/vet_planted_atomics.go" {
+		t.Fatalf("want exactly one CS010 error in the planted file, got %+v", r.Diagnostics)
+	}
+}
+
+// TestAppModeSkipsSourceAnalyses: -app verifies one graph and runs no
+// repo-wide source analysis. A type error planted in a hot-path-only
+// package (which -all would type-check) must not reach it: -app fft exits
+// 0 with only graph-scoped tool labels.
+func TestAppModeSkipsSourceAnalyses(t *testing.T) {
+	t.Parallel()
+	scratch := copyRepoSources(t)
+	plantFile(t, scratch, "internal/ecc/vet_planted_typo.go", "package ecc\n\nvar vetPlanted int = \"not an int\"\n")
+	stdout, stderr, code := runVet(t, "-app", "fft", "-root", scratch, "-json")
+	if code != 0 {
+		t.Fatalf("-app fft: exit %d, want 0\nstdout: %.800s\nstderr: %s", code, stdout, stderr)
+	}
+	if err := diag.ValidateReport([]byte(stdout)); err != nil {
+		t.Fatalf("-json output invalid: %v", err)
+	}
+	var r diag.Report
+	if err := json.Unmarshal([]byte(stdout), &r); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range r.Diagnostics {
+		if d.Tool != "graphcheck" && d.Tool != "soundness" {
+			t.Errorf("-app reported a %s diagnostic: %+v", d.Tool, d)
+		}
+	}
+	if _, _, code := runVet(t, "-all", "-root", scratch); code != 2 {
+		t.Errorf("-all over the planted type error: exit %d, want 2", code)
+	}
+}
+
 // TestRepolintJSONContract: a math/rand global-generator call planted in a
 // scratch copy's internal/fault is reported under tool "repolint".
 func TestRepolintJSONContract(t *testing.T) {
+	t.Parallel()
 	scratch := copyRepoSources(t)
 	plantFile(t, scratch, "internal/fault/vet_planted_rand.go", `package fault
 
@@ -150,6 +206,7 @@ func vetPlantedRand() int { return rand.Intn(10) }
 }
 
 func TestVetCleanUnderCheckedInBaseline(t *testing.T) {
+	t.Parallel()
 	// The acceptance bar: paper-default protection, checked-in baseline,
 	// zero unbaselined findings on the seven builtin graphs.
 	stdout, stderr, code := runVet(t, "-all")
@@ -159,6 +216,7 @@ func TestVetCleanUnderCheckedInBaseline(t *testing.T) {
 }
 
 func TestVetBaselineDoesNotMaskViolations(t *testing.T) {
+	t.Parallel()
 	// Under software-queue protection the fft critical flow becomes a
 	// CS001 violation; the baseline (errors are never suppressible) must
 	// not hide it even though every current warning is accepted.
@@ -172,6 +230,7 @@ func TestVetBaselineDoesNotMaskViolations(t *testing.T) {
 }
 
 func TestVetSARIFValidates(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join(t.TempDir(), "vet.sarif")
 	_, stderr, code := runVet(t, "-all", "-sarif", path)
 	if code != 0 {
@@ -228,6 +287,7 @@ func copyRepoSources(t *testing.T) string {
 // stale baseline entry, which -fail-stale turns into a failure and
 // -prune-baseline repairs.
 func TestVetHotpathLifecycle(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("repeated whole-repo vet runs; skipped with -short")
 	}
@@ -296,6 +356,7 @@ func vetInjectedHot(n int) int {
 // criticality analysis owns that pattern (CM001, an error); no other
 // analysis may report the same line again under a second code.
 func TestVetReportsPoppedLoopBoundOnce(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("whole-repo vet run; skipped with -short")
 	}
@@ -337,6 +398,7 @@ func vetPlantedLoop() *stream.FuncFilter {
 }
 
 func TestUsageErrorsExitTwo(t *testing.T) {
+	t.Parallel()
 	cases := [][]string{
 		{},                               // neither -app nor -all
 		{"-app", "nope"},                 // unknown benchmark

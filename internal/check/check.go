@@ -63,14 +63,6 @@ type Diagnostic struct {
 	Node *stream.Node
 	// Edge anchors edge-scoped findings (nil otherwise).
 	Edge *stream.Edge
-	// File/Line/Col anchor source-scoped findings from ScopeRepo rules
-	// (File empty otherwise).
-	File string
-	Line int
-	Col  int
-	// Symbol names the source construct a ScopeRepo finding is about
-	// (e.g. the qualified function containing it).
-	Symbol string
 	// Message states the defect.
 	Message string
 	// Fix suggests a remediation (may be empty).
@@ -86,11 +78,6 @@ func (d Diagnostic) String() string {
 		fmt.Fprintf(&b, " edge %d (%s -> %s)", d.Edge.ID, d.Edge.Src.Name(), d.Edge.Dst.Name())
 	case d.Node != nil:
 		fmt.Fprintf(&b, " node %s", d.Node.Name())
-	case d.File != "":
-		fmt.Fprintf(&b, " %s:%d:%d", d.File, d.Line, d.Col)
-		if d.Symbol != "" {
-			fmt.Fprintf(&b, " (%s)", d.Symbol)
-		}
 	}
 	fmt.Fprintf(&b, ": %s", d.Message)
 	if d.Fix != "" {
@@ -219,19 +206,6 @@ func (c *Context) RunLength() (iterations int, ok bool) {
 	return best, true
 }
 
-// Scope says what a rule runs against.
-type Scope int
-
-const (
-	// ScopeGraph rules evaluate one stream graph under one configuration
-	// (the zero value; every pre-existing rule).
-	ScopeGraph Scope = iota
-	// ScopeRepo rules evaluate repository source, independent of any
-	// graph; Run skips them and RunRepo runs only them, with a nil Graph
-	// in the context. Their findings anchor on File/Line/Col.
-	ScopeRepo
-)
-
 // Rule is one registered analysis.
 type Rule struct {
 	// Code is the stable diagnostic identifier (CG001...).
@@ -240,9 +214,6 @@ type Rule struct {
 	Name string
 	// Doc is a one-line description of what the rule verifies.
 	Doc string
-	// Scope says whether the rule checks a stream graph (default) or
-	// repository source.
-	Scope Scope
 	// Check evaluates the rule. Returned diagnostics should carry Code;
 	// the driver stamps it when left empty.
 	Check func(*Context) []Diagnostic
@@ -316,8 +287,8 @@ func (r *Report) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// Run evaluates every registered graph-scoped rule against the graph
-// under the given configuration.
+// Run evaluates every registered rule against the graph under the given
+// configuration.
 func Run(g *stream.Graph, cfg Config) *Report {
 	if cfg.Queue == (queue.Config{}) {
 		cfg.Queue = queue.DefaultConfig()
@@ -326,23 +297,8 @@ func Run(g *stream.Graph, cfg Config) *Report {
 		cfg.FrameScale = 1
 	}
 	ctx := &Context{Graph: g, Cfg: cfg}
-	return run(ctx, ScopeGraph)
-}
-
-// RunRepo evaluates every registered repo-scoped rule. The context carries
-// a nil Graph; rules read their inputs from Config.Facts (e.g. the hotpath
-// analysis result).
-func RunRepo(cfg Config) *Report {
-	ctx := &Context{Cfg: cfg}
-	return run(ctx, ScopeRepo)
-}
-
-func run(ctx *Context, scope Scope) *Report {
 	report := &Report{}
 	for _, rule := range Rules() {
-		if rule.Scope != scope {
-			continue
-		}
 		for _, d := range rule.Check(ctx) {
 			if d.Code == "" {
 				d.Code = rule.Code

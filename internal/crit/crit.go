@@ -6,8 +6,8 @@
 // fault-model weights (internal/fault); this package derives it from the
 // filter implementations themselves.
 //
-// The analysis is intraprocedural and stdlib-only (go/parser + go/ast, the
-// same no-download constraint as internal/lint): for every work function it
+// The analysis is intraprocedural and syntactic (go/ast over the files
+// internal/srcload parsed; no type information): for every work function it
 // propagates two taints to a fixpoint over the assignment graph:
 //
 //   - control-criticality, backwards from control sinks: loop bounds,
@@ -31,19 +31,20 @@
 //	CM003  a control-critical receiver field is mutated outside Work/Init
 //
 // Findings are suppressible with `//repolint:ignore CM00x reason` comments
-// (the directive grammar internal/lint shares). commguard-vet reports them
-// as tool "critmap".
+// (internal/srcload's waiver grammar, which internal/lint shares).
+// commguard-vet reports them as tool "critmap".
 package crit
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"commguard/internal/srcload"
 )
 
 // Kind is the two-point classification lattice.
@@ -270,21 +271,20 @@ const (
 // AnalyzeSource analyzes in-memory source (for tests). Findings covered
 // by an ignore directive are dropped.
 func AnalyzeSource(filename, src string, mode Mode) (*ProtectionMap, error) {
-	return analyzeFile(filename, src, mode)
-}
-
-// analyzeFile parses one file (from src when non-nil, else from disk),
-// analyzes it and drops the findings its directives cover.
-func analyzeFile(filename string, src any, mode Mode) (*ProtectionMap, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	p, f, err := srcload.Source(filename, []byte(src))
 	if err != nil {
 		return nil, fmt.Errorf("crit: %w", err)
 	}
+	return analyzeFile(p.Fset, f, mode), nil
+}
+
+// analyzeFile analyzes one parsed file and drops the findings its
+// directives cover.
+func analyzeFile(fset *token.FileSet, f *ast.File, mode Mode) *ProtectionMap {
 	a := &fileAnalyzer{fset: fset, file: f, pkg: f.Name.Name, mode: mode, imports: importNames(f)}
 	m := a.run()
 	suppressFindings(fset, f, m)
-	return m, nil
+	return m
 }
 
 // ctxPopFns are the Ctx methods that deliver stream data.

@@ -1,8 +1,12 @@
 package crit
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"commguard/internal/srcload"
 )
 
 // analyze is a test helper: parse src and return the map, failing on error.
@@ -326,11 +330,15 @@ func build(ch int) *stream.FuncFilter {
 // benchmarks' filters must be discovered and carry no unsuppressed
 // findings (the acceptance bar `critmap -all` enforces in CI).
 func TestAnalyzeRepo(t *testing.T) {
-	root, err := FindRepoRoot()
+	root, err := srcload.FindRoot()
 	if err != nil {
-		t.Fatalf("FindRepoRoot: %v", err)
+		t.Fatalf("FindRoot: %v", err)
 	}
-	m, err := AnalyzeRepo(root)
+	p, err := srcload.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := AnalyzeRepo(p)
 	if err != nil {
 		t.Fatalf("AnalyzeRepo: %v", err)
 	}
@@ -347,5 +355,34 @@ func TestAnalyzeRepo(t *testing.T) {
 	}
 	if mean := m.MeanFraction(); mean <= 0 || mean >= 1 {
 		t.Errorf("mean fraction out of range: %v", mean)
+	}
+}
+
+// TestAnalyzeRepoMissingSourceDir: a listed source directory that does not
+// exist is an analysis error, not a silent skip that would drop its whole
+// CM analysis.
+func TestAnalyzeRepoMissingSourceDir(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module fake.example/m\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range RepoSources() {
+		if src.Dir == "internal/dsp" {
+			continue
+		}
+		dir := filepath.Join(root, filepath.FromSlash(src.Dir))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte("package x\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := srcload.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeRepo(p); err == nil || !strings.Contains(err.Error(), "dsp") {
+		t.Fatalf("AnalyzeRepo without internal/dsp: err = %v, want an error naming it", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"commguard/internal/campaign"
 	"commguard/internal/crit"
 	"commguard/internal/sim"
+	"commguard/internal/srcload"
 )
 
 // CritRow is one benchmark of the criticality-weighting study.
@@ -33,11 +34,15 @@ type CritRow struct {
 // desequencing errors under the weighted model and score worse, pure data
 // pipes draw fewer and score better.
 func CritWeighting(o Options, mtbe float64) ([]CritRow, error) {
-	root, err := crit.FindRepoRoot()
+	root, err := srcload.FindRoot()
 	if err != nil {
 		return nil, err
 	}
-	pm, err := crit.AnalyzeRepo(root)
+	prog, err := srcload.Open(root)
+	if err != nil {
+		return nil, err
+	}
+	pm, err := crit.AnalyzeRepo(prog)
 	if err != nil {
 		return nil, err
 	}

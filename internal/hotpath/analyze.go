@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+
+	"commguard/internal/srcload"
 )
 
 // atom is one local purity violation inside a function body, before the
@@ -30,34 +32,71 @@ type funcFact struct {
 }
 
 type analyzer struct {
-	l *loader
+	p *srcload.Program
 	// lenient skips unresolvable callees instead of flagging CS023
 	// (single-file mode, where missing cross-file declarations are
 	// expected and honest opacity reporting would be all noise).
 	lenient bool
 	facts   map[*types.Func]*funcFact
 	anns    map[*types.Func]funcAnn
+	// decls indexes every type-checked function/method declaration by its
+	// object; the facts cache is keyed off these.
+	decls map[*types.Func]*ast.FuncDecl
+	// okAt carries each file's //hotpath:ok directives, by filename.
+	okAt map[string][]srcload.Directive
 }
 
-func newAnalyzer(l *loader, lenient bool) *analyzer {
-	a := &analyzer{l: l, lenient: lenient, facts: map[*types.Func]*funcFact{}, anns: map[*types.Func]funcAnn{}}
-	for obj, decl := range l.decls {
-		a.anns[obj] = parseFuncAnn(decl.Doc)
+func newAnalyzer(p *srcload.Program, lenient bool) *analyzer {
+	a := &analyzer{p: p, lenient: lenient, facts: map[*types.Func]*funcFact{}, anns: map[*types.Func]funcAnn{},
+		decls: map[*types.Func]*ast.FuncDecl{}, okAt: map[string][]srcload.Directive{}}
+	for _, f := range p.CheckedFiles() {
+		// Doc-comment directives land in okAt too, harmlessly: no finding
+		// anchors on a declaration's doc lines.
+		a.okAt[p.Fset.Position(f.Pos()).Filename] = srcload.ParseDirectives(p.Fset, f, okMarker)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+				a.decls[obj] = fd
+				a.anns[obj] = parseFuncAnn(fd.Doc)
+			}
+		}
 	}
 	return a
 }
 
-// run discovers entries in the named packages and walks each.
-func (a *analyzer) run(scanPkgs []string) []Finding {
+// suppressed reports whether a //hotpath:ok directive waives the code at
+// pos (srcload's placement rule: same line, line above, or file level).
+func (a *analyzer) suppressed(pos token.Pos, code string) bool {
+	at := a.p.Fset.Position(pos)
+	for _, d := range a.okAt[at.Filename] {
+		if d.Waives(code, at.Line) {
+			return true
+		}
+	}
+	return false
+}
+
+// inModule reports whether a type-checked package belongs to the program,
+// so its declarations are loaded and can be descended into.
+func (a *analyzer) inModule(pkg *types.Package) bool {
+	return pkg != nil && a.p.InModule(pkg.Path())
+}
+
+// run discovers entries in the named directories and walks each.
+func (a *analyzer) run(dirs []string) []Finding {
 	var entries []*types.Func
-	for _, ipath := range scanPkgs {
-		for _, f := range a.l.files[ipath] {
+	for _, dir := range dirs {
+		files, _ := a.p.Files(dir) // parsed by the Check that preceded run
+		for _, f := range files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
 					continue
 				}
-				obj, ok := a.l.info.Defs[fd.Name].(*types.Func)
+				obj, ok := a.p.Info.Defs[fd.Name].(*types.Func)
 				if !ok {
 					continue
 				}
@@ -84,7 +123,7 @@ func (a *analyzer) run(scanPkgs []string) []Finding {
 func (a *analyzer) visit(fn *types.Func, path []string, visited map[*types.Func]bool, seen map[string]bool, out *[]Finding) {
 	fact := a.factFor(fn)
 	for _, at := range fact.atoms {
-		pos := a.l.fset.Position(at.pos)
+		pos := a.p.Fset.Position(at.pos)
 		key := pos.Filename + ":" + itoa(pos.Line) + ":" + itoa(pos.Column) + "|" + at.code
 		if seen[key] {
 			continue
@@ -128,7 +167,7 @@ func (a *analyzer) factFor(fn *types.Func) *funcFact {
 	}
 	fact := &funcFact{}
 	a.facts[fn] = fact // before the scan: direct recursion terminates
-	decl := a.l.decls[fn]
+	decl := a.decls[fn]
 	if decl == nil || decl.Body == nil {
 		return fact
 	}
@@ -147,7 +186,7 @@ type scanner struct {
 }
 
 func (s *scanner) add(pos token.Pos, code, msg string) {
-	if s.a.l.suppressed(pos, code) {
+	if s.a.suppressed(pos, code) {
 		return
 	}
 	s.fact.atoms = append(s.fact.atoms, atom{pos, code, msg})
@@ -159,7 +198,7 @@ func (s *scanner) block(body *ast.BlockStmt) {
 
 // node is the ast.Inspect callback; returning false prunes the subtree.
 func (s *scanner) node(n ast.Node) bool {
-	info := s.a.l.info
+	info := s.a.p.Info
 	switch n := n.(type) {
 	case *ast.SelectStmt:
 		s.add(n.Pos(), CodeBlock, "select blocks on channel operations")
@@ -250,7 +289,7 @@ func (s *scanner) node(n ast.Node) bool {
 // call classifies one call expression: conversion, builtin, static
 // function/method, or opaque.
 func (s *scanner) call(call *ast.CallExpr) {
-	info := s.a.l.info
+	info := s.a.p.Info
 	fun := ast.Unparen(call.Fun)
 
 	// Type conversion T(x): boxing and string<->[]byte copies allocate.
@@ -342,7 +381,7 @@ func (s *scanner) conversion(call *ast.CallExpr, target types.Type) {
 	if len(call.Args) != 1 {
 		return
 	}
-	argT := typeOf(s.a.l.info, call.Args[0])
+	argT := typeOf(s.a.p.Info, call.Args[0])
 	if argT == nil {
 		return
 	}
@@ -370,7 +409,7 @@ func (s *scanner) builtin(call *ast.CallExpr, name string) {
 	case "delete":
 		s.add(call.Pos(), CodeHidden, "map delete mutates the table")
 	case "clear":
-		if len(call.Args) == 1 && isMap(typeOf(s.a.l.info, call.Args[0])) {
+		if len(call.Args) == 1 && isMap(typeOf(s.a.p.Info, call.Args[0])) {
 			s.add(call.Pos(), CodeHidden, "map clear mutates the table")
 		}
 	case "print", "println":
@@ -381,13 +420,12 @@ func (s *scanner) builtin(call *ast.CallExpr, name string) {
 
 // static judges a statically resolved function or method call.
 func (s *scanner) static(call *ast.CallExpr, obj *types.Func, sel *types.Selection) {
-	l := s.a.l
-	if l.inModule(obj.Pkg()) {
+	if s.a.inModule(obj.Pkg()) {
 		ann := s.a.anns[obj]
 		if ann.ok && !ann.entry {
 			return // sanctioned slow-path boundary: walk stops here
 		}
-		if decl := l.decls[obj]; decl != nil && decl.Body != nil {
+		if decl := s.a.decls[obj]; decl != nil && decl.Body != nil {
 			s.fact.calls = append(s.fact.calls, callSite{call.Pos(), obj})
 			s.boxedArgs(call, obj)
 			return
@@ -434,7 +472,7 @@ func (s *scanner) boxedArgs(call *ast.CallExpr, obj *types.Func) {
 		if pt == nil || !types.IsInterface(pt) {
 			continue
 		}
-		at := typeOf(s.a.l.info, arg)
+		at := typeOf(s.a.p.Info, arg)
 		if at == nil || types.IsInterface(at) || isNilType(at) {
 			continue
 		}

@@ -25,8 +25,12 @@
 //	func (q *Queue) publish() { ... }
 //
 // A statement-level finding can be suppressed in place, naming the codes
-// being waived (no codes waives all four), with the directive on the same
-// line or the line above — the same placement rule as //repolint:ignore:
+// being waived, with the directive on the same line or the line above.
+// The grammar is //repolint:ignore's (srcload.ParseDirectives): codes are
+// space- or comma-separated, the reason starts at the first non-code
+// token, and a directive naming no code waives all four. One that names
+// codes waives only those, even when they are not hotpath codes
+// ("RL001 reason") or the reason follows a comma ("CS021,reason"):
 //
 //	//hotpath:ok CS020 one-time warmup allocation
 //	buf := make([]float64, n)
@@ -60,10 +64,11 @@ package hotpath
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"sort"
 	"strings"
+
+	"commguard/internal/srcload"
 )
 
 // Finding codes. The CS02x block follows CS001-CS003 (soundness verdicts)
@@ -148,64 +153,6 @@ func parseFuncAnn(doc *ast.CommentGroup) funcAnn {
 	return ann
 }
 
-// okDirective is one statement-level //hotpath:ok suppression.
-type okDirective struct {
-	// codes maps suppressed codes; empty means all hotpath codes.
-	codes map[string]bool
-}
-
-// covers reports whether the directive waives the given code.
-func (d okDirective) covers(code string) bool {
-	return len(d.codes) == 0 || d.codes[code]
-}
-
-// parseOkLines collects statement-level //hotpath:ok directives of a file,
-// keyed by line. Doc-comment directives land here too, harmlessly: no
-// finding anchors on a declaration's doc lines.
-func parseOkLines(fset *token.FileSet, f *ast.File) map[int]okDirective {
-	out := map[int]okDirective{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if text != okMarker && !strings.HasPrefix(text, okMarker+" ") {
-				continue
-			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, okMarker))
-			d := okDirective{codes: map[string]bool{}}
-			for _, field := range strings.Fields(rest) {
-				isCode := true
-				for _, part := range strings.Split(field, ",") {
-					if !looksLikeCode(part) {
-						isCode = false
-						break
-					}
-				}
-				if !isCode {
-					break // reason text starts here
-				}
-				for _, part := range strings.Split(field, ",") {
-					d.codes[part] = true
-				}
-			}
-			out[fset.Position(c.Pos()).Line] = d
-		}
-	}
-	return out
-}
-
-// looksLikeCode matches "CSnnn".
-func looksLikeCode(s string) bool {
-	if len(s) != 5 || s[0] != 'C' || s[1] != 'S' {
-		return false
-	}
-	for i := 2; i < 5; i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
 // Sources lists the repo directories (relative to the module root) that
 // carry //hotpath:entry annotations and are analyzed by AnalyzeRepo.
 func Sources() []string {
@@ -221,31 +168,23 @@ func Sources() []string {
 }
 
 // AnalyzeRepo analyzes the standard annotated directories (Sources) of the
-// repository rooted at root. The repository must type-check; a type error
-// is returned as an error, not a finding.
-func AnalyzeRepo(root string) ([]Finding, error) {
-	return AnalyzeDirs(root, Sources())
+// program. The repository must type-check; a type error is returned as an
+// error, not a finding.
+func AnalyzeRepo(p *srcload.Program) ([]Finding, error) {
+	return AnalyzeDirs(p, Sources())
 }
 
 // AnalyzeDirs analyzes the given directories (relative to the module root)
 // plus everything in-module they transitively import. Entries are
 // discovered only in the named directories; findings may point anywhere
 // reachable.
-func AnalyzeDirs(root string, dirs []string) ([]Finding, error) {
-	l, err := newLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	var scanPkgs []string
+func AnalyzeDirs(p *srcload.Program, dirs []string) ([]Finding, error) {
 	for _, dir := range dirs {
-		ipath := l.module + "/" + strings.Trim(dir, "/")
-		if _, err := l.load(ipath); err != nil {
+		if _, err := p.Check(dir); err != nil {
 			return nil, fmt.Errorf("hotpath: loading %s: %w", dir, err)
 		}
-		scanPkgs = append(scanPkgs, ipath)
 	}
-	a := newAnalyzer(l, false)
-	return a.run(scanPkgs), nil
+	return newAnalyzer(p, false).run(dirs), nil
 }
 
 // AnalyzeSource analyzes a single in-memory file leniently: calls whose
@@ -254,15 +193,14 @@ func AnalyzeDirs(root string, dirs []string) ([]Finding, error) {
 // larger package does not drown in spurious CS023. On-disk code gets the
 // whole-program analysis (AnalyzeRepo).
 func AnalyzeSource(filename string, src []byte) ([]Finding, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	p, _, err := srcload.Source(filename, src)
 	if err != nil {
 		return nil, err
 	}
-	l := newFileLoader(fset)
-	ipath := l.checkFile(f)
-	a := newAnalyzer(l, true)
-	return a.run([]string{ipath}), nil
+	if _, err := p.Check("."); err != nil {
+		return nil, err
+	}
+	return newAnalyzer(p, true).run([]string{"."}), nil
 }
 
 // sortFindings orders findings by position then code, deterministically.

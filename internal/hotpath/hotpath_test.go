@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"commguard/internal/srcload"
 )
 
 func analyze(t *testing.T, src string) []Finding {
@@ -76,6 +78,36 @@ func TestOkDirectiveSuppression(t *testing.T) {
 	}
 }
 
+// TestOkDirectiveWaivesOnlyNamedCodes: a //hotpath:ok waiver covers
+// exactly the codes it names. One naming only other codes, or gluing a
+// code to its reason with a comma, must not turn into a waive-everything
+// directive.
+func TestOkDirectiveWaivesOnlyNamedCodes(t *testing.T) {
+	for _, tc := range []struct {
+		directive string
+		want      int // CS020 findings left on the make
+	}{
+		{"//hotpath:ok CS020 warmup", 0},
+		{"//hotpath:ok CS020,CS021 warmup", 0},
+		{"//hotpath:ok warmup, no codes named", 0},
+		{"//hotpath:ok CS021 reason", 1},
+		{"//hotpath:ok RL001 reason", 1},
+		{"//hotpath:ok CS021,reason", 1},
+	} {
+		fs := analyze(t, `package p
+
+//hotpath:entry
+func Hot(n int) int {
+	`+tc.directive+`
+	return len(make([]byte, n))
+}
+`)
+		if len(fs) != tc.want {
+			t.Errorf("%q: %d findings, want %d: %v", tc.directive, len(fs), tc.want, fs)
+		}
+	}
+}
+
 // TestSharedHelperReportedOnce pins dedup across entries: one finding,
 // attributed to the first entry in source order.
 func TestSharedHelperReportedOnce(t *testing.T) {
@@ -118,7 +150,7 @@ func Leak(n int) []byte {
 	return make([]byte, n)
 }
 `)
-	fs, err := AnalyzeDirs(root, []string{"a"})
+	fs, err := AnalyzeDirs(openProgram(t, root), []string{"a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +179,7 @@ func TestTypeErrorIsError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "a", "a.go"), []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AnalyzeDirs(root, []string{"a"}); err == nil {
+	if _, err := AnalyzeDirs(openProgram(t, root), []string{"a"}); err == nil {
 		t.Fatal("want a type error, got nil")
 	}
 }
@@ -161,8 +193,7 @@ func TestRepoFastPathsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-program analysis; skipped with -short")
 	}
-	root := moduleRoot(t)
-	fs, err := AnalyzeRepo(root)
+	fs, err := AnalyzeRepo(openProgram(t, moduleRoot(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,26 +285,18 @@ func TestEveryEntryIsAnalyzed(t *testing.T) {
 
 func moduleRoot(t *testing.T) string {
 	t.Helper()
-	dir, err := os.Getwd()
+	root, err := srcload.FindRoot()
 	if err != nil {
 		t.Fatal(err)
-	}
-	root := moduleRootAbove(dir)
-	if root == "" {
-		t.Fatal("no go.mod above the test directory")
 	}
 	return root
 }
 
-func moduleRootAbove(dir string) string {
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return ""
-		}
-		dir = parent
+func openProgram(t *testing.T, root string) *srcload.Program {
+	t.Helper()
+	p, err := srcload.Open(root)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }

@@ -27,8 +27,12 @@
 // comment on the same line, the line directly above, or — file-wide —
 // before the package clause. Multiple codes may be space- or
 // comma-separated; a bare directive suppresses every code. The grammar is
-// internal/crit's (crit.ParseDirectives), which honors the same
-// directives for its CM codes.
+// internal/srcload's (srcload.ParseDirectives), which internal/crit reads
+// for its CM codes and internal/hotpath for //hotpath:ok.
+//
+// The linter keeps its own tree walk rather than srcload's package loader:
+// it lints _test.go files and the separate bench/ module, which the
+// analyzed program does not contain.
 //
 // The analyzer is built on go/parser and go/ast alone — no go/packages, no
 // module downloads — so it runs in a hermetic CI container.
@@ -45,7 +49,7 @@ import (
 	"strconv"
 	"strings"
 
-	"commguard/internal/crit"
+	"commguard/internal/srcload"
 )
 
 // Finding is one rule violation.
@@ -299,19 +303,16 @@ func isFieldRef(e ast.Expr) bool {
 // suppress drops findings covered by a repolint:ignore directive (same
 // line, line directly above, or file-level before the package clause) and
 // reports RL-targeted directives that suppressed nothing as RL006.
-// Directive parsing is shared with internal/crit (crit.ParseDirectives),
-// so both analyses read one grammar.
+// The grammar is srcload.ParseDirectives, shared with internal/crit and
+// internal/hotpath.
 func suppress(fset *token.FileSet, f *ast.File, findings []Finding) []Finding {
-	dirs := crit.ParseDirectives(fset, f)
+	dirs := srcload.ParseDirectives(fset, f, "repolint:ignore")
 	matched := make([]bool, len(dirs))
 	var kept []Finding
 	for _, fi := range findings {
 		drop := false
 		for i, d := range dirs {
-			if !d.Covers(fi.Rule) {
-				continue
-			}
-			if d.FileLevel || d.Line == fi.Pos.Line || d.Line == fi.Pos.Line-1 {
+			if d.Waives(fi.Rule, fi.Pos.Line) {
 				matched[i] = true
 				drop = true
 			}
@@ -337,7 +338,7 @@ func suppress(fset *token.FileSet, f *ast.File, findings []Finding) []Finding {
 // hasNonRLCode exempts a directive from stale detection when it names a
 // code owned by another analysis (internal/crit's CM codes): this linter
 // cannot judge whether those still match.
-func hasNonRLCode(d crit.Directive) bool {
+func hasNonRLCode(d srcload.Directive) bool {
 	for code := range d.Codes {
 		if !strings.HasPrefix(code, "RL") {
 			return true

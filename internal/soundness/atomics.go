@@ -35,12 +35,11 @@ package soundness
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"commguard/internal/srcload"
 )
 
 // Finding is one atomics-discipline defect.
@@ -442,10 +441,12 @@ func (c *checker) run(files []*ast.File) {
 	})
 }
 
-// checkAtomicsParsed runs the discipline over already-parsed files sharing
-// one FileSet. Annotation tables are built across all files, so methods in
-// one file are checked against a struct declared in another.
-func checkAtomicsParsed(fset *token.FileSet, files []*ast.File) []Finding {
+// CheckAtomics runs the discipline over the parsed files of one package
+// (commguard-vet hands it internal/queue's). Annotation tables are built
+// across all files, so methods in one file are checked against a struct
+// declared in another (the queue struct lives in queue.go; batch.go adds
+// methods).
+func CheckAtomics(fset *token.FileSet, files []*ast.File) []Finding {
 	c := &checker{fset: fset}
 	c.run(files)
 	return c.findings
@@ -454,34 +455,9 @@ func checkAtomicsParsed(fset *token.FileSet, files []*ast.File) []Finding {
 // CheckAtomicsSource runs the discipline over one in-memory file (tests,
 // fuzzing). The file stands alone as the whole package.
 func CheckAtomicsSource(filename, src string) ([]Finding, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	p, f, err := srcload.Source(filename, []byte(src))
 	if err != nil {
 		return nil, fmt.Errorf("soundness: %w", err)
 	}
-	return checkAtomicsParsed(fset, []*ast.File{f}), nil
-}
-
-// CheckAtomicsDir runs the discipline over every non-test .go file of a
-// directory, sharing the annotation tables across files (the queue struct
-// lives in queue.go; batch.go adds methods).
-func CheckAtomicsDir(dir string) ([]Finding, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("soundness: %w", err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("soundness: %w", err)
-		}
-		files = append(files, f)
-	}
-	return checkAtomicsParsed(fset, files), nil
+	return CheckAtomics(p.Fset, []*ast.File{f}), nil
 }

@@ -3,6 +3,8 @@ package soundness
 import (
 	"strings"
 	"testing"
+
+	"commguard/internal/srcload"
 )
 
 // Atomics fixtures: each fires exactly its intended code.
@@ -65,11 +67,19 @@ func assertExactlyOne(t *testing.T, fs []Finding, code string) Finding {
 }
 
 func TestRealQueuePackageIsClean(t *testing.T) {
-	fs, err := CheckAtomicsDir("../queue")
+	root, err := srcload.FindRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 0 {
+	p, err := srcload.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := p.Files("internal/queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := CheckAtomics(p.Fset, files); len(fs) != 0 {
 		t.Fatalf("internal/queue violates its own discipline: %v", fs)
 	}
 }
