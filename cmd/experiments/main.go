@@ -5,7 +5,6 @@
 //	experiments -fig all -quick        # fast reduced sweep
 //	experiments -fig 10               # full Figure 10 sweep (slow)
 //	experiments -fig 8 -seeds 3
-//	experiments -quick -benchjson BENCH_hotpath.json   # hot-path perf snapshot
 //
 // Long sweeps can run as resilient campaigns:
 //
@@ -31,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -43,17 +41,15 @@ import (
 
 func main() {
 	var (
-		fig          = flag.String("fig", "all", "figure to regenerate: "+strings.Join(experiments.FigureNames(), "|")+"|all")
-		quickF       = flag.Bool("quick", false, "reduced sweep (smaller workloads, fewer seeds)")
-		seeds        = flag.Int("seeds", 0, "override seeds per point (paper: 5)")
-		csvDir       = flag.String("csv", "", "also write the regenerated figures' CSVs to this directory")
-		mdPath       = flag.String("md", "", "also write a Markdown report of the regenerated figures to this path")
-		bench        = flag.String("benchjson", "", "measure hot-path transit variants plus a RunAll wall-clock and write the JSON snapshot to this path; also writes the kernel bench as the sibling BENCH_kernels.json (combine with -quick for the reduced sweep)")
-		benchKernels = flag.String("benchkernels", "", "measure only the kernel firing-path variants (per-item vs batch vs abft) and write the JSON snapshot to this path")
-		verbose      = flag.Bool("v", false, "print per-figure start/finish lines with elapsed time and job counts to stderr")
-		trace        = flag.String("trace", "", "record an event trace of Figure 7's representative run and write <base>.trace.json/.jsonl/.snapshot.json")
-		listen       = flag.String("listen", "", "serve live sweep progress counters over HTTP at this address (OpenMetrics at GET /metrics), e.g. :6060")
-		flightDir    = flag.String("flight-dir", "", "arm a flight recorder on detection-latency sweep jobs: trace rings run continuously and are dumped into this directory when a job trips a PPU watchdog refusal or is classified as hung")
+		fig       = flag.String("fig", "all", "figure to regenerate: "+strings.Join(experiments.FigureNames(), "|")+"|all")
+		quickF    = flag.Bool("quick", false, "reduced sweep (smaller workloads, fewer seeds)")
+		seeds     = flag.Int("seeds", 0, "override seeds per point (paper: 5)")
+		csvDir    = flag.String("csv", "", "also write the regenerated figures' CSVs to this directory")
+		mdPath    = flag.String("md", "", "also write a Markdown report of the regenerated figures to this path")
+		verbose   = flag.Bool("v", false, "print per-figure start/finish lines with elapsed time and job counts to stderr")
+		trace     = flag.String("trace", "", "record an event trace of Figure 7's representative run and write <base>.trace.json/.jsonl/.snapshot.json")
+		listen    = flag.String("listen", "", "serve live sweep progress counters over HTTP at this address (OpenMetrics at GET /metrics), e.g. :6060")
+		flightDir = flag.String("flight-dir", "", "arm a flight recorder on detection-latency sweep jobs: trace rings run continuously and are dumped into this directory when a job trips a PPU watchdog refusal or is classified as hung")
 
 		journal    = flag.String("journal", "", "append completed sweep jobs to this JSONL journal (campaign mode: watchdog, retries, graceful SIGINT)")
 		resume     = flag.Bool("resume", false, "with -journal: skip jobs already journaled, replaying their stored results")
@@ -141,36 +137,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *benchKernels != "" {
-		res, err := experiments.WriteKernelBenchJSON(*benchKernels, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		res.Render(func(format string, a ...any) { fmt.Printf(format, a...) })
-		fmt.Printf("kernel bench written to %s\n", *benchKernels)
-		return
-	}
-	if *bench != "" {
-		kpath := kernelBenchPath(*bench)
-		kres, err := experiments.WriteKernelBenchJSON(kpath, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		res, err := experiments.WriteHotpathJSON(*bench, opts, 4_000_000)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		kres.Render(func(format string, a ...any) { fmt.Printf(format, a...) })
-		fmt.Println()
-		res.Render(func(format string, a ...any) { fmt.Printf(format, a...) })
-		fmt.Printf("hot-path snapshot written to %s, kernel bench to %s\n", *bench, kpath)
-		return
-	}
-
 	err := run(*fig, opts, *csvDir, *mdPath)
 	if totals != nil {
 		s := totals.Snapshot()
@@ -188,17 +154,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// kernelBenchPath derives the kernel-bench sibling of the hot-path
-// snapshot path: BENCH_hotpath.json -> BENCH_kernels.json in the same
-// directory, or <path>.kernels.json when the name doesn't match.
-func kernelBenchPath(benchPath string) string {
-	dir, name := filepath.Split(benchPath)
-	if name == "BENCH_hotpath.json" {
-		return filepath.Join(dir, "BENCH_kernels.json")
-	}
-	return benchPath + ".kernels.json"
 }
 
 func run(fig string, opts experiments.Options, csvDir, mdPath string) error {

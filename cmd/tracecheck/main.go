@@ -9,9 +9,8 @@
 //
 // The file kind is chosen by suffix: .jsonl (trace event stream),
 // .trace.json (Chrome trace-event JSON), .snapshot.json (run telemetry
-// snapshot, including its latency and flight sections), *kernels.json
-// (kernel firing-path benchmark, e.g. BENCH_kernels.json). Exit status
-// is 1 if any file fails validation, 2 on usage errors.
+// snapshot, including its latency and flight sections). Exit status is 1
+// if any file fails validation, 2 on usage errors.
 package main
 
 import (
@@ -83,16 +82,6 @@ func check(path string) error {
 		}
 		fmt.Printf("%s: ok (snapshot)\n", path)
 		return nil
-	case strings.HasSuffix(path, "kernels.json"):
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := diag.ValidateKernelBench(data); err != nil {
-			return err
-		}
-		fmt.Printf("%s: ok (kernel bench)\n", path)
-		return nil
 	}
-	return fmt.Errorf("unknown artifact kind (want .jsonl, .trace.json, .snapshot.json or *kernels.json)")
+	return fmt.Errorf("unknown artifact kind (want .jsonl, .trace.json or .snapshot.json)")
 }

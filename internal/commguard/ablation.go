@@ -17,7 +17,9 @@ import (
 // that gap (§3: "CommGuard draws inspiration from reliability solutions in
 // data networking and uses headers and frame IDs to identify frames").
 //
-// BenchmarkAblationMarkerOnly quantifies the resulting quality gap.
+// TestMarkerOnlyCheckerFailsOnFrameReplay pins the resulting gap: after a
+// frame replay the marker-only stream stays one frame behind, while the
+// AM realigns.
 type MarkerTransport struct {
 	// Queue is the queue geometry (pointers are protected, like the QM).
 	Queue queue.Config

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"commguard/internal/obs"
 	"commguard/internal/queue"
 )
 
@@ -94,4 +95,60 @@ func TestHotpathAllocFree(t *testing.T) {
 			t.Errorf("alignment disturbed during alloc run: %+v", got)
 		}
 	})
+}
+
+// TestTraceDisabledNoAllocs pins the zero-allocation contract of the
+// guarded pop path, with tracing disabled (the nil-ring branch) and
+// enabled (in-place ring writes).
+func TestTraceDisabledNoAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tracer *obs.Tracer
+	}{
+		{"disabled", nil},
+		{"enabled", obs.NewTracer(1, 1<<10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := queue.MustNew(0, queue.Config{WorkingSets: 4, WorkingSetUnits: 64, ProtectPointers: true, Timeout: 0})
+			q.SetTrace(tc.tracer.Ring(0), tc.tracer.Ring(0))
+			hi := NewHeaderInserter(q)
+			hi.SetTrace(tc.tracer.Ring(0))
+			hi.NewFrameComputation(0)
+			for i := 0; i < 128; i++ {
+				q.Push(queue.DataUnit(uint32(i)))
+			}
+			q.Flush()
+			am := NewAlignmentManager(q, 0)
+			am.SetTrace(tc.tracer.Ring(0))
+			am.NewFrameComputation(0)
+			if allocs := testing.AllocsPerRun(100, func() { am.Pop() }); allocs != 0 {
+				t.Errorf("guarded pop allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestHealthArmedNoAllocs pins the zero-allocation contract of the
+// guarded pop path with the full runtime-health layer armed: queue
+// latency shards, the AM detector, and live trace rings.
+func TestHealthArmedNoAllocs(t *testing.T) {
+	tracer := obs.NewTracer(2, 1<<10)
+	h := obs.NewHealth(2)
+	q := queue.MustNew(0, queue.Config{WorkingSets: 4, WorkingSetUnits: 64, ProtectPointers: true, Timeout: 0})
+	q.SetTrace(tracer.Ring(0), tracer.Ring(1))
+	q.SetLatency(h.QueueShards(0, 1))
+	hi := NewHeaderInserter(q)
+	hi.SetTrace(tracer.Ring(0))
+	hi.NewFrameComputation(0)
+	for i := 0; i < 128; i++ {
+		q.Push(queue.DataUnit(uint32(i)))
+	}
+	q.Flush()
+	am := NewAlignmentManager(q, 0)
+	am.SetTrace(tracer.Ring(1))
+	am.SetDetector(h.NewDetector(1, 0, 1))
+	am.NewFrameComputation(0)
+	if allocs := testing.AllocsPerRun(100, func() { am.Pop() }); allocs != 0 {
+		t.Errorf("health-armed guarded pop allocates %.1f objects/op, want 0", allocs)
+	}
 }

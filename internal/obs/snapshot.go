@@ -10,8 +10,9 @@ import (
 )
 
 // Manifest is the provenance record stamped into every telemetry document:
-// what ran, under which knobs, on which toolchain. It makes BENCH_* and
-// snapshot artifacts self-describing across the repo's PR trajectory.
+// what ran, under which knobs, on which toolchain. It makes run snapshots
+// and the repository benchmark's result documents self-describing across
+// machines and commits.
 type Manifest struct {
 	// App is the benchmark that ran ("" for non-simulation artifacts).
 	App string `json:"app,omitempty"`

@@ -338,25 +338,6 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 }
 
-func BenchmarkPushPop(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Timeout = 0
-	q := MustNew(1, cfg)
-	go func() {
-		for {
-			if _, ok := q.Pop(); !ok {
-				return
-			}
-		}
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(DataUnit(uint32(i)))
-	}
-	q.Flush()
-	q.Close()
-}
-
 func TestValidateRejectsNegativeTimeout(t *testing.T) {
 	cfg := testConfig()
 	cfg.Timeout = -time.Second

@@ -216,17 +216,26 @@ func TestSameSeedIsReproducible(t *testing.T) {
 }
 
 func TestFrameScalePlumbs(t *testing.T) {
-	res, err := RunBenchmark(smallMP3(), Config{Protection: CommGuard, FrameScale: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FrameScale != 4 {
-		t.Errorf("frame scale = %d", res.FrameScale)
-	}
-	for _, c := range res.Run.Cores {
-		if c.PPU.FrameComputations != 0 && c.PPU.Frames*4 > c.PPU.FrameComputations+4 {
-			t.Errorf("core %s frames %d not downscaled from %d", c.Node, c.PPU.Frames, c.PPU.FrameComputations)
+	headers := map[int]uint64{}
+	for _, scale := range []int{1, 4, 8} {
+		res, err := RunBenchmark(smallMP3(), Config{Protection: CommGuard, FrameScale: scale})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.FrameScale != scale {
+			t.Errorf("frame scale = %d, want %d", res.FrameScale, scale)
+		}
+		for _, c := range res.Run.Cores {
+			if c.PPU.FrameComputations != 0 && c.PPU.Frames*uint64(scale) > c.PPU.FrameComputations+uint64(scale) {
+				t.Errorf("scale %d: core %s frames %d not downscaled from %d", scale, c.Node, c.PPU.Frames, c.PPU.FrameComputations)
+			}
+		}
+		headers[scale] = res.Guard.HI.HeadersInserted
+	}
+	// The frame-size knob (§5.4) exists to amortise headers: larger frames
+	// must insert fewer of them.
+	if headers[8] >= headers[1] {
+		t.Errorf("scale 8 inserted %d headers, scale 1 %d; want fewer at scale 8", headers[8], headers[1])
 	}
 }
 
