@@ -116,7 +116,14 @@ func (am *markerAM) NewFrameComputation(uint32) {
 
 func (am *markerAM) EndOfComputation() {}
 
-// Pop implements stream.InPort.
+// PopN implements stream.InPort, one marker-checked pop per element.
+func (am *markerAM) PopN(dst []uint32) {
+	for i := range dst {
+		dst[i] = am.Pop()
+	}
+}
+
+// Pop delivers the thread's next item, checking frame markers.
 func (am *markerAM) Pop() uint32 {
 	for spins := 0; spins < 1<<20; spins++ {
 		switch am.state {

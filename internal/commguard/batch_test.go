@@ -102,7 +102,8 @@ func TestAlignmentManagerPopNStarved(t *testing.T) {
 	}
 }
 
-// HeaderInserter.PushData must equal per-item pushes.
+// A firing's PushDataN between the HI's frame events must equal per-item
+// pushes.
 func TestHeaderInserterPushDataMatchesPush(t *testing.T) {
 	cfg := queue.Config{WorkingSets: 4, WorkingSetUnits: 16, ProtectPointers: true, Timeout: time.Millisecond}
 	qRef := queue.MustNew(1, cfg)
@@ -121,7 +122,7 @@ func TestHeaderInserterPushDataMatchesPush(t *testing.T) {
 	hiRef.EndOfComputation()
 
 	hiBat.NewFrameComputation(0)
-	hiBat.PushData(vs)
+	qBat.PushDataN(vs)
 	hiBat.EndOfComputation()
 
 	if qRef.Stats() != qBat.Stats() {

@@ -124,7 +124,7 @@ func BenchmarkQueueTransfer(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			hi.NewFrameComputation(0)
-			hi.PushData(data)
+			q.PushDataN(data)
 			q.Flush()
 			am.NewFrameComputation(0)
 			am.PopN(dst)

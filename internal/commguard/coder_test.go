@@ -113,7 +113,7 @@ func TestHeaderOpsPricedByCoder(t *testing.T) {
 		hi := NewHeaderInserter(q)
 		am := NewAlignmentManager(q, 0)
 		hi.NewFrameComputation(0)
-		hi.PushData([]uint32{42})
+		q.PushDataN([]uint32{42})
 		q.Flush()
 		am.NewFrameComputation(0)
 		if got := am.Pop(); got != 42 {
@@ -140,7 +140,7 @@ func TestFramedTransitLDPC(t *testing.T) {
 	am := NewAlignmentManager(q, 0)
 	for frame := uint32(0); frame < 3; frame++ {
 		hi.NewFrameComputation(frame)
-		hi.PushData([]uint32{frame*10 + 1, frame*10 + 2})
+		q.PushDataN([]uint32{frame*10 + 1, frame*10 + 2})
 	}
 	q.Flush()
 	for frame := uint32(0); frame < 3; frame++ {

@@ -79,17 +79,6 @@ func (hi *HeaderInserter) NewFrameComputation(uint32) {
 	hi.stats.HeadersInserted++
 }
 
-// PushData transmits a batch of the thread's data items in one guarded
-// transit call, equivalent to pushing each as a data unit. Headers are
-// not part of the thread's data stream — they ride in via frame events —
-// so the HI itself needs no per-item work here; the batch exists so a
-// whole firing reaches the Queue Manager at once.
-//
-//hotpath:entry
-func (hi *HeaderInserter) PushData(vs []uint32) {
-	hi.q.PushDataN(vs)
-}
-
 // EndOfComputation implements ppu.FrameListener: the thread's outermost
 // global scope exited, so the special end-of-computation frame ID is
 // inserted (§4.1) and the queue is flushed so trailing data reaches the

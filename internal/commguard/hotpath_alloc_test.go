@@ -48,7 +48,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		dst := make([]uint32, payload)
 		assertZero(t, func() {
 			hi.NewFrameComputation(0)
-			hi.PushData(vs)
+			hi.q.PushDataN(vs)
 			am.NewFrameComputation(0)
 			am.PopN(dst)
 		})
@@ -68,7 +68,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		dst := make([]uint32, payload)
 		assertZero(t, func() {
 			hi.NewFrameComputation(0)
-			hi.PushData(vs)
+			hi.q.PushDataN(vs)
 			am.NewFrameComputation(0)
 			am.PopN(dst)
 		})
@@ -85,7 +85,7 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 		assertZero(t, func() {
 			hi.NewFrameComputation(0)
-			hi.PushData(vs)
+			hi.q.PushDataN(vs)
 			am.NewFrameComputation(0)
 			for i := 0; i < payload; i++ {
 				am.Pop()

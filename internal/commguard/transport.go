@@ -80,13 +80,7 @@ type guardedOut struct {
 	q *queue.Queue
 }
 
-// Push transmits one item through guarded transit.
-//
-//hotpath:entry
-func (o *guardedOut) Push(v uint32) { o.q.Push(queue.DataUnit(v)) }
-
-// PushN transmits a whole firing's items in one guarded-transit call
-// (stream.BatchOutPort).
+// PushN transmits a whole firing's items in one guarded-transit call.
 //
 //hotpath:entry
 func (o *guardedOut) PushN(vs []uint32) { o.q.PushDataN(vs) }
@@ -105,13 +99,8 @@ type guardedIn struct {
 	am *AlignmentManager
 }
 
-// Pop mediates one thread pop through the Alignment Manager.
-//
-//hotpath:entry
-func (i *guardedIn) Pop() uint32 { return i.am.Pop() }
-
 // PopN mediates a whole firing's pops through the Alignment Manager's
-// batch path (stream.BatchInPort).
+// batch path.
 //
 //hotpath:entry
 func (i *guardedIn) PopN(dst []uint32) { i.am.PopN(dst) }
@@ -159,8 +148,4 @@ func (t *Transport) AlignmentManagers() []*AlignmentManager {
 	return append([]*AlignmentManager(nil), t.ams...)
 }
 
-var (
-	_ stream.Transport    = (*Transport)(nil)
-	_ stream.BatchOutPort = (*guardedOut)(nil)
-	_ stream.BatchInPort  = (*guardedIn)(nil)
-)
+var _ stream.Transport = (*Transport)(nil)

@@ -25,7 +25,7 @@ import (
 //   - queue_publish / queue_return (ns): duration of the lock-free ECC
 //     working-set exchange funnels.
 //   - fire_item / fire_batch / fire_abft (ns): filter firing duration by
-//     execution path (per-item Work, batch WorkBatch, checksummed
+//     kernel form (per-item Work, batch WorkBatch, checksummed
 //     WorkBatchABFT including verification and any recompute).
 //   - detect_wall (ns) and detect_items (items): fault→detection latency —
 //     from an injected fault's manifestation (MarkFault) to the moment a
@@ -41,9 +41,9 @@ type Health struct {
 	queuePopWait  *hist.Hist
 	queuePublish  *hist.Hist
 	queueReturn   *hist.Hist
-	fireItem      *hist.Hist
-	fireBatch     *hist.Hist
-	fireABFT      *hist.Hist
+	firesItem     *hist.Hist
+	firesBatch    *hist.Hist
+	firesABFT     *hist.Hist
 	detectWall    *hist.Hist
 	detectItems   *hist.Hist
 }
@@ -60,9 +60,9 @@ func NewHealth(cores int) *Health {
 		queuePopWait:  hist.New("queue_pop_wait", "ns", cores),
 		queuePublish:  hist.New("queue_publish", "ns", cores),
 		queueReturn:   hist.New("queue_return", "ns", cores),
-		fireItem:      hist.New("fire_item", "ns", cores),
-		fireBatch:     hist.New("fire_batch", "ns", cores),
-		fireABFT:      hist.New("fire_abft", "ns", cores),
+		firesItem:     hist.New("fire_item", "ns", cores),
+		firesBatch:    hist.New("fire_batch", "ns", cores),
+		firesABFT:     hist.New("fire_abft", "ns", cores),
 		detectWall:    hist.New("detect_wall", "ns", cores),
 		detectItems:   hist.New("detect_items", "items", cores),
 	}
@@ -72,7 +72,7 @@ func NewHealth(cores int) *Health {
 func (h *Health) hists() []*hist.Hist {
 	return []*hist.Hist{
 		h.queuePushWait, h.queuePopWait, h.queuePublish, h.queueReturn,
-		h.fireItem, h.fireBatch, h.fireABFT,
+		h.firesItem, h.firesBatch, h.firesABFT,
 		h.detectWall, h.detectItems,
 	}
 }
@@ -88,13 +88,13 @@ func (h *Health) QueueShards(producerCore, consumerCore int) (pushWait, publish,
 		h.queuePopWait.Shard(consumerCore), h.queueReturn.Shard(consumerCore)
 }
 
-// FireShards returns core's firing-duration shards (per-item, batch,
-// ABFT). Nil-safe.
+// FireShards returns core's firing-duration shards per kernel form (Work,
+// WorkBatch, ABFT). Nil-safe.
 func (h *Health) FireShards(core int) (item, batch, abft *hist.Shard) {
 	if h == nil {
 		return nil, nil, nil
 	}
-	return h.fireItem.Shard(core), h.fireBatch.Shard(core), h.fireABFT.Shard(core)
+	return h.firesItem.Shard(core), h.firesBatch.Shard(core), h.firesABFT.Shard(core)
 }
 
 // Summaries merges every histogram's shards and returns the summaries in

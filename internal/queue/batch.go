@@ -25,58 +25,6 @@ const (
 	PopStopFail
 )
 
-// PushN pushes every unit of batch in order, equivalent to calling Push
-// once per element. Spans that fit in the current working set are written
-// in one pass; working-set acquisition and publication happen at exactly
-// the offsets the per-item path would use.
-//
-//queue:side producer
-//hotpath:entry
-func (q *Queue) PushN(batch []Unit) {
-	s := uint32(q.cfg.WorkingSetUnits)
-	for len(batch) > 0 {
-		off := uint32(q.prodOffset.load(q.plain))
-		if off == 0 {
-			q.acquireFillSlot()
-			off = uint32(q.prodOffset.load(q.plain))
-		}
-		if off >= s {
-			// Corrupted producer offset: per-item Push wraps modulo the
-			// working set; defer to it so the misbehavior is identical.
-			q.Push(batch[0])
-			batch = batch[1:]
-			continue
-		}
-		n := uint32(len(batch))
-		if room := s - off; n > room {
-			n = room
-		}
-		base := q.prodBase
-		var items, headers uint64
-		for i := uint32(0); i < n; i++ {
-			u := batch[i]
-			q.buf[base+off+i].store(q.plain, uint64(u))
-			if u.IsHeader() {
-				headers++
-			} else {
-				items++
-			}
-		}
-		if items > 0 {
-			q.stats.itemStores.add(q.plain, items)
-		}
-		if headers > 0 {
-			q.stats.headerStores.add(q.plain, headers)
-		}
-		off += n
-		q.prodOffset.store(q.plain, uint64(off))
-		if off >= s {
-			q.publish(s)
-		}
-		batch = batch[n:]
-	}
-}
-
 // PushDataN pushes every value of vs as a data unit, equivalent to calling
 // Push(DataUnit(v)) once per element.
 //
@@ -111,63 +59,6 @@ func (q *Queue) PushDataN(vs []uint32) {
 		}
 		vs = vs[n:]
 	}
-}
-
-// PopN pops up to len(dst) units (data and headers alike), equivalent to
-// calling Pop once per element. It returns the number delivered; fewer
-// than len(dst) means a pop failed (one timeout counted, as per-item).
-//
-//queue:side consumer
-//hotpath:entry
-func (q *Queue) PopN(dst []Unit) int {
-	s := uint32(q.cfg.WorkingSetUnits)
-	popped := 0
-	for popped < len(dst) {
-		if !q.acquireDrainSlot() {
-			return popped
-		}
-		off := uint32(q.consOffset.load(q.plain))
-		limit := uint32(q.wsLen[q.consWSIdx].load(q.plain))
-		if off >= limit || limit > s {
-			// Degenerate geometry (corrupted offset or published length):
-			// the per-item path reproduces the modeled misbehavior.
-			u, ok := q.Pop()
-			if !ok {
-				return popped
-			}
-			dst[popped] = u
-			popped++
-			continue
-		}
-		n := uint32(len(dst) - popped)
-		if avail := limit - off; n > avail {
-			n = avail
-		}
-		base := q.consBase
-		var items, headers uint64
-		for i := uint32(0); i < n; i++ {
-			u := Unit(q.buf[base+off+i].load(q.plain))
-			dst[popped+int(i)] = u
-			if u.IsHeader() {
-				headers++
-			} else {
-				items++
-			}
-		}
-		if items > 0 {
-			q.stats.itemLoads.add(q.plain, items)
-		}
-		if headers > 0 {
-			q.stats.headerLoads.add(q.plain, headers)
-		}
-		off += n
-		q.consOffset.store(q.plain, uint64(off))
-		if off >= limit {
-			q.returnWS()
-		}
-		popped += int(n)
-	}
-	return popped
 }
 
 // PopDataN pops data units into dst, stopping early at the first header

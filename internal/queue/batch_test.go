@@ -88,15 +88,40 @@ func transitPerItem(q *Queue, us []Unit) (out []Unit, failedPops uint64) {
 	return out, failedPops
 }
 
+// transitBatch moves the chunk the way the engine's ports do: runs of data
+// through PushDataN and PopDataN, each header through Push and Pop. Like
+// a failed PopDataN, a failed pop ends the chunk.
 func transitBatch(q *Queue, us []Unit) (out []Unit, failedPops uint64) {
-	q.PushN(us)
-	q.Flush()
-	dst := make([]Unit, len(us))
-	n := q.PopN(dst)
-	if n < len(dst) {
-		failedPops = 1 // PopN stops at the first failed pop
+	vs := make([]uint32, 0, len(us))
+	for _, u := range us {
+		if u.IsHeader() {
+			q.PushDataN(vs)
+			vs = vs[:0]
+			q.Push(u)
+			continue
+		}
+		vs = append(vs, u.Payload())
 	}
-	return dst[:n], failedPops
+	q.PushDataN(vs)
+	q.Flush()
+	dst := make([]uint32, len(us))
+	for len(out) < len(us) {
+		n, stop := q.PopDataN(dst[:len(us)-len(out)])
+		for _, v := range dst[:n] {
+			out = append(out, DataUnit(v))
+		}
+		switch stop {
+		case PopStopHeader:
+			u, ok := q.Pop()
+			if !ok {
+				return out, 1
+			}
+			out = append(out, u)
+		case PopStopFail:
+			return out, 1
+		}
+	}
+	return out, 0
 }
 
 // corruptRounds drives the twins through rounds of the same seeded faults

@@ -51,21 +51,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		})
 	})
 
-	t.Run("Queue.PushN+Queue.PopN", func(t *testing.T) {
-		q := allocTestQueue(t)
-		batch := make([]Unit, n)
-		for i := range batch {
-			batch[i] = DataUnit(uint32(i))
-		}
-		dst := make([]Unit, n)
-		assertZeroAllocs(t, "PushN/PopN", func() {
-			q.PushN(batch)
-			if got := q.PopN(dst); got != n {
-				t.Fatalf("PopN delivered %d, want %d", got, n)
-			}
-		})
-	})
-
 	t.Run("Queue.PushDataN+Queue.PopDataN", func(t *testing.T) {
 		q := allocTestQueue(t)
 		vs := make([]uint32, n)

@@ -127,7 +127,7 @@ func TestConcurrentCorruptionStress(t *testing.T) {
 		wg.Add(1)
 		go func() { // consumer, mixing per-item and batch pops
 			defer wg.Done()
-			dst := make([]Unit, 9)
+			dst := make([]uint32, 9)
 			for {
 				select {
 				case <-stop:
@@ -135,7 +135,7 @@ func TestConcurrentCorruptionStress(t *testing.T) {
 				default:
 				}
 				q.Pop()
-				q.PopN(dst)
+				q.PopDataN(dst)
 				q.PeekAt(3)
 				q.Len()
 			}

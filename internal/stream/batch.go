@@ -2,12 +2,12 @@ package stream
 
 import "math"
 
-// Batch-kernel execution: PR 3 drove whole-firing transit through the
-// queues (PushN/PopN); this file extends the batch API through kernel
-// execution itself. A filter that implements BatchKernel gets a firing
-// path with no per-item shim machinery at all: the engine pops the whole
-// firing into reused flat slices, runs the kernel once over them, and
-// pushes the whole firing out (engine.fireBatch).
+// Whole-firing kernels. Every firing moves its items through flat
+// per-port buffers: the engine fills the input buffers, applies the armed
+// fault perturbations to them, runs the kernel, and pushes the output
+// buffers (engine.fire). A filter that implements BatchKernel runs over
+// those buffers in one WorkBatch call instead of item by item through
+// Ctx.
 //
 // On top of that alloc-free steady state, ABFTKernel adds
 // algorithm-based fault tolerance in the style of FT-GEMM: the kernel
@@ -22,11 +22,11 @@ import "math"
 // BatchKernel is an optional Filter extension: WorkBatch executes one
 // firing over whole-firing slices instead of per-item Ctx calls. in[i]
 // holds exactly PopRates()[i] items and out[o] must be filled with
-// exactly PushRates()[o] items. WorkBatch must be observably identical
-// to Work — same values in the same order, bit-for-bit (including
-// floating-point operation order) — because the engine switches between
-// the two paths per firing: batch for unperturbed steady-state firings,
-// per-item whenever a fault perturbation is armed.
+// exactly PushRates()[o] items. The engine calls WorkBatch for every
+// firing of such a filter, so it must be observably identical to Work —
+// same values in the same order, bit-for-bit (including floating-point
+// operation order): Work remains the filter's reference form, and the
+// two must agree on any input, perturbed or not.
 type BatchKernel interface {
 	Filter
 	WorkBatch(in, out [][]uint32)
@@ -86,8 +86,7 @@ type BatchFuncFilter struct {
 }
 
 // Batch attaches a whole-firing kernel to the filter, returning a
-// filter that the engine fires through the batch path on unperturbed
-// steady-state firings.
+// filter whose every firing the engine runs through WorkBatch.
 func (f *FuncFilter) Batch(work func(in, out [][]uint32)) *BatchFuncFilter {
 	return &BatchFuncFilter{FuncFilter: f, workBatch: work}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"commguard/internal/fault"
-	"commguard/internal/ppu"
 	"commguard/internal/queue"
 )
 
@@ -18,80 +17,12 @@ func f32Tape(n int) []uint32 {
 	return tape
 }
 
-// stripBatch hides the batch capability of a transport's ports, forcing
-// the engine onto the per-item path. Used to prove the batched fast path
-// is observably identical to per-item transit.
-type stripBatch struct{ inner Transport }
-
-type onlyOut struct{ OutPort }
-type onlyIn struct{ InPort }
-
-func (t stripBatch) Wire(e *Edge, prod, cons *ppu.Core) (OutPort, InPort, *queue.Queue, error) {
-	op, ip, q, err := t.inner.Wire(e, prod, cons)
-	return onlyOut{op}, onlyIn{ip}, q, err
-}
-
-// The engine's batched steady-state transit must produce the same outputs
-// and the same per-queue statistics as per-item transit, in deterministic
-// sequential mode, both error-free and under fault injection.
-func TestEngineBatchMatchesPerItem(t *testing.T) {
-	for _, mtbe := range []float64{0, 300} {
-		run := func(batch bool) ([]uint32, queue.Stats) {
-			g := NewGraph()
-			scale := NewFuncFilter("scale", 4, 4, 25, func(ctx *Ctx) {
-				for k := 0; k < 4; k++ {
-					ctx.Push(0, 3*ctx.Pop(0))
-				}
-			})
-			sink := NewSink("sink", 4)
-			if _, err := g.Chain(NewSource("src", 4, seqData(256)), scale, NewIdentity("id", 2), sink); err != nil {
-				t.Fatal(err)
-			}
-			qcfg := queue.Config{WorkingSets: 4, WorkingSetUnits: 128, ProtectPointers: true, Timeout: 100}
-			var tr Transport = &PlainTransport{Queue: qcfg}
-			if !batch {
-				tr = stripBatch{inner: tr}
-			}
-			cfg := EngineConfig{Transport: tr}
-			if mtbe > 0 {
-				model := fault.DefaultModel(true)
-				cfg.NewInjector = func(core int) *fault.Injector {
-					return fault.NewInjector(mtbe, fault.CoreSeed(11, core), model)
-				}
-			}
-			eng, err := NewEngine(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := eng.RunSequential()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sink.Collected(), stats.QueueTotals()
-		}
-		perItemOut, perItemStats := run(false)
-		batchOut, batchStats := run(true)
-		if len(perItemOut) != len(batchOut) {
-			t.Fatalf("mtbe %v: lengths %d vs %d", mtbe, len(perItemOut), len(batchOut))
-		}
-		for i := range perItemOut {
-			if perItemOut[i] != batchOut[i] {
-				t.Fatalf("mtbe %v: output %d differs: per-item %d, batch %d",
-					mtbe, i, perItemOut[i], batchOut[i])
-			}
-		}
-		if perItemStats != batchStats {
-			t.Errorf("mtbe %v: queue stats diverged\nper-item %+v\nbatch    %+v",
-				mtbe, perItemStats, batchStats)
-		}
-	}
-}
-
 // A BatchKernel attached via FuncFilter.Batch must be observably
 // identical to the per-item work function, including when the kernel
-// carries state across firings: the engine switches between the two
-// paths per firing (per-item whenever a perturbation is armed), so both
-// forms advance the same closure state in the same order.
+// carries state across firings and under armed perturbations: the
+// per-item run fires the bare FuncFilter, whose Work the engine calls
+// through Ctx, and both forms must advance the same closure state in the
+// same order.
 func TestEngineBatchFuncFilterMatchesPerItem(t *testing.T) {
 	for _, mtbe := range []float64{0, 300} {
 		run := func(batch bool) ([]uint32, queue.Stats) {
@@ -113,16 +44,16 @@ func TestEngineBatchFuncFilterMatchesPerItem(t *testing.T) {
 					out[0][i] = acc
 				}
 			})
+			var f Filter = kernel
+			if !batch {
+				f = ff
+			}
 			sink := NewSink("sink", 4)
-			if _, err := g.Chain(NewSource("src", 4, seqData(512)), kernel, sink); err != nil {
+			if _, err := g.Chain(NewSource("src", 4, seqData(512)), f, sink); err != nil {
 				t.Fatal(err)
 			}
 			qcfg := queue.Config{WorkingSets: 4, WorkingSetUnits: 128, ProtectPointers: true, Timeout: 100}
-			var tr Transport = &PlainTransport{Queue: qcfg}
-			if !batch {
-				tr = stripBatch{inner: tr}
-			}
-			cfg := EngineConfig{Transport: tr}
+			cfg := EngineConfig{Transport: &PlainTransport{Queue: qcfg}}
 			if mtbe > 0 {
 				model := fault.DefaultModel(true)
 				cfg.NewInjector = func(core int) *fault.Injector {
@@ -385,9 +316,29 @@ func TestEngineABFTStatefulRecompute(t *testing.T) {
 	}
 }
 
+// nopOut discards pushed items.
+type nopOut struct{}
+
+func (nopOut) PushN([]uint32) {}
+func (nopOut) End()           {}
+
 // Runtime cross-validation of the static hot-path proof for the
-// engine-side ABFT checksum helpers (//hotpath:entry in batch.go).
+// engine-side ABFT checksum helpers (//hotpath:entry in batch.go) and for
+// a firing (thread.fire) of each kernel form: Work through Ctx, and
+// WorkBatch over the flat buffers.
 func TestHotpathAllocFree(t *testing.T) {
+	work := NewFuncFilter("scale", 4, 4, 25, func(ctx *Ctx) {
+		for k := 0; k < 4; k++ {
+			ctx.Push(0, 3*ctx.Pop(0))
+		}
+	})
+	for _, f := range []Filter{work, NewIdentity("identity", 4)} {
+		th, ctx := transitThread(t, f, &fakeIn{}, nopOut{})
+		if avg := testing.AllocsPerRun(100, func() { th.fire(ctx) }); avg != 0 {
+			t.Errorf("%s firing: %.1f allocs/run, want 0", f.Name(), avg)
+		}
+	}
+
 	buf := make([]uint32, 256)
 	for i := range buf {
 		buf[i] = F32Bits(float32(i) * 0.5)

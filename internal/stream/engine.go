@@ -32,18 +32,17 @@ type EngineConfig struct {
 	// goroutine.
 	Tracer *obs.Tracer
 	// Health, when non-nil, records runtime-health latency histograms
-	// (queue slow-path waits, firing durations per execution path,
+	// (queue slow-path waits, firing durations per kernel form,
 	// fault→detection latency) into per-core shards. Core IDs equal node
 	// IDs, mirroring Tracer; nil disables recording at one branch per
 	// would-be observation.
 	Health *obs.Health
-	// ABFT enables the checksummed batch-kernel execution mode on filters
-	// that implement ABFTKernel (the sim.ABFT protection scheme): batched
-	// firings fuse an output checksum into the kernel loop, data flips and
-	// addressing slips stay on the batch path, and a checksum mismatch
-	// after transit corruption triggers a kernel recompute from the intact
-	// input buffer. Filters without ABFT support run exactly as without
-	// this flag.
+	// ABFT enables the checksummed execution mode on filters that
+	// implement ABFTKernel (the sim.ABFT protection scheme): every firing
+	// with no item-count perturbation armed fuses an output checksum into
+	// the kernel loop, and a checksum mismatch after transit corruption
+	// triggers a kernel recompute from the intact input buffer. Filters
+	// without ABFT support run exactly as without this flag.
 	ABFT bool
 	// Cancel, when non-nil, aborts the run when closed: node goroutines
 	// stop at the next iteration boundary and the run returns ErrCancelled.
@@ -258,7 +257,7 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 		if e.cfg.NewInjector != nil {
 			inj = e.cfg.NewInjector(n.ID)
 		}
-		th := newThread(n, cores[n.ID], e.sched.Multiplicity[n.ID], inj)
+		th := newThread(n, cores[n.ID], e.sched.Multiplicity[n.ID], inj, outs, ins)
 		th.cancel = e.cfg.Cancel
 		th.abft = e.cfg.ABFT && th.ak != nil
 		th.health = e.cfg.Health
@@ -268,21 +267,7 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 			// corruption injected on its own core, within the firing.
 			th.det = e.cfg.Health.NewDetector(n.ID, n.ID)
 		}
-		for i, edge := range n.In {
-			sh := &inShim{port: ins[edge.ID], rate: edge.PopRate()}
-			if bp, ok := ins[edge.ID].(BatchInPort); ok {
-				sh.batch = bp
-			}
-			sh.clearPlan()
-			th.ins[i] = sh
-		}
-		for o, edge := range n.Out {
-			sh := &outShim{port: outs[edge.ID], rate: edge.PushRate()}
-			if bp, ok := outs[edge.ID].(BatchOutPort); ok {
-				sh.batch = bp
-			}
-			sh.clearPlan()
-			th.outs[o] = sh
+		for _, edge := range n.Out {
 			th.rawQueues = append(th.rawQueues, rawQs[edge.ID])
 		}
 		for _, edge := range n.In {
@@ -420,18 +405,18 @@ type thread struct {
 	inj       *fault.Injector
 	mult      int
 	cost      int
-	ins       []*inShim
-	outs      []*outShim
+	ins       []*inTransit
+	outs      []*outTransit
 	rawQueues []*queue.Queue
 	stats     CoreStats
 	trace     *obs.Ring
 	//repolint:ignore RL001 teardown signal from the campaign watchdog, not inter-node data
 	cancel <-chan struct{}
 
-	// Batch-kernel firing path: bk/ak are the filter's whole-firing
-	// interfaces (nil when unimplemented), abft enables the checksummed
-	// mode, and inBufs/outBufs are the reused per-port flat buffers
-	// (allocated once in begin, exactly one rate per port).
+	// Kernel forms: bk/ak are the filter's whole-firing interfaces (nil
+	// when unimplemented) and abft enables the checksummed mode.
+	// inBufs/outBufs are the ports' flat buffers in port order, as the
+	// whole-firing kernels take them.
 	bk      BatchKernel
 	ak      ABFTKernel
 	abft    bool
@@ -439,9 +424,9 @@ type thread struct {
 	outBufs [][]uint32
 
 	// Runtime-health recording (all nil when EngineConfig.Health is):
-	// firing-duration shards per execution path, the fault marker registry,
-	// the ABFT self-detector, and the monotone input-item count it measures
-	// detection latency against.
+	// firing-duration shards per kernel form (Work, WorkBatch, ABFT), the
+	// fault marker registry, the ABFT self-detector, and the monotone
+	// input-item count it measures detection latency against.
 	health  *obs.Health
 	hItem   *hist.Shard
 	hBatch  *hist.Shard
@@ -450,16 +435,31 @@ type thread struct {
 	itemsIn uint64
 }
 
-func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector) *thread {
+// newThread builds node n's thread over the wired ports (outs and ins are
+// indexed by edge ID), with one flat buffer per port.
+func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector, outs []OutPort, ins []InPort) *thread {
 	t := &thread{
 		node:  n,
 		core:  core,
 		inj:   inj,
 		mult:  mult,
 		cost:  DefaultFiringCost(n.F),
-		ins:   make([]*inShim, len(n.In)),
-		outs:  make([]*outShim, len(n.Out)),
 		trace: core.TraceRing(),
+	}
+	for _, edge := range n.In {
+		s := &inTransit{port: ins[edge.ID], rate: edge.PopRate()}
+		// The spare slot past the rate receives a pop past the buffer.
+		s.buf = make([]uint32, s.rate, s.rate+1)
+		s.clearPlan()
+		t.ins = append(t.ins, s)
+		t.inBufs = append(t.inBufs, s.buf)
+	}
+	for _, edge := range n.Out {
+		s := &outTransit{port: outs[edge.ID], rate: edge.PushRate()}
+		s.buf = make([]uint32, s.rate)
+		s.clearPlan()
+		t.outs = append(t.outs, s)
+		t.outBufs = append(t.outBufs, s.buf)
 	}
 	t.bk, _ = n.F.(BatchKernel)
 	t.ak, _ = n.F.(ABFTKernel)
@@ -468,25 +468,8 @@ func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector) *thread {
 
 // begin prepares the thread's work context and enters the global scope.
 func (t *thread) begin() *Ctx {
-	ctx := &Ctx{}
-	for _, s := range t.ins {
-		ctx.in = append(ctx.in, s)
-	}
-	for _, s := range t.outs {
-		ctx.out = append(ctx.out, s)
-	}
-	if t.bk != nil {
-		t.inBufs = make([][]uint32, len(t.ins))
-		for i, s := range t.ins {
-			t.inBufs[i] = make([]uint32, maxInt(0, s.rate))
-		}
-		t.outBufs = make([][]uint32, len(t.outs))
-		for o, s := range t.outs {
-			t.outBufs[o] = make([]uint32, maxInt(0, s.rate))
-		}
-	}
 	t.core.BeginScope("global")
-	return ctx
+	return &Ctx{in: t.ins, out: t.outs}
 }
 
 // runIteration executes one steady-state iteration (one frame computation)
@@ -537,7 +520,7 @@ func (t *thread) cancelled() bool {
 // instruction window and executes the firing with whatever manifestations
 // fired, translating fault classes into the paper's error taxonomy (§3).
 func (t *thread) fireWithFaults(ctx *Ctx) {
-	t.commit(t.cost)
+	t.core.Commit(t.cost)
 	var classes []fault.Class
 	if t.inj != nil {
 		classes = t.inj.Advance(t.cost + t.commItems())
@@ -569,7 +552,7 @@ func (t *thread) fireWithFaults(ctx *Ctx) {
 			// an Alignment Manager can notice, so only those arm the
 			// latency measurement. Data flips and addressing slips keep
 			// alignment and would pollute the metric with undetectable
-			// marks. ABFT marks at its own detectable site (fireBatch's
+			// marks. ABFT marks at its own detectable site (workABFT's
 			// post-checksum output corruption) instead.
 			switch c {
 			case fault.ControlTrip, fault.ControlFrame, fault.QueuePtr:
@@ -586,195 +569,115 @@ func (t *thread) fireWithFaults(ctx *Ctx) {
 	}
 	t.fire(ctx)
 	if repeat {
-		// The firing repeats (AE_FE), with clean shims.
+		// The firing repeats (AE_FE), with no perturbation armed.
 		t.stats.RepeatedFirings++
 		t.fire(ctx)
 	}
 }
 
-// fire executes one firing and applies the shims' post-work perturbations.
-func (t *thread) fire(ctx *Ctx) {
-	if t.batchReady() {
-		t.fireBatch()
-		return
-	}
-	var t0 time.Time
-	if t.hItem != nil {
-		t0 = time.Now()
-	}
-	for _, s := range t.ins {
-		s.beginFiring()
-	}
-	for _, s := range t.outs {
-		s.beginFiring()
-	}
-	t.node.F.Work(ctx)
-	pops, pushes := 0, 0
-	for _, s := range t.ins {
-		pops += s.endFiring()
-	}
-	for _, s := range t.outs {
-		pushes += s.endFiring()
-	}
-	t.stats.Firings++
-	t.commit(pops + pushes)
-	t.stats.Loads += uint64(float64(t.cost)*loadFraction) + uint64(pops)
-	t.stats.Stores += uint64(float64(t.cost)*storeFraction) + uint64(pushes)
-	if t.hItem != nil {
-		t.hItem.Record(uint64(time.Since(t0)))
-	}
-	t.itemsIn += uint64(pops)
-}
-
-// batchReady reports whether this firing may take the batch-kernel path:
-// the filter implements BatchKernel, every port is batch-capable with a
-// positive static rate, and no armed perturbation requires the per-item
-// shims. Item-count perturbations (extra/starved pops, extra/dropped
-// pushes) always force the per-item path — they change *whether* units
-// are consumed. Data flips and addressing slips force it too, except in
-// ABFT mode, where they are applied to the flat buffers per-item-
-// equivalently so the checksummed kernel stays engaged.
-func (t *thread) batchReady() bool {
-	if t.bk == nil || t.inBufs == nil {
-		return false
-	}
-	for _, s := range t.ins {
-		if s.batch == nil || s.rate <= 0 {
-			return false
-		}
-		if s.extraPops > 0 || s.starvedPops > 0 {
-			return false
-		}
-		if !t.abft && (s.flipAt >= 0 || s.slipAt >= 0) {
-			return false
-		}
-	}
-	for _, s := range t.outs {
-		if s.batch == nil || s.rate <= 0 {
-			return false
-		}
-		if s.extraPushes > 0 || s.droppedPushes > 0 {
-			return false
-		}
-		if !t.abft && s.flipAt >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// fireBatch executes one firing through the batch-kernel path:
-// whole-rate PopN into reused flat buffers, one WorkBatch call over
-// them, whole-rate PushN out — no per-item shim machinery. batchReady
-// guarantees observational equivalence with the per-item path: without
-// ABFT only unperturbed firings arrive here (identical transit calls,
-// identical kernel values); with ABFT, armed data flips and addressing
-// slips are applied to the buffers exactly as inShim.pop/outShim.push
-// would apply them, and output corruption — which lands after the
-// kernel fused its checksum — is detected by re-deriving the checksum
-// from the communicated buffer and repaired by recomputing the firing
-// from the intact input buffer.
+// fire executes one firing: every input port fills its flat buffer and
+// applies its armed perturbations, the kernel runs over the buffers, and
+// every output port applies its own and pushes. Only the kernel form
+// differs between firings: the checksummed ABFT kernel when no
+// item-count perturbation is armed, else WorkBatch when the filter has
+// one, else Work through Ctx.
 //
 //hotpath:entry
-func (t *thread) fireBatch() {
+func (t *thread) fire(ctx *Ctx) {
 	var t0 time.Time
-	if t.hBatch != nil {
+	if t.hItem != nil {
 		t0 = time.Now()
 	}
-	pops, pushes := 0, 0
-	for i, s := range t.ins {
-		buf := t.inBufs[i]
-		// Drain any prefetch/peek leftover first, exactly like next().
-		n := copy(buf, s.win[s.winStart:])
-		if n > 0 {
-			s.winStart += n
-			if s.winStart >= len(s.win) {
-				s.win = s.win[:0]
-				s.winStart = 0
-			}
-		}
-		if n < len(buf) {
-			//hotpath:ok CS023 batch ports resolve to the annotated plain/guarded PopN entries
-			s.batch.PopN(buf[n:])
-		}
-		if s.flipAt >= 0 || s.slipAt >= 0 {
-			// ABFT mode: replicate inShim.pop's perturbation sequence on
-			// the flat buffer (slip serves the previously delivered value,
-			// flip corrupts one bit, last tracks the delivered stream).
-			last := s.last
-			for idx, v := range buf {
-				if idx == s.slipAt {
-					v = last
-				}
-				if idx == s.flipAt {
-					v ^= 1 << uint(s.flipBit)
-				}
-				last = v
-				buf[idx] = v
-			}
-			s.last = last
-		} else {
-			s.last = buf[len(buf)-1]
-		}
-		s.clearPlan()
-		pops += s.rate
+	for _, s := range t.ins {
+		s.fill()
 	}
-	for _, s := range t.outs {
-		pushes += s.rate
-	}
-	t.itemsIn += uint64(pops)
-	if t.abft {
-		//hotpath:ok CS023 ABFT kernels are annotated entries of their own (dsp/codec kernels)
-		sum := t.ak.WorkBatchABFT(t.inBufs, t.outBufs)
-		t.stats.ABFT.ChecksumOps += uint64(fault.ABFTChecksumOpsPerItem * pushes)
-		for oi, s := range t.outs {
-			if s.flipAt >= 0 && s.flipAt < len(t.outBufs[oi]) {
-				// Transit corruption strikes after the checksum was fused
-				// into the compute loop — the window ABFT closes. This is
-				// the scheme's detectable-fault site, so the detection-
-				// latency measurement arms here (and only here: input-side
-				// corruption slips under the fused checksum).
-				t.outBufs[oi][s.flipAt] ^= 1 << uint(s.flipBit)
-				t.health.MarkFault(t.core.ID())
-			}
+	h := t.hBatch
+	switch {
+	case t.bk == nil:
+		h = t.hItem
+		for _, s := range t.ins {
+			s.pos = 0
 		}
-		t.det.Observe(t.itemsIn)
-		//hotpath:ok CS023 checksum re-derivation dispatches to ChecksumF32/ChecksumU32 entries
-		check := t.ak.ChecksumBatch(t.outBufs)
-		if math.Float64bits(check) != math.Float64bits(sum) {
-			t.det.Detect(t.itemsIn)
-			//hotpath:ok CS023 recompute re-enters the kernel's own annotated entry
-			t.ak.RecomputeBatch(t.inBufs, t.outBufs)
-			t.stats.ABFT.RecomputeOps += uint64(t.cost)
-			t.stats.ABFT.Corrections++
+		for _, s := range t.outs {
+			s.buf = s.buf[:0]
 		}
-	} else {
+		//hotpath:ok CS023 per-sample Work kernels are application closures; their Ctx calls reach the flat buffers through concrete methods
+		t.node.F.Work(ctx)
+	case t.abft && !t.countArmed():
+		h = t.hABFT
+		t.workABFT()
+	default:
 		//hotpath:ok CS023 batch kernels are annotated entries of their own (dsp/codec kernels)
 		t.bk.WorkBatch(t.inBufs, t.outBufs)
 	}
-	for oi, s := range t.outs {
-		buf := t.outBufs[oi]
-		s.last = buf[len(buf)-1]
-		s.clearPlan()
-		//hotpath:ok CS023 batch ports resolve to the annotated plain/guarded PushN entries
-		s.batch.PushN(buf)
+	pops, pushes := 0, 0
+	for _, s := range t.ins {
+		pops += s.drain()
+	}
+	for _, s := range t.outs {
+		pushes += s.flush()
 	}
 	t.stats.Firings++
-	t.commit(pops + pushes)
+	t.core.Commit(pops + pushes)
 	t.stats.Loads += uint64(float64(t.cost)*loadFraction) + uint64(pops)
 	t.stats.Stores += uint64(float64(t.cost)*storeFraction) + uint64(pushes)
-	if t.hBatch != nil {
-		d := uint64(time.Since(t0))
-		if t.abft {
-			t.hABFT.Record(d)
-		} else {
-			t.hBatch.Record(d)
-		}
+	if h != nil {
+		h.Record(uint64(time.Since(t0)))
 	}
+	t.itemsIn += uint64(pops)
 }
 
-func (t *thread) commit(n int) {
-	t.core.Commit(n)
+// countArmed reports whether an item-count perturbation (extra or starved
+// pops, extra or dropped pushes) is armed on any port. Such a firing
+// changes how many items cross the ports, which the output checksum
+// cannot account for, so it is not checksummed.
+func (t *thread) countArmed() bool {
+	for _, s := range t.ins {
+		if s.extraPops > 0 || s.starvedPops > 0 {
+			return true
+		}
+	}
+	for _, s := range t.outs {
+		if s.extraPushes > 0 || s.droppedPushes > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// workABFT runs the checksummed kernel. Output transit corruption strikes
+// after the checksum was fused into the compute loop — the window ABFT
+// closes — so the armed output flips are applied here, the checksum is
+// re-derived from the communicated buffers, and a mismatch recomputes the
+// firing from the intact input buffers.
+func (t *thread) workABFT() {
+	//hotpath:ok CS023 ABFT kernels are annotated entries of their own (dsp/codec kernels)
+	sum := t.ak.WorkBatchABFT(t.inBufs, t.outBufs)
+	itemsIn := t.itemsIn
+	for _, s := range t.ins {
+		itemsIn += uint64(s.rate)
+	}
+	for _, s := range t.outs {
+		t.stats.ABFT.ChecksumOps += uint64(fault.ABFTChecksumOpsPerItem * s.rate)
+		if s.flipAt >= 0 {
+			// The scheme's detectable-fault site, so the detection-latency
+			// measurement arms here (and only here: input-side corruption
+			// slips under the fused checksum).
+			s.buf[s.flipAt] ^= 1 << uint(s.flipBit)
+			s.flipAt = -1
+			t.health.MarkFault(t.core.ID())
+		}
+	}
+	t.det.Observe(itemsIn)
+	//hotpath:ok CS023 checksum re-derivation dispatches to ChecksumF32/ChecksumU32 entries
+	check := t.ak.ChecksumBatch(t.outBufs)
+	if math.Float64bits(check) != math.Float64bits(sum) {
+		t.det.Detect(itemsIn)
+		//hotpath:ok CS023 recompute re-enters the kernel's own annotated entry
+		t.ak.RecomputeBatch(t.inBufs, t.outBufs)
+		t.stats.ABFT.RecomputeOps += uint64(t.cost)
+		t.stats.ABFT.Corrections++
+	}
 }
 
 // commItems is the number of items communicated per clean firing.
@@ -810,11 +713,11 @@ func (t *thread) planDataFlip() {
 	p := r.Intn(nPorts)
 	if p < len(t.ins) {
 		s := t.ins[p]
-		s.flipAt = r.Intn(maxInt(1, s.rate))
+		s.flipAt = r.Intn(s.rate)
 		s.flipBit = r.Intn(32)
 	} else {
 		s := t.outs[p-len(t.ins)]
-		s.flipAt = r.Intn(maxInt(1, s.rate))
+		s.flipAt = r.Intn(s.rate)
 		s.flipBit = r.Intn(32)
 	}
 }
@@ -831,19 +734,19 @@ func (t *thread) planControlTrip() {
 	p := r.Intn(nPorts)
 	if p < len(t.ins) {
 		s := t.ins[p]
-		k := 1 + r.Intn(maxInt(1, s.rate))
+		k := 1 + r.Intn(s.rate)
 		if r.Intn(2) == 0 {
 			s.extraPops += k
 		} else {
-			s.starvedPops += minInt(k, s.rate)
+			s.starvedPops += k
 		}
 	} else {
 		s := t.outs[p-len(t.ins)]
-		k := 1 + r.Intn(maxInt(1, s.rate))
+		k := 1 + r.Intn(s.rate)
 		if r.Intn(2) == 0 {
 			s.extraPushes += k
 		} else {
-			s.droppedPushes += minInt(k, s.rate)
+			s.droppedPushes += k
 		}
 	}
 }
@@ -861,7 +764,7 @@ func (t *thread) planAddrSlip() {
 		return
 	}
 	s := t.ins[r.Intn(len(t.ins))]
-	s.slipAt = r.Intn(maxInt(1, s.rate))
+	s.slipAt = r.Intn(s.rate)
 }
 
 // planQueuePtr corrupts the management state of one attached queue (QME).
@@ -884,208 +787,176 @@ func (t *thread) planQueuePtr() {
 	}
 }
 
-// inShim wraps an InPort, applying per-firing fault perturbations and
-// enforcing the declared rate.
-type inShim struct {
-	port  InPort
-	batch BatchInPort // non-nil when the transport supports batch transit
-	rate  int
-
-	last uint32 // most recently delivered value
-
-	// win[winStart:] holds items prefetched (by a clean firing's batch
-	// transit, or by Peek lookahead) but not yet consumed by pop. The
-	// backing array is reused across firings.
-	win      []uint32
-	winStart int
+// inTransit is one input port's side of a firing: the flat buffer the
+// kernel reads, the window of items taken from the port ahead of it, and
+// the perturbations armed for the next firing.
+type inTransit struct {
+	port InPort
+	rate int
+	buf  []uint32 // this firing's items: rate long, one spare slot of capacity
+	pos  int      // buffer index of Work's next pop; past rate once it pops beyond
+	win  []uint32 // items ahead of buf: unread leftovers, then peek lookahead
+	last uint32   // most recently delivered value
 
 	// Armed perturbations (cleared per firing).
-	flipAt      int // pop index whose value gets a bit flip; -1 = none
+	flipAt      int // buffer index whose value gets a bit flip; -1 = none
 	flipBit     int
-	slipAt      int // pop index served the previous value; -1 = none
-	extraPops   int // pops consumed and discarded after work
-	starvedPops int // trailing pops served without consuming the queue
-
-	popped int
+	slipAt      int // buffer index served the previous value; -1 = none
+	extraPops   int // items consumed and discarded after the kernel
+	starvedPops int // trailing buffer items served as last, port untouched
 }
 
-// beginFiring resets the pop counter and, for a clean firing (no armed
-// perturbation) on a batch-capable transport, prefetches the whole
-// firing's pops in one guarded-transit call. Batch transit is equivalent
-// to per-item popping, so only perturbations that change *whether* units
-// are consumed force the per-item path.
-func (s *inShim) beginFiring() {
-	s.popped = 0
-	if s.batch == nil || s.rate <= 0 {
-		return
-	}
-	if s.flipAt >= 0 || s.slipAt >= 0 || s.extraPops > 0 || s.starvedPops > 0 {
-		return
-	}
-	need := s.rate - (len(s.win) - s.winStart)
-	if need <= 0 {
-		return
-	}
-	if s.winStart > 0 { // compact the leftover to reuse the array
-		n := copy(s.win, s.win[s.winStart:])
-		s.win = s.win[:n]
-		s.winStart = 0
-	}
-	base := len(s.win)
-	if cap(s.win) < base+need {
-		grown := make([]uint32, base, base+need)
-		copy(grown, s.win)
-		s.win = grown
-	}
-	s.win = s.win[:base+need]
-	s.batch.PopN(s.win[base:])
-}
-
-func (s *inShim) clearPlan() {
+func (s *inTransit) clearPlan() {
 	s.flipAt, s.slipAt = -1, -1
 	s.extraPops, s.starvedPops = 0, 0
 }
 
-// peek implements StreamIt's lookahead: items are prefetched into the
-// window and later consumed by pop in order.
-func (s *inShim) peek(off int) uint32 {
-	for len(s.win)-s.winStart <= off {
-		s.win = append(s.win, s.port.Pop())
+// take fills dst with the stream's next items: the window first, then the
+// port.
+func (s *inTransit) take(dst []uint32) {
+	n := copy(dst, s.win)
+	s.win = s.win[:copy(s.win, s.win[n:])]
+	if n < len(dst) {
+		//hotpath:ok CS023 ports resolve to the transports' PopN entries
+		s.port.PopN(dst[n:])
 	}
-	return s.win[s.winStart+off]
 }
 
-// next consumes one item, draining the prefetch/peek window first.
-func (s *inShim) next() uint32 {
-	if s.winStart < len(s.win) {
-		v := s.win[s.winStart]
-		s.winStart++
-		if s.winStart == len(s.win) {
-			s.win = s.win[:0]
-			s.winStart = 0
+// fill takes this firing's items into buf and applies the armed
+// perturbations once: the starved tail is served as last without
+// consuming the port (the loop under-ran, the thread computes on a stale
+// register), a slip serves the previous value while its item is still
+// consumed, a flip corrupts one bit, and last tracks the delivered stream.
+func (s *inTransit) fill() {
+	s.pos = s.rate // a whole-firing kernel reads it all; Work restarts at 0
+	n := max(0, s.rate-s.starvedPops)
+	s.take(s.buf[:n])
+	if s.starvedPops == 0 && s.flipAt < 0 && s.slipAt < 0 {
+		s.last = s.buf[n-1]
+		return
+	}
+	last := s.last
+	for i := range s.buf {
+		v := last
+		if i < n {
+			if i != s.slipAt {
+				v = s.buf[i]
+			}
+			if i == s.flipAt {
+				v ^= 1 << uint(s.flipBit)
+			}
 		}
-		return v
+		s.buf[i] = v
+		last = v
 	}
-	return s.port.Pop()
+	s.last = last
 }
 
-func (s *inShim) pop() uint32 {
-	idx := s.popped
-	s.popped++
-	if s.starvedPops > 0 && idx >= s.rate-s.starvedPops {
-		// The communication loop under-ran: the thread computes on a
-		// stale register value; the queue item stays for the next frame.
-		return s.last
+// popPast serves a Work pop beyond the firing's rate: the stream's next
+// item, or last while a starved tail is armed.
+func (s *inTransit) popPast() uint32 {
+	s.pos++
+	if s.starvedPops == 0 {
+		one := s.buf[s.rate : s.rate+1]
+		s.take(one)
+		s.last = one[0]
 	}
-	v := s.next()
-	if idx == s.slipAt {
-		// Addressing slip: wrong element delivered, item still consumed.
-		v = s.last
-	}
-	if idx == s.flipAt {
-		v ^= 1 << uint(s.flipBit)
-	}
-	s.last = v
-	return v
+	return s.last
 }
 
-// endFiring applies post-work perturbations and returns the number of
-// queue consumptions that actually happened.
-func (s *inShim) endFiring() int {
-	consumed := s.popped - minInt(s.starvedPops, s.popped)
-	for i := 0; i < s.extraPops; i++ {
-		// Over-run: the loop popped beyond its rate; values are lost.
-		s.next()
-		consumed++
+// peek returns the item off positions past Work's next pop: from the
+// buffer within the firing's rate, beyond it from the window, which it
+// tops up from the port.
+func (s *inTransit) peek(off int) uint32 {
+	if j := s.pos + off; j < s.rate {
+		return s.buf[j]
+	}
+	j := off - max(0, s.rate-s.pos)
+	if n := len(s.win); j >= n {
+		s.win = append(s.win, make([]uint32, j+1-n)...)
+		s.port.PopN(s.win[n:])
+	}
+	return s.win[j]
+}
+
+// drain ends the firing on this port and returns the number of items it
+// consumed. Items Work left unread go back to the front of the window, so
+// the next firing delivers them; the extra pops of an over-run loop are
+// then consumed and lost.
+func (s *inTransit) drain() int {
+	n := max(0, s.rate-s.starvedPops)
+	if read := min(s.pos, n); read < n {
+		unread := s.buf[read:n]
+		k, w := len(unread), len(s.win)
+		//hotpath:ok CS020 only a Work that pops fewer items than its rate gets here; the window array is reused
+		s.win = append(s.win, unread...)
+		copy(s.win[k:], s.win[:w])
+		copy(s.win, unread)
+	}
+	consumed := s.pos - min(s.starvedPops, s.pos) + s.extraPops
+	for e := s.extraPops; e > 0; {
+		c := s.buf[:min(e, cap(s.buf))]
+		s.take(c)
+		e -= len(c)
 	}
 	s.clearPlan()
-	s.popped = 0
 	return consumed
 }
 
-// outShim wraps an OutPort symmetrically.
-type outShim struct {
-	port  OutPort
-	batch BatchOutPort // non-nil when the transport supports batch transit
-	rate  int
+// outTransit is one output port's side of a firing: the flat buffer the
+// kernel writes (Work appends to it, whole-firing kernels fill it) and
+// the perturbations armed for the next firing.
+type outTransit struct {
+	port OutPort
+	rate int
+	buf  []uint32
+	last uint32 // most recently produced value
 
-	last uint32
-
-	flipAt        int
+	// Armed perturbations (cleared per firing).
+	flipAt        int // buffer index whose value gets a bit flip; -1 = none
 	flipBit       int
-	extraPushes   int // duplicates pushed after work
-	droppedPushes int // trailing pushes suppressed
-
-	pushed   int
-	batching bool     // this firing buffers pushes for one batch transit
-	obuf     []uint32 // buffered pushes (array reused across firings)
+	extraPushes   int // copies of last pushed after the firing's items
+	droppedPushes int // trailing items never pushed
 }
 
-// beginFiring resets the push counter and decides whether this firing's
-// pushes are buffered and transmitted in one batch call at endFiring.
-// Only clean firings batch; any armed perturbation takes the per-item
-// path so drop/duplicate/flip behavior is untouched.
-func (s *outShim) beginFiring() {
-	s.pushed = 0
-	s.batching = s.batch != nil && s.rate > 0 &&
-		s.flipAt < 0 && s.extraPushes == 0 && s.droppedPushes == 0
-	s.obuf = s.obuf[:0]
-}
-
-func (s *outShim) clearPlan() {
+func (s *outTransit) clearPlan() {
 	s.flipAt = -1
 	s.extraPushes, s.droppedPushes = 0, 0
 }
 
-func (s *outShim) push(v uint32) {
-	idx := s.pushed
-	s.pushed++
-	if s.batching {
-		s.last = v
-		s.obuf = append(s.obuf, v)
-		return
+// flush ends the firing on this port and returns the number of items it
+// pushed: the armed flip, the items the loop did not drop in one PushN,
+// then the extra pushes of last.
+func (s *outTransit) flush() int {
+	buf := s.buf
+	if s.flipAt >= 0 && s.flipAt < len(buf) {
+		buf[s.flipAt] ^= 1 << uint(s.flipBit)
 	}
-	if idx == s.flipAt {
-		v ^= 1 << uint(s.flipBit)
+	if len(buf) > 0 {
+		s.last = buf[len(buf)-1]
 	}
-	s.last = v
-	if s.droppedPushes > 0 && idx >= s.rate-s.droppedPushes {
-		// Under-run: the loop exited early; these items never reach the
-		// queue (AE_IL for the consumer).
-		return
+	keep := len(buf)
+	if s.droppedPushes > 0 {
+		// Under-run: the loop exited early; the dropped tail never reaches
+		// the queue (AE_IL for the consumer).
+		keep = min(keep, max(0, s.rate-s.droppedPushes))
 	}
-	s.port.Push(v)
-}
-
-func (s *outShim) endFiring() int {
-	if s.batching {
-		if len(s.obuf) > 0 {
-			s.batch.PushN(s.obuf)
-			s.obuf = s.obuf[:0]
+	if keep > 0 {
+		//hotpath:ok CS023 ports resolve to the transports' PushN entries
+		s.port.PushN(buf[:keep])
+	}
+	// Over-run: garbage extras from the stale register (AE_IE).
+	for e := s.extraPushes; e > 0; {
+		c := buf[:min(e, cap(buf))]
+		for i := range c {
+			c[i] = s.last
 		}
-		s.batching = false
+		//hotpath:ok CS023 ports resolve to the transports' PushN entries
+		s.port.PushN(c)
+		e -= len(c)
 	}
-	produced := s.pushed - minInt(s.droppedPushes, s.pushed)
-	for i := 0; i < s.extraPushes; i++ {
-		// Over-run: garbage extras from the stale register (AE_IE).
-		s.port.Push(s.last)
-		produced++
-	}
+	pushed := keep + s.extraPushes
+	s.buf = buf[:s.rate]
 	s.clearPlan()
-	s.pushed = 0
-	return produced
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return pushed
 }

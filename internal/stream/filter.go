@@ -66,37 +66,38 @@ func DefaultFiringCost(f Filter) int {
 }
 
 // Ctx is the communication context handed to Filter.Work. Port indexes
-// follow the order of PopRates/PushRates.
+// follow the order of PopRates/PushRates. Its calls read and write the
+// firing's flat per-port buffers, which the engine fills before Work and
+// pushes after it.
 type Ctx struct {
-	in  []popper
-	out []pusher
-}
-
-// popper and pusher are the minimal endpoints Work needs; the engine wraps
-// transports (and fault perturbations) behind them.
-type popper interface {
-	pop() uint32
-	peek(off int) uint32
-}
-
-type pusher interface {
-	push(v uint32)
+	in  []*inTransit
+	out []*outTransit
 }
 
 // Pop consumes the next item from input port i.
-func (c *Ctx) Pop(i int) uint32 { return c.in[i].pop() }
+func (c *Ctx) Pop(i int) uint32 {
+	s := c.in[i]
+	if s.pos < s.rate {
+		v := s.buf[s.pos]
+		s.pos++
+		return v
+	}
+	return s.popPast()
+}
 
 // Peek returns the item off positions ahead on input port i without
 // consuming it (StreamIt's peek construct; off 0 is the next item Pop
 // would return). Peeking blocks like Pop until the item is available; at
-// end of stream unavailable items read as zero.
+// end of stream unavailable items read as zero. Within the firing's rate
+// a peek sees exactly what Pop will deliver, so a data flip or addressing
+// slip armed on that item shows in the peek too.
 func (c *Ctx) Peek(i, off int) uint32 { return c.in[i].peek(off) }
 
 // PeekF32 peeks an IEEE-754 float item.
 func (c *Ctx) PeekF32(i, off int) float32 { return math.Float32frombits(c.Peek(i, off)) }
 
 // Push produces v on output port o.
-func (c *Ctx) Push(o int, v uint32) { c.out[o].push(v) }
+func (c *Ctx) Push(o int, v uint32) { c.out[o].buf = append(c.out[o].buf, v) }
 
 // PopF32 pops an IEEE-754 float item.
 func (c *Ctx) PopF32(i int) float32 { return math.Float32frombits(c.Pop(i)) }

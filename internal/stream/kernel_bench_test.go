@@ -6,16 +6,15 @@ import (
 
 	"commguard/internal/codec/mp3codec"
 	"commguard/internal/dsp"
-	"commguard/internal/ppu"
 	"commguard/internal/queue"
 	"commguard/internal/stream"
 )
 
 // BenchmarkKernelFiring measures the kernel-firing layer: ns/item through
 // a real engine pipeline (source -> kernel -> sink, sequential engine) for
-// each compute kernel under the three firing paths. per-item strips the
-// batch capability so every item goes through the Ctx shims; batch is the
-// stream.BatchKernel whole-firing path; abft is the checksummed batch path
+// each compute kernel under the three kernel forms. per-item fires the
+// bare FuncFilter, so every item goes through Ctx.Pop/Push; batch is the
+// stream.BatchKernel whole-firing form; abft is the checksummed form
 // behind sim.ABFT. One op is one pipeline run of the spec's item count;
 // graph and engine construction are outside the timed region.
 //
@@ -47,17 +46,14 @@ func BenchmarkKernelFiring(b *testing.B) {
 	}
 }
 
-// kernelEngine wires one (kernel, firing path) pipeline over tape.
+// kernelEngine wires one (kernel, kernel form) pipeline over tape.
 func kernelEngine(b *testing.B, spec kernelSpec, variant string, tape []uint32) *stream.Engine {
 	g := stream.NewGraph()
 	sink := stream.NewSink("snk", spec.pushRate)
-	if _, err := g.Chain(stream.NewSource("src", spec.popRate, tape), spec.filter(variant == "abft"), sink); err != nil {
+	if _, err := g.Chain(stream.NewSource("src", spec.popRate, tape), spec.filter(variant), sink); err != nil {
 		b.Fatal(err)
 	}
-	var tr stream.Transport = &stream.PlainTransport{Queue: queue.Config{WorkingSets: 8, WorkingSetUnits: 1024, ProtectPointers: true, Timeout: 0}}
-	if variant == "per-item" {
-		tr = kernelStrip{inner: tr}
-	}
+	tr := &stream.PlainTransport{Queue: queue.Config{WorkingSets: 8, WorkingSetUnits: 1024, ProtectPointers: true, Timeout: 0}}
 	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: tr, ABFT: variant == "abft"})
 	if err != nil {
 		b.Fatal(err)
@@ -65,28 +61,16 @@ func kernelEngine(b *testing.B, spec kernelSpec, variant string, tape []uint32) 
 	return eng
 }
 
-// kernelStrip hides the batch capability of a transport's ports, forcing
-// the engine onto the per-item firing path (the pre-batch baseline).
-type kernelStrip struct{ inner stream.Transport }
-
-type kernelOut struct{ stream.OutPort }
-type kernelIn struct{ stream.InPort }
-
-func (t kernelStrip) Wire(e *stream.Edge, prod, cons *ppu.Core) (stream.OutPort, stream.InPort, *queue.Queue, error) {
-	op, ip, q, err := t.inner.Wire(e, prod, cons)
-	return kernelOut{op}, kernelIn{ip}, q, err
-}
-
 // kernelSpec defines one benchmarked kernel: a builder returning the
-// pipeline filter for a firing-path variant, plus rates and item count.
+// pipeline filter for a kernel form, plus rates and item count.
 type kernelSpec struct {
 	name     string
 	popRate  int
 	pushRate int
 	items    int
-	// filter builds a fresh kernel filter; abft selects the checksummed
-	// form (only consulted by the "abft" variant).
-	filter func(abft bool) stream.Filter
+	// filter builds a fresh kernel filter of the given kernel form
+	// ("per-item", "batch" or "abft").
+	filter func(variant string) stream.Filter
 }
 
 // kernelSpecs builds the benchmark set. Item counts keep each pipeline
@@ -95,16 +79,16 @@ func kernelSpecs() []kernelSpec {
 	return []kernelSpec{
 		{
 			name: "dct8", popRate: 8, pushRate: 8, items: 1 << 17,
-			filter: func(abft bool) stream.Filter {
-				return blockFilter("dct8", 8, 8, 150, abft, func(y, x []float64) {
+			filter: func(variant string) stream.Filter {
+				return blockFilter("dct8", 8, 8, 150, variant, func(y, x []float64) {
 					dsp.DCT8((*[8]float64)(y), (*[8]float64)(x))
 				}, nil)
 			},
 		},
 		{
 			name: "dct2d", popRate: 64, pushRate: 64, items: 1 << 17,
-			filter: func(abft bool) stream.Filter {
-				return blockFilter("dct2d", 64, 64, 1200, abft, func(y, x []float64) {
+			filter: func(variant string) stream.Filter {
+				return blockFilter("dct2d", 64, 64, 1200, variant, func(y, x []float64) {
 					copy(y, x)
 					dsp.DCT2D((*[64]float64)(y))
 				}, nil)
@@ -112,9 +96,9 @@ func kernelSpecs() []kernelSpec {
 		},
 		{
 			name: "fir", popRate: 256, pushRate: 256, items: 1 << 17,
-			filter: func(abft bool) stream.Filter {
+			filter: func(variant string) stream.Filter {
 				fir := dsp.MustNewFIR(dsp.LowPassTaps(31, 0.2))
-				return blockFilter("fir", 256, 256, 3600, abft, fir.ProcessBatch, func(ctx *stream.Ctx) {
+				return blockFilter("fir", 256, 256, 3600, variant, fir.ProcessBatch, func(ctx *stream.Ctx) {
 					for i := 0; i < 256; i++ {
 						ctx.PushF32(0, float32(fir.Process(float64(ctx.PopF32(0)))))
 					}
@@ -123,8 +107,8 @@ func kernelSpecs() []kernelSpec {
 		},
 		{
 			name: "mdct", popRate: 2 * mp3codec.N, pushRate: mp3codec.N, items: 1 << 16,
-			filter: func(abft bool) stream.Filter {
-				return blockFilter("mdct", 2*mp3codec.N, mp3codec.N, 20000, abft, func(y, x []float64) {
+			filter: func(variant string) stream.Filter {
+				return blockFilter("mdct", 2*mp3codec.N, mp3codec.N, 20000, variant, func(y, x []float64) {
 					mp3codec.MDCT((*[2 * mp3codec.N]float64)(x), (*[mp3codec.N]float64)(y))
 				}, nil)
 			},
@@ -134,11 +118,11 @@ func kernelSpecs() []kernelSpec {
 
 // blockFilter builds a kernel filter around a block transform from one
 // firing's pop-rate inputs x to its push-rate outputs y, over float32
-// items. Every firing path runs the same transform: per-item pops and
-// pushes each item through the ctx shims (perItem, when set, replaces
-// that firing), batch converts the flat buffers, and the abft form fuses
-// the output checksum into the batch conversion.
-func blockFilter(name string, pop, push, cost int, abft bool, block func(y, x []float64), perItem func(ctx *stream.Ctx)) stream.Filter {
+// items. Every kernel form runs the same transform: per-item pops and
+// pushes each item through Ctx (perItem, when set, replaces that
+// firing), batch converts the flat buffers, and the abft form fuses the
+// output checksum into the batch conversion.
+func blockFilter(name string, pop, push, cost int, variant string, block func(y, x []float64), perItem func(ctx *stream.Ctx)) stream.Filter {
 	x, y := make([]float64, pop), make([]float64, push)
 	if perItem == nil {
 		perItem = func(ctx *stream.Ctx) {
@@ -160,14 +144,18 @@ func blockFilter(name string, pop, push, cost int, abft bool, block func(y, x []
 		}
 		block(y, x)
 	}
-	f := stream.NewFuncFilter(name, pop, push, cost, perItem).Batch(func(in, out [][]uint32) {
+	ff := stream.NewFuncFilter(name, pop, push, cost, perItem)
+	if variant == "per-item" {
+		return ff
+	}
+	f := ff.Batch(func(in, out [][]uint32) {
 		load(in[0])
 		ob := out[0][:len(y)]
 		for i, v := range y {
 			ob[i] = stream.F32Bits(float32(v))
 		}
 	})
-	if !abft {
+	if variant == "batch" {
 		return f
 	}
 	return f.ABFT(func(in, out [][]uint32) float64 {

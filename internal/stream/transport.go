@@ -7,8 +7,8 @@ import (
 
 // OutPort is the producer endpoint of one edge as seen by a node thread.
 type OutPort interface {
-	// Push transmits one item.
-	Push(v uint32)
+	// PushN transmits a firing's items in order, in one transit call.
+	PushN(vs []uint32)
 	// End is called once when the producer thread's computation finished:
 	// implementations flush any buffered working set and close the queue.
 	End()
@@ -16,25 +16,10 @@ type OutPort interface {
 
 // InPort is the consumer endpoint of one edge as seen by a node thread.
 type InPort interface {
-	// Pop returns the next item. Implementations must always return (the
-	// engine guarantees bounded firings, so a blocking pop that can never
-	// be satisfied must resolve via timeout and substitute a value).
-	Pop() uint32
-}
-
-// BatchOutPort is an optional extension of OutPort: PushN transmits a
-// whole slice of items in one guarded-transit call, equivalent to calling
-// Push per element. The engine uses it for steady-state firings of filters
-// with static rates.
-type BatchOutPort interface {
-	OutPort
-	PushN(vs []uint32)
-}
-
-// BatchInPort is an optional extension of InPort: PopN fills dst with what
-// len(dst) Pop calls would deliver, in one guarded-transit call.
-type BatchInPort interface {
-	InPort
+	// PopN fills dst with the edge's next len(dst) items, in one transit
+	// call. Implementations must always fill all of dst (the engine
+	// guarantees bounded firings, so a blocking pop that can never be
+	// satisfied must resolve via timeout and substitute a value).
 	PopN(dst []uint32)
 }
 
@@ -66,17 +51,11 @@ func (t *PlainTransport) Wire(e *Edge, prod, cons *ppu.Core) (OutPort, InPort, *
 
 type plainOut struct{ q *queue.Queue }
 
-// Push transmits one item through unguarded transit.
-//
-//hotpath:entry
-func (p *plainOut) Push(v uint32) { p.q.Push(queue.DataUnit(v)) }
-
 // PushN transmits a whole firing's items in one unguarded-transit call.
 //
 //hotpath:entry
-func (p *plainOut) PushN(vs []uint32) {
-	p.q.PushDataN(vs)
-}
+func (p *plainOut) PushN(vs []uint32) { p.q.PushDataN(vs) }
+
 func (p *plainOut) End() {
 	p.q.Flush()
 	p.q.Close()
@@ -84,26 +63,13 @@ func (p *plainOut) End() {
 
 type plainIn struct{ q *queue.Queue }
 
-// Pop removes one item from unguarded transit (0 on timeout).
-//
-//hotpath:entry
-func (p *plainIn) Pop() uint32 {
-	u, ok := p.q.Pop()
-	if !ok {
-		// Timeout or closed-and-drained: the thread still needs a value
-		// (§5.1: "A timeout may cause incorrect data to be transmitted").
-		return 0
-	}
-	// A plain consumer has no notion of headers; if one ever arrived here
-	// it would be consumed as data (there is no HI in plain transports, so
-	// this only happens in hand-built tests).
-	return u.Payload()
-}
-
-// PopN fills dst exactly as len(dst) Pop calls would: data payloads
-// stream through batch transit; a header or a failed pop resolves that
-// one element the per-item way (payload-as-data, or 0) and the batch
-// resumes.
+// PopN fills dst from unguarded transit: data payloads stream through
+// batch transit and the batch resumes past two exceptions. A failed pop
+// (timeout, or closed and drained) reads as 0, since the thread still
+// needs a value (§5.1: "A timeout may cause incorrect data to be
+// transmitted"). A header is consumed as data: a plain consumer has no
+// notion of headers, and plain transports have no HI, so this only
+// happens in hand-built tests.
 //
 //hotpath:entry
 func (p *plainIn) PopN(dst []uint32) {
