@@ -52,7 +52,7 @@ func main() {
 	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline accepting every current warning, then verify against it")
 	pruneBaseline := flag.Bool("prune-baseline", false, "rewrite the baseline dropping entries matching no current finding (needs -all)")
 	failStale := flag.Bool("fail-stale", false, "exit 1 when the baseline has stale entries (needs -all)")
-	protection := flag.String("protection", "commguard", "platform protection level for edge verdicts (error-free, software-queue, reliable-queue, commguard)")
+	protection := flag.String("protection", "commguard", "platform protection level for edge verdicts (error-free, software-queue, reliable-queue, commguard, abft)")
 	root := flag.String("root", "", "repo root (default: walk up to the enclosing go.mod)")
 	flag.Parse()
 
@@ -70,7 +70,7 @@ func main() {
 	}
 	guarded, ok := guardedFor(*protection)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "commguard-vet: unknown protection %q (error-free, software-queue, reliable-queue, commguard)\n", *protection)
+		fmt.Fprintf(os.Stderr, "commguard-vet: unknown protection %q (error-free, software-queue, reliable-queue, commguard, abft)\n", *protection)
 		os.Exit(2)
 	}
 
@@ -191,12 +191,13 @@ func fatal(err error) {
 // the soundness verdicts. Only CommGuard realigns frames (HI/AM), so only
 // it renders proven critical flows safe; ErrorFree is trivially safe
 // because no errors occur at all. ECC on queue pointers (ReliableQueue)
-// protects management state but not payload sequencing.
+// protects management state but not payload sequencing, and ABFT checks
+// kernel outputs, not stream alignment.
 func guardedFor(name string) (bool, bool) {
 	switch name {
 	case "commguard", "error-free":
 		return true, true
-	case "software-queue", "reliable-queue":
+	case "software-queue", "reliable-queue", "abft":
 		return false, true
 	}
 	return false, false

@@ -229,6 +229,21 @@ func TestVetBaselineDoesNotMaskViolations(t *testing.T) {
 	}
 }
 
+// ABFT checksums kernel outputs but never realigns a stream, so its edge
+// verdicts are the unguarded ones: -protection abft reports exactly what
+// software-queue does.
+func TestVetABFTProtectionIsUnguarded(t *testing.T) {
+	t.Parallel()
+	want, _, wantCode := runVet(t, "-all", "-protection", "software-queue", "-json")
+	got, stderr, code := runVet(t, "-all", "-protection", "abft", "-json")
+	if code != wantCode {
+		t.Fatalf("vet -protection abft: exit %d, want %d (as software-queue)\nstderr: %s", code, wantCode, stderr)
+	}
+	if got != want {
+		t.Errorf("vet -protection abft output differs from software-queue:\nabft: %.800s\nsoftware-queue: %.800s", got, want)
+	}
+}
+
 func TestVetSARIFValidates(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "vet.sarif")

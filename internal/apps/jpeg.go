@@ -56,26 +56,9 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 	src := g.Add(stream.NewSource("F0-coeffs", jpegcodec.CoeffsPerMCU, tape))
 
 	// Every stage carries a whole-firing batch kernel bit-identical to its
-	// per-item work function (the engine switches per firing), and the two
-	// compute stages carry ABFT-checksummed forms: F1's checksum lives in
-	// the pushed float32 domain, F2's in the raw pixel words.
-	dequantBatch := func(in, out [][]uint32) {
-		var zz [64]int32
-		var blk [64]float64
-		for ci := 0; ci < 3; ci++ {
-			for i := 0; i < 64; i++ {
-				zz[i] = int32(in[0][ci*64+i])
-			}
-			quant := &lumaQ
-			if ci > 0 {
-				quant = &chromaQ
-			}
-			jpegcodec.DequantizeBlock(zz[:], quant, &blk)
-			for i := 0; i < 64; i++ {
-				out[0][ci*64+i] = stream.F32Bits(float32(blk[i]))
-			}
-		}
-	}
+	// per-item work function. The two compute stages' batch kernels are
+	// their ABFT kernels, with the output checksum fused in: F1's sum lives
+	// in the pushed float32 domain, F2's in the raw pixel words.
 	dequant := stream.NewFuncFilter("F1-dequant", 192, 192, 1200, func(ctx *stream.Ctx) {
 		var zz [64]int32
 		var out [64]float64
@@ -92,7 +75,7 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 				ctx.PushF32(0, float32(out[i]))
 			}
 		}
-	}).Batch(dequantBatch).ABFT(func(in, out [][]uint32) float64 {
+	}).ABFT(func(in, out [][]uint32) float64 {
 		var zz [64]int32
 		var blk [64]float64
 		s := 0.0
@@ -114,20 +97,6 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
 
-	idctColorBatch := func(in, out [][]uint32) {
-		var comps [3][64]float64
-		for ci := 0; ci < 3; ci++ {
-			for i := 0; i < 64; i++ {
-				comps[ci][i] = sanitize(float64(stream.BitsF32(in[0][ci*64+i])))
-			}
-			jpegcodec.ReconstructBlock(&comps[ci])
-		}
-		var rgb [192]uint8
-		jpegcodec.MCUToRGB(&comps[0], &comps[1], &comps[2], &rgb)
-		for i := 0; i < 192; i++ {
-			out[0][i] = uint32(rgb[i])
-		}
-	}
 	idctColor := stream.NewFuncFilter("F2-idct-color", 192, 192, 6500, func(ctx *stream.Ctx) {
 		var comps [3][64]float64
 		for ci := 0; ci < 3; ci++ {
@@ -141,7 +110,7 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 		for i := 0; i < 192; i++ {
 			ctx.Push(0, uint32(rgb[i]))
 		}
-	}).Batch(idctColorBatch).ABFT(func(in, out [][]uint32) float64 {
+	}).ABFT(func(in, out [][]uint32) float64 {
 		var comps [3][64]float64
 		for ci := 0; ci < 3; ci++ {
 			for i := 0; i < 64; i++ {

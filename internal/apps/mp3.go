@@ -46,21 +46,12 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 	src := g.Add(stream.NewSource("F0-frames", mp3codec.ItemsPerFrame, tape))
 
 	// Batch kernels reuse closure-captured scratch (the per-item forms
-	// allocate theirs per firing); the two compute-heavy stages also carry
-	// ABFT-checksummed forms in the pushed float32 domain. F3 keeps its
-	// overlap tail across firings, so it batches but stays un-checksummed
-	// (a recompute would need the pre-firing tail).
+	// allocate theirs per firing). The two compute-heavy stages' batch
+	// kernels are their ABFT kernels, with the output checksum fused in
+	// the pushed float32 domain. F3 keeps its overlap tail across firings,
+	// so it batches but stays un-checksummed: ABFT repair re-runs the
+	// kernel, which needs the kernel to be stateless.
 	var dqItems [mp3codec.ItemsPerFrame]int32
-	dequantBatch := func(in, out [][]uint32) {
-		for i := range dqItems {
-			dqItems[i] = int32(in[0][i])
-		}
-		var coeffs [mp3codec.N]float64
-		mp3codec.DequantizeFrame(dqItems[:], &coeffs)
-		for i, c := range coeffs {
-			out[0][i] = stream.F32Bits(float32(c))
-		}
-	}
 	dequant := stream.NewFuncFilter("F1-dequant", mp3codec.ItemsPerFrame, mp3codec.N, 1500, func(ctx *stream.Ctx) {
 		items := make([]int32, mp3codec.ItemsPerFrame)
 		for i := range items {
@@ -71,7 +62,7 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		for _, c := range coeffs {
 			ctx.PushF32(0, float32(c))
 		}
-	}).Batch(dequantBatch).ABFT(func(in, out [][]uint32) float64 {
+	}).ABFT(func(in, out [][]uint32) float64 {
 		for i := range dqItems {
 			dqItems[i] = int32(in[0][i])
 		}
@@ -86,17 +77,6 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
 
-	imdctBatch := func(in, out [][]uint32) {
-		var coeffs [mp3codec.N]float64
-		for i := range coeffs {
-			coeffs[i] = sanitize(float64(stream.BitsF32(in[0][i])))
-		}
-		var widened [2 * mp3codec.N]float64
-		mp3codec.IMDCT(&coeffs, &widened)
-		for i, v := range widened {
-			out[0][i] = stream.F32Bits(float32(v))
-		}
-	}
 	imdct := stream.NewFuncFilter("F2-imdct", mp3codec.N, 2*mp3codec.N, 20000, func(ctx *stream.Ctx) {
 		var coeffs [mp3codec.N]float64
 		for i := range coeffs {
@@ -107,7 +87,7 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		for _, v := range widened {
 			ctx.PushF32(0, float32(v))
 		}
-	}).Batch(imdctBatch).ABFT(func(in, out [][]uint32) float64 {
+	}).ABFT(func(in, out [][]uint32) float64 {
 		var coeffs [mp3codec.N]float64
 		for i := range coeffs {
 			coeffs[i] = sanitize(float64(stream.BitsF32(in[0][i])))

@@ -254,15 +254,10 @@ type Report struct {
 }
 
 // Errors returns the error-severity findings.
-func (r *Report) Errors() []Diagnostic { return r.filter(Error) }
-
-// Warnings returns the warning-severity findings.
-func (r *Report) Warnings() []Diagnostic { return r.filter(Warning) }
-
-func (r *Report) filter(s Severity) []Diagnostic {
+func (r *Report) Errors() []Diagnostic {
 	var out []Diagnostic
 	for _, d := range r.Diagnostics {
-		if d.Severity == s {
+		if d.Severity == Error {
 			out = append(out, d)
 		}
 	}

@@ -37,16 +37,4 @@ func TestHotpathAllocFree(t *testing.T) {
 		var out [N]float64
 		assertZero(t, func() { OverlapAdd(&prevTail, &x, &out) })
 	})
-
-	t.Run("MDCTABFT", func(t *testing.T) {
-		var out [N]float64
-		assertZero(t, func() { MDCTABFT(&x, &out) })
-	})
-
-	t.Run("IMDCTABFT", func(t *testing.T) {
-		var coeffs [N]float64
-		MDCT(&x, &coeffs)
-		var out [2 * N]float64
-		assertZero(t, func() { IMDCTABFT(&coeffs, &out) })
-	})
 }

@@ -73,44 +73,6 @@ func IMDCT(coeffs *[N]float64, out *[2 * N]float64) {
 	}
 }
 
-// MDCTABFT is MDCT with the dual ABFT checksum fused into the output
-// loop (s0 = Σout[k], s1 = Σ(k+1)·out[k], matching dsp.ABFTChecksums
-// bit-for-bit on a clean buffer). Output values are bit-identical to
-// MDCT's.
-//
-//hotpath:entry
-func MDCTABFT(x *[2 * N]float64, out *[N]float64) (s0, s1 float64) {
-	for k := 0; k < N; k++ {
-		sum := 0.0
-		row := mdctCos[k]
-		for n := 0; n < 2*N; n++ {
-			sum += x[n] * window[n] * row[n]
-		}
-		out[k] = sum
-		s0 += sum
-		s1 += float64(k+1) * sum
-	}
-	return s0, s1
-}
-
-// IMDCTABFT is IMDCT with the dual ABFT checksum fused into the output
-// loop. Output values are bit-identical to IMDCT's.
-//
-//hotpath:entry
-func IMDCTABFT(coeffs *[N]float64, out *[2 * N]float64) (s0, s1 float64) {
-	for n := 0; n < 2*N; n++ {
-		sum := 0.0
-		for k := 0; k < N; k++ {
-			sum += coeffs[k] * mdctCos[k][n]
-		}
-		y := sum * (2.0 / N) * window[n]
-		out[n] = y
-		s0 += y
-		s1 += float64(n+1) * y
-	}
-	return s0, s1
-}
-
 // OverlapAdd combines the second half of the previous frame's IMDCT output
 // with the first half of the current one, yielding N PCM samples, and
 // returns the tail to carry forward.

@@ -153,17 +153,6 @@ func (f *FilterMap) ControlFraction() float64 {
 	return float64(f.ControlStmts) / float64(f.Stmts)
 }
 
-// CriticalVars returns the control-critical subset of Vars.
-func (f *FilterMap) CriticalVars() []Var {
-	var out []Var
-	for _, v := range f.Vars {
-		if v.Kind == ControlCritical {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ProtectionMap aggregates per-filter analyses, the package's
 // machine-readable product.
 type ProtectionMap struct {

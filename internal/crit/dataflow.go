@@ -696,12 +696,12 @@ func (fa *funcAnalyzer) violates(e ast.Expr) bool {
 }
 
 // firingPathMethod reports whether a method name belongs to the sanctioned
-// firing path: Work and Init, plus the batch-kernel execution forms
-// (stream.BatchKernel / stream.ABFTKernel) that the engine fires in
-// Work's place.
+// firing path: Work and Init, plus the whole-firing kernel forms the
+// engine fires in Work's place (stream.BatchKernel's WorkBatch, which
+// also repairs an ABFT mismatch, and stream.ABFTKernel's WorkBatchABFT).
 func firingPathMethod(name string) bool {
 	switch name {
-	case "Work", "Init", "WorkBatch", "WorkBatchABFT", "RecomputeBatch":
+	case "Work", "Init", "WorkBatch", "WorkBatchABFT":
 		return true
 	}
 	return false

@@ -166,6 +166,48 @@ func TestFIRReset(t *testing.T) {
 	}
 }
 
+func testSignal(n int) []float64 {
+	buf := make([]float64, n)
+	for i := range buf {
+		buf[i] = math.Sin(0.1*float64(i)) + 0.25*math.Cos(0.37*float64(i))
+	}
+	return buf
+}
+
+// ProcessBatch must match per-sample Process bit-for-bit, including when
+// the two forms interleave on the same filter state.
+func TestFIRProcessBatchMatchesPerItem(t *testing.T) {
+	sig := testSignal(300)
+	a := MustNewFIR(LowPassTaps(31, 0.2))
+	b := MustNewFIR(LowPassTaps(31, 0.2))
+
+	var perItem []float64
+	for _, x := range sig {
+		perItem = append(perItem, a.Process(x))
+	}
+
+	// Mixed batch sizes plus a per-item stretch, mirroring the engine
+	// switching between firing paths.
+	var batched []float64
+	chunks := []int{64, 1, 7, 100}
+	pos := 0
+	for _, n := range chunks {
+		dst := make([]float64, n)
+		b.ProcessBatch(dst, sig[pos:pos+n])
+		batched = append(batched, dst...)
+		pos += n
+	}
+	for ; pos < len(sig); pos++ {
+		batched = append(batched, b.Process(sig[pos]))
+	}
+
+	for i := range perItem {
+		if math.Float64bits(perItem[i]) != math.Float64bits(batched[i]) {
+			t.Fatalf("sample %d: batch %v != per-item %v", i, batched[i], perItem[i])
+		}
+	}
+}
+
 func TestComplexFIRMatchesRealWhenImagZero(t *testing.T) {
 	taps := []float64{0.3, -0.2, 0.7}
 	rf := MustNewFIR(taps)

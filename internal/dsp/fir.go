@@ -122,48 +122,6 @@ func (f *FIR) reloadDelay(src []float64) {
 	}
 }
 
-// ProcessBatchABFT is ProcessBatch with the dual ABFT checksum fused into
-// the output loop: s0 accumulates every output sample and s1 the
-// position-weighted sum (i+1)·dst[i], enabling single-error detection,
-// location and correction via ABFTLocate/ABFTCorrect. The output values
-// are bit-identical to ProcessBatch's.
-//
-//hotpath:entry
-func (f *FIR) ProcessBatchABFT(dst, src []float64) (s0, s1 float64) {
-	f.fillHist(src)
-	taps := f.taps
-	T := len(taps)
-	hist := f.hist
-	for i := range dst {
-		w := hist[i : i+T]
-		acc := 0.0
-		for k, t := range taps {
-			acc += t * w[T-1-k]
-		}
-		dst[i] = acc
-		s0 += acc
-		s1 += float64(i+1) * acc
-	}
-	f.reloadDelay(src)
-	return s0, s1
-}
-
-// SaveState copies the filter's mutable state (delay line then position)
-// into dst, returning the number of float64 slots used (Len()+1). Used
-// by stateful ABFT kernels to recompute a firing: save, run, and on a
-// checksum mismatch restore with LoadState and run again.
-func (f *FIR) SaveState(dst []float64) int {
-	n := copy(dst, f.delay)
-	dst[n] = float64(f.pos)
-	return n + 1
-}
-
-// LoadState restores state captured by SaveState.
-func (f *FIR) LoadState(src []float64) {
-	n := copy(f.delay, src[:len(f.delay)])
-	f.pos = int(src[n])
-}
-
 // Reset clears the delay line.
 func (f *FIR) Reset() {
 	for i := range f.delay {

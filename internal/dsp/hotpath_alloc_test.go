@@ -75,43 +75,4 @@ func TestHotpathAllocFree(t *testing.T) {
 		}
 		assertZero(t, func() { f.ProcessBatch(dst, src) })
 	})
-
-	t.Run("FIR.ProcessBatchABFT", func(t *testing.T) {
-		f := MustNewFIR(LowPassTaps(31, 0.2))
-		src := make([]float64, 64)
-		dst := make([]float64, 64)
-		for i := range src {
-			src[i] = float64(i % 7)
-		}
-		assertZero(t, func() { f.ProcessBatchABFT(dst, src) })
-	})
-
-	t.Run("ABFTChecksums", func(t *testing.T) {
-		buf := make([]float64, 64)
-		for i := range buf {
-			buf[i] = float64(i % 5)
-		}
-		var s0, s1 float64
-		assertZero(t, func() { s0, s1 = ABFTChecksums(buf) })
-		assertZero(t, func() { _ = ABFTVerify(buf, s0, s1) })
-		assertZero(t, func() { _ = ABFTLocate(buf, s0+1, s1+3) })
-	})
-
-	t.Run("DCT8ABFT", func(t *testing.T) {
-		var dst, src [8]float64
-		for i := range src {
-			src[i] = float64(i)
-		}
-		assertZero(t, func() { DCT8ABFT(&dst, &src) })
-		assertZero(t, func() { IDCT8ABFT(&dst, &src) })
-	})
-
-	t.Run("DCT2DABFT", func(t *testing.T) {
-		var block [64]float64
-		for i := range block {
-			block[i] = float64(i % 9)
-		}
-		assertZero(t, func() { DCT2DABFT(&block) })
-		assertZero(t, func() { IDCT2DABFT(&block) })
-	})
 }

@@ -13,11 +13,11 @@ import "math"
 // algorithm-based fault tolerance in the style of FT-GEMM: the kernel
 // fuses an output checksum into its compute loop, the engine re-derives
 // the checksum from the communicated buffer after transit corruption has
-// been applied, and a mismatch triggers a kernel recompute from the
-// still-intact input buffer. Surfaced as sim.ABFT, this is a third point
-// on the paper's quality-vs-overhead curve: cheaper than CommGuard
-// (no headers, no alignment FSM) but blind to input corruption and to
-// control-flow slips.
+// been applied, and a mismatch repairs the output by running WorkBatch
+// again over the still-intact input buffers. Surfaced as sim.ABFT, this
+// is a third point on the paper's quality-vs-overhead curve: cheaper
+// than CommGuard (no headers, no alignment FSM) but blind to input
+// corruption and to control-flow slips.
 
 // BatchKernel is an optional Filter extension: WorkBatch executes one
 // firing over whole-firing slices instead of per-item Ctx calls. in[i]
@@ -33,19 +33,20 @@ type BatchKernel interface {
 }
 
 // ABFTKernel extends BatchKernel with a checksummed execution mode for
-// the ABFT protection scheme. The contract ties the three methods
-// together: WorkBatchABFT fuses a float64 checksum over the produced
-// items into its compute loop; ChecksumBatch re-derives the same
-// checksum from the output buffers with the identical value sequence
-// (so a clean buffer reproduces the fused sum bit-for-bit, and any
-// corrupted item changes it); RecomputeBatch re-executes the firing
-// from the unchanged input buffers, restoring any internal state it
-// advanced, to repair a corrupted output buffer.
+// the ABFT protection scheme. WorkBatchABFT is WorkBatch with a float64
+// checksum over the produced items fused into its compute loop;
+// ChecksumBatch re-derives the same checksum from the output buffers
+// with the identical value sequence, so a clean buffer reproduces the
+// fused sum bit-for-bit and any corrupted item changes it. The engine
+// repairs a mismatch by calling WorkBatch again on the same input
+// buffers, so an ABFT kernel must be stateless: a firing's output may
+// depend on its inputs only, never on state an earlier firing left
+// behind (a kernel that carries state across firings, like mp3's
+// overlap-add, stays a plain BatchKernel).
 type ABFTKernel interface {
 	BatchKernel
 	WorkBatchABFT(in, out [][]uint32) float64
 	ChecksumBatch(out [][]uint32) float64
-	RecomputeBatch(in, out [][]uint32)
 }
 
 // ChecksumF32 is the standard ABFT checksum for float-carrying tapes:
@@ -96,44 +97,32 @@ func (f *BatchFuncFilter) WorkBatch(in, out [][]uint32) { f.workBatch(in, out) }
 
 var _ BatchKernel = (*BatchFuncFilter)(nil)
 
-// ABFTFuncFilter pairs a BatchFuncFilter with the checksummed execution
-// mode. Constructed via BatchFuncFilter.ABFT.
+// ABFTFuncFilter pairs a FuncFilter with one checksummed whole-firing
+// kernel that serves both ABFTKernel forms. Constructed via
+// FuncFilter.ABFT.
 type ABFTFuncFilter struct {
-	*BatchFuncFilter
-	workABFT  func(in, out [][]uint32) float64
-	checksum  func(out [][]uint32) float64
-	recompute func(in, out [][]uint32)
+	*FuncFilter
+	workABFT func(in, out [][]uint32) float64
+	checksum func(out [][]uint32) float64
 }
 
-// ABFT attaches the checksummed execution mode: work fuses the output
-// checksum into the compute loop, checksum re-derives it from the
-// output buffers. Stateless kernels recompute by re-running the plain
-// batch kernel; stateful ones must override with Recompute.
-func (f *BatchFuncFilter) ABFT(work func(in, out [][]uint32) float64, checksum func(out [][]uint32) float64) *ABFTFuncFilter {
-	return &ABFTFuncFilter{BatchFuncFilter: f, workABFT: work, checksum: checksum}
+// ABFT attaches a stateless whole-firing kernel with the output checksum
+// fused into its compute loop, and checksum, which re-derives that sum
+// from the output buffers (see ABFTKernel). The fused kernel is the
+// filter's only whole-firing form: WorkBatch runs it and drops the sum,
+// so its outputs must match the per-item work function's (see
+// BatchKernel).
+func (f *FuncFilter) ABFT(work func(in, out [][]uint32) float64, checksum func(out [][]uint32) float64) *ABFTFuncFilter {
+	return &ABFTFuncFilter{FuncFilter: f, workABFT: work, checksum: checksum}
 }
 
-// Recompute overrides the repair step for kernels whose WorkBatch
-// advances internal state (the default re-runs workBatch, which is only
-// correct for stateless kernels).
-func (f *ABFTFuncFilter) Recompute(fn func(in, out [][]uint32)) *ABFTFuncFilter {
-	f.recompute = fn
-	return f
-}
+// WorkBatch implements BatchKernel.
+func (f *ABFTFuncFilter) WorkBatch(in, out [][]uint32) { f.workABFT(in, out) }
 
 // WorkBatchABFT implements ABFTKernel.
 func (f *ABFTFuncFilter) WorkBatchABFT(in, out [][]uint32) float64 { return f.workABFT(in, out) }
 
 // ChecksumBatch implements ABFTKernel.
 func (f *ABFTFuncFilter) ChecksumBatch(out [][]uint32) float64 { return f.checksum(out) }
-
-// RecomputeBatch implements ABFTKernel.
-func (f *ABFTFuncFilter) RecomputeBatch(in, out [][]uint32) {
-	if f.recompute != nil {
-		f.recompute(in, out)
-		return
-	}
-	f.workBatch(in, out)
-}
 
 var _ ABFTKernel = (*ABFTFuncFilter)(nil)

@@ -108,11 +108,7 @@ func TestEngineABFTCorrectsOutputFlips(t *testing.T) {
 				ctx.Push(0, F32Bits(1.5*BitsF32(ctx.Pop(0))))
 			}
 		})
-		kernel := ff.Batch(func(in, out [][]uint32) {
-			for i, v := range in[0] {
-				out[0][i] = F32Bits(1.5 * BitsF32(v))
-			}
-		}).ABFT(func(in, out [][]uint32) float64 {
+		kernel := ff.ABFT(func(in, out [][]uint32) float64 {
 			s := 0.0
 			for i, v := range in[0] {
 				y := F32Bits(1.5 * BitsF32(v))
@@ -200,119 +196,6 @@ func TestEngineABFTCorrectsOutputFlips(t *testing.T) {
 	}
 	if abftStats.RecomputeOps == 0 {
 		t.Error("corrections recorded but no recompute cost charged")
-	}
-}
-
-// A stateful ABFT kernel must repair through its Recompute override:
-// recompute restores the pre-firing state snapshot before re-running, so
-// a corrected firing leaves the kernel in exactly the state a clean
-// firing would. The kernel here ignores its input values (state-driven
-// output), so with a flip-only model every corruption is repairable and
-// the protected run must match the clean run bit-for-bit — while the
-// default stateless recompute (no override) double-advances the state
-// and visibly diverges.
-func TestEngineABFTStatefulRecompute(t *testing.T) {
-	const mtbe = 150
-	var model fault.Model
-	model.Weights[fault.DataBitflip] = 1
-
-	run := func(inject, override bool) ([]uint32, *RunStats) {
-		g := NewGraph()
-		phase, snapshot := 0, 0
-		emit := func(out []uint32) {
-			for k := range out {
-				out[k] = F32Bits(float32(phase*4+k) * 0.125)
-			}
-			phase++
-		}
-		ff := NewFuncFilter("osc", 4, 4, 40, func(ctx *Ctx) {
-			for k := 0; k < 4; k++ {
-				ctx.Pop(0)
-			}
-			var out [4]uint32
-			emit(out[:])
-			for _, v := range out {
-				ctx.Push(0, v)
-			}
-		})
-		kernel := ff.Batch(func(in, out [][]uint32) {
-			emit(out[0])
-		}).ABFT(func(in, out [][]uint32) float64 {
-			snapshot = phase
-			emit(out[0])
-			return ChecksumF32(out[0])
-		}, func(out [][]uint32) float64 { return ChecksumF32(out[0]) })
-		if override {
-			kernel.Recompute(func(in, out [][]uint32) {
-				phase = snapshot
-				emit(out[0])
-			})
-		}
-		sink := NewSink("sink", 4)
-		if _, err := g.Chain(NewSource("src", 4, f32Tape(1024)), kernel, sink); err != nil {
-			t.Fatal(err)
-		}
-		qcfg := queue.Config{WorkingSets: 4, WorkingSetUnits: 128, ProtectPointers: true, Timeout: 100}
-		cfg := EngineConfig{Transport: &PlainTransport{Queue: qcfg}, ABFT: true}
-		if inject {
-			cfg.NewInjector = func(core int) *fault.Injector {
-				if core != 1 {
-					return nil
-				}
-				return fault.NewInjector(mtbe, fault.CoreSeed(31, core), model)
-			}
-		}
-		eng, err := NewEngine(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := eng.RunSequential()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sink.Collected(), stats
-	}
-
-	corrections := func(stats *RunStats) uint64 {
-		var n uint64
-		for _, c := range stats.Cores {
-			n += c.ABFT.Corrections
-		}
-		return n
-	}
-
-	clean, _ := run(false, true)
-	repaired, repairedStats := run(true, true)
-	if corrections(repairedStats) == 0 {
-		t.Fatal("seed produced no corrections; the recompute path was never exercised")
-	}
-	if len(clean) != len(repaired) {
-		t.Fatalf("lengths diverged: clean %d, repaired %d", len(clean), len(repaired))
-	}
-	for i := range clean {
-		if clean[i] != repaired[i] {
-			t.Fatalf("output %d: stateful recompute diverged from clean run (%#x vs %#x)",
-				i, repaired[i], clean[i])
-		}
-	}
-
-	// Negative control: without the Recompute override the default
-	// stateless repair re-runs the batch kernel without restoring state,
-	// double-advancing the oscillator — the divergence this test exists
-	// to catch.
-	broken, brokenStats := run(true, false)
-	if corrections(brokenStats) == 0 {
-		t.Fatal("negative control recorded no corrections")
-	}
-	diverged := false
-	for i := range clean {
-		if clean[i] != broken[i] {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Error("stateless recompute of a stateful kernel did not diverge; the override test has no teeth")
 	}
 }
 

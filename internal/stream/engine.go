@@ -648,8 +648,9 @@ func (t *thread) countArmed() bool {
 // workABFT runs the checksummed kernel. Output transit corruption strikes
 // after the checksum was fused into the compute loop — the window ABFT
 // closes — so the armed output flips are applied here, the checksum is
-// re-derived from the communicated buffers, and a mismatch recomputes the
-// firing from the intact input buffers.
+// re-derived from the communicated buffers, and a mismatch repairs the
+// outputs by running the stateless kernel's WorkBatch again over the
+// intact input buffers.
 func (t *thread) workABFT() {
 	//hotpath:ok CS023 ABFT kernels are annotated entries of their own (dsp/codec kernels)
 	sum := t.ak.WorkBatchABFT(t.inBufs, t.outBufs)
@@ -673,8 +674,8 @@ func (t *thread) workABFT() {
 	check := t.ak.ChecksumBatch(t.outBufs)
 	if math.Float64bits(check) != math.Float64bits(sum) {
 		t.det.Detect(itemsIn)
-		//hotpath:ok CS023 recompute re-enters the kernel's own annotated entry
-		t.ak.RecomputeBatch(t.inBufs, t.outBufs)
+		//hotpath:ok CS023 repair re-runs the same fused kernel WorkBatchABFT just ran
+		t.ak.WorkBatch(t.inBufs, t.outBufs)
 		t.stats.ABFT.RecomputeOps += uint64(t.cost)
 		t.stats.ABFT.Corrections++
 	}

@@ -108,9 +108,6 @@ func (c *Ctx) PushF32(o int, v float32) { c.Push(o, math.Float32bits(v)) }
 // PopI32 pops a signed integer item.
 func (c *Ctx) PopI32(i int) int32 { return int32(c.Pop(i)) }
 
-// PushI32 pushes a signed integer item.
-func (c *Ctx) PushI32(o int, v int32) { c.Push(o, uint32(v)) }
-
 // F32Bits and BitsF32 are conversion helpers for filters that buffer items.
 func F32Bits(v float32) uint32 { return math.Float32bits(v) }
 

@@ -148,17 +148,16 @@ func blockFilter(name string, pop, push, cost int, variant string, block func(y,
 	if variant == "per-item" {
 		return ff
 	}
-	f := ff.Batch(func(in, out [][]uint32) {
-		load(in[0])
-		ob := out[0][:len(y)]
-		for i, v := range y {
-			ob[i] = stream.F32Bits(float32(v))
-		}
-	})
 	if variant == "batch" {
-		return f
+		return ff.Batch(func(in, out [][]uint32) {
+			load(in[0])
+			ob := out[0][:len(y)]
+			for i, v := range y {
+				ob[i] = stream.F32Bits(float32(v))
+			}
+		})
 	}
-	return f.ABFT(func(in, out [][]uint32) float64 {
+	return ff.ABFT(func(in, out [][]uint32) float64 {
 		load(in[0])
 		ob := out[0][:len(y)]
 		s := 0.0

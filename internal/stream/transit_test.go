@@ -185,7 +185,7 @@ func TestPortTransit(t *testing.T) {
 			})
 			var f Filter = ff
 			if c.abft {
-				f = ff.Batch(func(in, out [][]uint32) { copy(out[0], in[0]) }).ABFT(
+				f = ff.ABFT(
 					func(in, out [][]uint32) float64 { copy(out[0], in[0]); return ChecksumU32(out[0]) },
 					func(out [][]uint32) float64 { return ChecksumU32(out[0]) })
 			}
