@@ -2,8 +2,8 @@
 // It reads `go test -bench` output on standard input and compares it with
 // the committed baseline, BENCH_micro.txt, which holds the same format:
 //
-//	go test -run=NONE -bench='QueueTransfer|KernelFiring' -cpu 1,2 -count 3 \
-//	    -benchtime 200ms ./internal/commguard ./internal/stream |
+//	go test -run=NONE -bench='QueueTransfer|KernelFiring|BuilderNew' -cpu 1,2 -count 3 \
+//	    -benchtime 200ms ./internal/commguard ./internal/stream ./internal/apps |
 //	    go run ./cmd/benchdiff BENCH_micro.txt
 //
 // Each benchmark name, its -N GOMAXPROCS suffix included, is one metric:

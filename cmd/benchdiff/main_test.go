@@ -64,8 +64,8 @@ func scaled(t *testing.T, factor float64) func(fields []string) string {
 }
 
 // TestCommittedBaselineParses pins that BENCH_micro.txt holds every
-// queue-transit and kernel-firing row at both GOMAXPROCS levels, and that
-// it passes its own gate.
+// queue-transit, kernel-firing and builder row at both GOMAXPROCS levels,
+// and that it passes its own gate.
 func TestCommittedBaselineParses(t *testing.T) {
 	f, err := os.Open(committed)
 	if err != nil {
@@ -89,9 +89,9 @@ func TestCommittedBaselineParses(t *testing.T) {
 		}
 		perLayer[strings.SplitN(name, "/", 2)[0]]++
 	}
-	// 7 transit variants; 4 kernels x 3 firing paths.
-	if perLayer["BenchmarkQueueTransfer"] != 7 || perLayer["BenchmarkKernelFiring"] != 12 {
-		t.Errorf("rows per benchmark at GOMAXPROCS=1 = %v, want 7 QueueTransfer and 12 KernelFiring", perLayer)
+	// 7 transit variants; 4 kernels x 3 firing paths; 7 builtin apps.
+	if perLayer["BenchmarkQueueTransfer"] != 7 || perLayer["BenchmarkKernelFiring"] != 12 || perLayer["BenchmarkBuilderNew"] != 7 {
+		t.Errorf("rows per benchmark at GOMAXPROCS=1 = %v, want 7 QueueTransfer, 12 KernelFiring and 7 BuilderNew", perLayer)
 	}
 	if code, _ := gate(t, baseline(t)); code != 0 {
 		t.Errorf("baseline against itself: exit %d, want 0", code)

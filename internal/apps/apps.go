@@ -17,14 +17,18 @@ import (
 
 // Instance is one freshly built benchmark: a graph ready for one engine
 // run plus the evaluation hooks. Instances are single-use; build a new one
-// per run.
+// per run. The graph — every filter with its state (FIR delay lines, the
+// mp3 overlap tail, oscillator phases) and the sink — is fresh per
+// instance. The source tape and Reference are the workload, built once
+// per config and shared read-only by every instance of that config: no
+// caller may write to either.
 type Instance struct {
 	// Name is the benchmark name as the paper spells it.
 	Name string
 	// Metric is "PSNR" for jpeg, "SNR" otherwise.
 	Metric string
 	// Graph is the streaming computation, sources preloaded with the
-	// workload tape.
+	// shared workload tape.
 	Graph *stream.Graph
 	// Output converts the sink's collected tape into comparable samples.
 	// Call only after the engine run completes. Non-finite values (which
@@ -32,13 +36,16 @@ type Instance struct {
 	Output func() []float64
 	// Reference is ground truth for jpeg/mp3 (the original media); nil for
 	// the benchmarks that are scored against their own error-free run.
+	// It is shared with every instance of the same config; read only.
 	Reference []float64
 	// Quality computes the metric, in dB, of out against ref.
 	Quality func(out, ref []float64) float64
 }
 
 // Builder names a benchmark and builds fresh instances of it with the
-// default experiment workload.
+// default experiment workload. The first New in a process generates the
+// workload (jpeg and mp3 encode their media then); later calls share it
+// and only wire a fresh graph.
 type Builder struct {
 	Name string
 	New  func() (*Instance, error)

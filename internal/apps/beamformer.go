@@ -39,27 +39,8 @@ func NewBeamformer(cfg BeamformerConfig) (*Instance, error) {
 		return nil, fmt.Errorf("apps: bad beamformer config %+v", cfg)
 	}
 	c := cfg.Channels
-	// Synthesize the array input: a multi-tone target plus per-channel
-	// deterministic interference, channel c delayed by c*Delay.
-	target := func(t int) float64 {
-		ft := float64(t)
-		return 0.5*math.Sin(2*math.Pi*0.01*ft) + 0.3*math.Sin(2*math.Pi*0.023*ft+0.7)
-	}
-	tape := make([]uint32, 0, c*cfg.Samples)
-	for t := 0; t < cfg.Samples; t++ {
-		for ch := 0; ch < c; ch++ {
-			v := 0.0
-			if idx := t - ch*cfg.Delay; idx >= 0 {
-				v = target(idx)
-			}
-			// Per-channel interference, uncorrelated across channels.
-			v += 0.2 * math.Sin(2*math.Pi*0.17*float64(t)+float64(ch)*2.1)
-			tape = append(tape, stream.F32Bits(float32(v)))
-		}
-	}
-
 	g := stream.NewGraph()
-	src := g.Add(stream.NewSource("array-in", c, tape))
+	src := g.Add(stream.NewSource("array-in", c, sharedTape(cfg, beamformerTape)))
 	weights := make([]int, c)
 	for i := range weights {
 		weights[i] = 1
@@ -118,4 +99,27 @@ func NewBeamformer(cfg BeamformerConfig) (*Instance, error) {
 		Output:  func() []float64 { return f32TapeToF64(sink.Collected()) },
 		Quality: snrQuality,
 	}, nil
+}
+
+// beamformerTape synthesizes the array input, one interleaved sample per
+// channel per time step: a multi-tone target plus per-channel
+// deterministic interference, channel c delayed by c*Delay.
+func beamformerTape(cfg BeamformerConfig) []uint32 {
+	target := func(t int) float64 {
+		ft := float64(t)
+		return 0.5*math.Sin(2*math.Pi*0.01*ft) + 0.3*math.Sin(2*math.Pi*0.023*ft+0.7)
+	}
+	tape := make([]uint32, 0, cfg.Channels*cfg.Samples)
+	for t := 0; t < cfg.Samples; t++ {
+		for ch := 0; ch < cfg.Channels; ch++ {
+			v := 0.0
+			if idx := t - ch*cfg.Delay; idx >= 0 {
+				v = target(idx)
+			}
+			// Per-channel interference, uncorrelated across channels.
+			v += 0.2 * math.Sin(2*math.Pi*0.17*float64(t)+float64(ch)*2.1)
+			tape = append(tape, stream.F32Bits(float32(v)))
+		}
+	}
+	return tape
 }

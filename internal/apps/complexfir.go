@@ -32,18 +32,8 @@ func NewComplexFIR(cfg ComplexFIRConfig) (*Instance, error) {
 	if cfg.Samples <= 0 || cfg.Stages < 1 || cfg.Taps < 1 {
 		return nil, fmt.Errorf("apps: bad complex-fir config %+v", cfg)
 	}
-	tape := make([]uint32, 0, 2*cfg.Samples)
-	for t := 0; t < cfg.Samples; t++ {
-		ft := float64(t)
-		// A complex chirp sweeping through the passbands.
-		f := 0.02 + 0.2*ft/float64(cfg.Samples)
-		tape = append(tape,
-			stream.F32Bits(float32(math.Cos(2*math.Pi*f*ft))),
-			stream.F32Bits(float32(math.Sin(2*math.Pi*f*ft))))
-	}
-
 	g := stream.NewGraph()
-	filters := []stream.Filter{stream.NewSource("iq-in", 2, tape)}
+	filters := []stream.Filter{stream.NewSource("iq-in", 2, sharedTape(cfg, complexFIRTape))}
 	for s := 0; s < cfg.Stages; s++ {
 		// Each stage is a frequency-shifted low-pass: taps rotated by a
 		// per-stage carrier, the classic complex channelizer building
@@ -79,4 +69,18 @@ func NewComplexFIR(cfg ComplexFIRConfig) (*Instance, error) {
 		Output:  func() []float64 { return f32TapeToF64(sink.Collected()) },
 		Quality: snrQuality,
 	}, nil
+}
+
+// complexFIRTape synthesizes cfg.Samples samples of a complex chirp
+// sweeping through the passbands, as interleaved (re, im) pairs.
+func complexFIRTape(cfg ComplexFIRConfig) []uint32 {
+	tape := make([]uint32, 0, 2*cfg.Samples)
+	for t := 0; t < cfg.Samples; t++ {
+		ft := float64(t)
+		f := 0.02 + 0.2*ft/float64(cfg.Samples)
+		tape = append(tape,
+			stream.F32Bits(float32(math.Cos(2*math.Pi*f*ft))),
+			stream.F32Bits(float32(math.Sin(2*math.Pi*f*ft))))
+	}
+	return tape
 }

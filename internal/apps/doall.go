@@ -34,14 +34,8 @@ func NewDoAll(cfg DoAllConfig) (*Instance, error) {
 		return nil, fmt.Errorf("apps: bad do-all config %+v", cfg)
 	}
 	w := cfg.Workers
-	tape := make([]uint32, cfg.Tasks)
-	for i := range tape {
-		// Deterministic positive inputs spread over a wide range.
-		tape[i] = stream.F32Bits(float32(1 + 999*math.Abs(math.Sin(0.37*float64(i)))))
-	}
-
 	g := stream.NewGraph()
-	src := g.Add(stream.NewSource("tasks", w, tape))
+	src := g.Add(stream.NewSource("tasks", w, sharedTape(cfg, doAllTape)))
 	weights := make([]int, w)
 	for i := range weights {
 		weights[i] = 1
@@ -86,4 +80,14 @@ func NewDoAll(cfg DoAllConfig) (*Instance, error) {
 		Output:  func() []float64 { return f32TapeToF64(sink.Collected()) },
 		Quality: snrQuality,
 	}, nil
+}
+
+// doAllTape synthesizes cfg.Tasks deterministic positive work items spread
+// over a wide range.
+func doAllTape(cfg DoAllConfig) []uint32 {
+	tape := make([]uint32, cfg.Tasks)
+	for i := range tape {
+		tape[i] = stream.F32Bits(float32(1 + 999*math.Abs(math.Sin(0.37*float64(i)))))
+	}
+	return tape
 }

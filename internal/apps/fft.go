@@ -31,14 +31,6 @@ func NewFFT(cfg FFTConfig) (*Instance, error) {
 	n := cfg.Points
 	rate := 2 * n
 
-	tape := make([]uint32, 0, rate*cfg.Blocks)
-	for t := 0; t < n*cfg.Blocks; t++ {
-		ft := float64(t)
-		v := 0.7*math.Sin(2*math.Pi*0.07*ft) + 0.4*math.Sin(2*math.Pi*0.19*ft+0.5) +
-			0.1*math.Sin(2*math.Pi*0.33*ft)
-		tape = append(tape, stream.F32Bits(float32(v)), stream.F32Bits(0))
-	}
-
 	popBlock := func(ctx *stream.Ctx, re, im []float64) {
 		for i := 0; i < len(re); i++ {
 			re[i] = sanitize(float64(ctx.PopF32(0)))
@@ -55,7 +47,7 @@ func NewFFT(cfg FFTConfig) (*Instance, error) {
 	g := stream.NewGraph()
 	window := dsp.Hann(n)
 	filters := []stream.Filter{
-		stream.NewSource("samples-in", rate, tape),
+		stream.NewSource("samples-in", rate, sharedTape(cfg, fftTape)),
 		stream.NewFuncFilter("window", rate, rate, 7*rate, func(ctx *stream.Ctx) {
 			for i := 0; i < n; i++ {
 				re := sanitize(float64(ctx.PopF32(0)))
@@ -115,4 +107,18 @@ func NewFFT(cfg FFTConfig) (*Instance, error) {
 		Output:  func() []float64 { return f32TapeToF64(sink.Collected()) },
 		Quality: snrQuality,
 	}, nil
+}
+
+// fftTape synthesizes cfg.Blocks transforms' worth of a three-tone signal
+// as interleaved (re, im) pairs with zero imaginary parts.
+func fftTape(cfg FFTConfig) []uint32 {
+	n := cfg.Points
+	tape := make([]uint32, 0, 2*n*cfg.Blocks)
+	for t := 0; t < n*cfg.Blocks; t++ {
+		ft := float64(t)
+		v := 0.7*math.Sin(2*math.Pi*0.07*ft) + 0.4*math.Sin(2*math.Pi*0.19*ft+0.5) +
+			0.1*math.Sin(2*math.Pi*0.33*ft)
+		tape = append(tape, stream.F32Bits(float32(v)), stream.F32Bits(0))
+	}
+	return tape
 }

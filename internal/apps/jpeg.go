@@ -37,23 +37,14 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 	if cfg.W%8 != 0 || cfg.H%8 != 0 || cfg.W <= 0 || cfg.H <= 0 {
 		return nil, fmt.Errorf("apps: jpeg dimensions %dx%d not multiples of 8", cfg.W, cfg.H)
 	}
-	img := jpegcodec.TestImage(cfg.W, cfg.H)
-	data, err := jpegcodec.Encode(img, cfg.Quality)
+	w, err := loadWorkload(cfg, jpegWorkload)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := jpegcodec.DecodeCoeffs(data)
-	if err != nil {
-		return nil, err
-	}
-	tape := make([]uint32, len(cs.Coeffs))
-	for i, c := range cs.Coeffs {
-		tape[i] = uint32(c)
-	}
-	lumaQ, chromaQ := jpegcodec.QuantTables(cs.Quality)
+	lumaQ, chromaQ := jpegcodec.QuantTables(cfg.Quality)
 
 	g := stream.NewGraph()
-	src := g.Add(stream.NewSource("F0-coeffs", jpegcodec.CoeffsPerMCU, tape))
+	src := g.Add(stream.NewSource("F0-coeffs", jpegcodec.CoeffsPerMCU, w.tape))
 
 	// Every stage carries a whole-firing batch kernel bit-identical to its
 	// per-item work function. The two compute stages' batch kernels are
@@ -177,11 +168,6 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 		return nil, err
 	}
 
-	ref := make([]float64, len(img.Pix))
-	for i, p := range img.Pix {
-		ref[i] = float64(p)
-	}
-
 	return &Instance{
 		Name:   "jpeg",
 		Metric: "PSNR",
@@ -190,7 +176,7 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 			out := jpegcodec.NewImage(cfg.W, cfg.H)
 			collected := sink.Collected()
 			var rgb [192]uint8
-			mcus := cs.MCUCount()
+			mcus := (cfg.W / 8) * (cfg.H / 8)
 			for m := 0; m < mcus; m++ {
 				base := m * 192
 				for i := 0; i < 192; i++ {
@@ -211,7 +197,31 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 			}
 			return pix
 		},
-		Reference: ref,
+		Reference: w.ref,
 		Quality:   psnrQuality,
 	}, nil
+}
+
+// jpegWorkload draws the test photo, encodes it at cfg.Quality and
+// entropy-decodes the bitstream into the coefficient tape; the photo's
+// pixels are the reference.
+func jpegWorkload(cfg JPEGConfig) (workload, error) {
+	img := jpegcodec.TestImage(cfg.W, cfg.H)
+	data, err := jpegcodec.Encode(img, cfg.Quality)
+	if err != nil {
+		return workload{}, err
+	}
+	cs, err := jpegcodec.DecodeCoeffs(data)
+	if err != nil {
+		return workload{}, err
+	}
+	tape := make([]uint32, len(cs.Coeffs))
+	for i, c := range cs.Coeffs {
+		tape[i] = uint32(c)
+	}
+	ref := make([]float64, len(img.Pix))
+	for i, p := range img.Pix {
+		ref[i] = float64(p)
+	}
+	return workload{tape: tape, ref: ref}, nil
 }

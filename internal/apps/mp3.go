@@ -28,22 +28,13 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 	if cfg.Frames <= 0 {
 		return nil, fmt.Errorf("apps: mp3 needs at least one frame, got %d", cfg.Frames)
 	}
-	pcm := mp3codec.TestSignal(cfg.Frames * mp3codec.FrameSamples)
-	data, err := mp3codec.Encode(pcm)
+	w, err := loadWorkload(cfg, mp3Workload)
 	if err != nil {
 		return nil, err
-	}
-	cs, err := mp3codec.DecodeCoeffs(data)
-	if err != nil {
-		return nil, err
-	}
-	tape := make([]uint32, len(cs.Items))
-	for i, v := range cs.Items {
-		tape[i] = uint32(v)
 	}
 
 	g := stream.NewGraph()
-	src := g.Add(stream.NewSource("F0-frames", mp3codec.ItemsPerFrame, tape))
+	src := g.Add(stream.NewSource("F0-frames", mp3codec.ItemsPerFrame, w.tape))
 
 	// Batch kernels reuse closure-captured scratch (the per-item forms
 	// allocate theirs per firing). The two compute-heavy stages' batch
@@ -160,13 +151,32 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		return nil, err
 	}
 
-	ref := append([]float64(nil), pcm...)
 	return &Instance{
 		Name:      "mp3",
 		Metric:    "SNR",
 		Graph:     g,
 		Output:    func() []float64 { return f32TapeToF64(sink.Collected()) },
-		Reference: ref,
+		Reference: w.ref,
 		Quality:   snrQuality,
 	}, nil
+}
+
+// mp3Workload synthesizes cfg.Frames frames of test audio, encodes them
+// and unpacks the bitstream into the coded-frame tape; the PCM is the
+// reference.
+func mp3Workload(cfg MP3Config) (workload, error) {
+	pcm := mp3codec.TestSignal(cfg.Frames * mp3codec.FrameSamples)
+	data, err := mp3codec.Encode(pcm)
+	if err != nil {
+		return workload{}, err
+	}
+	cs, err := mp3codec.DecodeCoeffs(data)
+	if err != nil {
+		return workload{}, err
+	}
+	tape := make([]uint32, len(cs.Items))
+	for i, v := range cs.Items {
+		tape[i] = uint32(v)
+	}
+	return workload{tape: tape, ref: pcm}, nil
 }

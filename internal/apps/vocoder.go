@@ -29,17 +29,8 @@ func NewVocoder(cfg VocoderConfig) (*Instance, error) {
 		return nil, fmt.Errorf("apps: bad vocoder config %+v", cfg)
 	}
 	b := cfg.Bands
-	tape := make([]uint32, cfg.Samples)
-	for t := range tape {
-		ft := float64(t)
-		// A "speech-like" modulator: tones with a syllabic envelope.
-		env := 0.5 + 0.5*math.Sin(2*math.Pi*ft/512)
-		v := env * (0.5*math.Sin(2*math.Pi*0.03*ft) + 0.3*math.Sin(2*math.Pi*0.11*ft+1.3))
-		tape[t] = stream.F32Bits(float32(v))
-	}
-
 	g := stream.NewGraph()
-	src := g.Add(stream.NewSource("voice-in", 1, tape))
+	src := g.Add(stream.NewSource("voice-in", 1, sharedTape(cfg, vocoderTape)))
 	split := g.Add(stream.NewDuplicateSplitter("analysis", 1, b))
 	weights := make([]int, b)
 	for i := range weights {
@@ -99,4 +90,17 @@ func NewVocoder(cfg VocoderConfig) (*Instance, error) {
 		Output:  func() []float64 { return f32TapeToF64(sink.Collected()) },
 		Quality: snrQuality,
 	}, nil
+}
+
+// vocoderTape synthesizes cfg.Samples samples of a "speech-like"
+// modulator: tones with a syllabic envelope.
+func vocoderTape(cfg VocoderConfig) []uint32 {
+	tape := make([]uint32, cfg.Samples)
+	for t := range tape {
+		ft := float64(t)
+		env := 0.5 + 0.5*math.Sin(2*math.Pi*ft/512)
+		v := env * (0.5*math.Sin(2*math.Pi*0.03*ft) + 0.3*math.Sin(2*math.Pi*0.11*ft+1.3))
+		tape[t] = stream.F32Bits(float32(v))
+	}
+	return tape
 }

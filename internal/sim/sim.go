@@ -131,6 +131,10 @@ type Config struct {
 	// static schedule: error-prone runs become bit-reproducible (the
 	// concurrent engine's realignment details depend on goroutine
 	// interleaving). Queues are sized up automatically to hold one frame.
+	// Under faults it is not the concurrent engine made deterministic: a
+	// pop on an empty queue times out at once and the AM pads it, so
+	// timeouts, padded items and quality can differ from a concurrent run
+	// (see stream.Engine.RunSequential).
 	Sequential bool
 	// Cancel, when non-nil, aborts the run when closed: the signal reaches
 	// both the engine's iteration loops and every queue's blocking

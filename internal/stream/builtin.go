@@ -10,7 +10,8 @@ type Source struct {
 	pos  int
 }
 
-// NewSource creates a source pushing rate items per firing from data.
+// NewSource creates a source pushing rate items per firing from data. The
+// source never writes to data.
 func NewSource(name string, rate int, data []uint32) *Source {
 	return &Source{name: name, rate: rate, data: data}
 }
@@ -44,6 +45,10 @@ func (s *Source) WorkBatch(in, out [][]uint32) {
 // Remaining returns the unread portion of the tape (for diagnostics).
 func (s *Source) Remaining() int { return len(s.data) - s.pos }
 
+// Tape returns the whole input tape. One tape may back many sources, so
+// callers must not write to it.
+func (s *Source) Tape() []uint32 { return s.data }
+
 var _ BatchKernel = (*Source)(nil)
 
 // Sink collects the graph's output tape, rate items per firing.
@@ -68,9 +73,11 @@ func (s *Sink) Work(ctx *Ctx) {
 	}
 }
 
-// WorkBatch implements BatchKernel. The append amortizes like Work's, so
-// Sink is deliberately not a //hotpath:entry (tape collection is test and
-// measurement plumbing, not a protected kernel).
+// WorkBatch implements BatchKernel. The engine presizes the tape for the
+// whole run, so the append does not regrow it there; firings past that
+// size (or outside the engine) still grow it. Sink is deliberately
+// not a //hotpath:entry (tape collection is test and measurement
+// plumbing, not a protected kernel).
 func (s *Sink) WorkBatch(in, out [][]uint32) {
 	s.out = append(s.out, in[0]...)
 }

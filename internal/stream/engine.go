@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -200,8 +201,12 @@ func (e *Engine) Run() (*RunStats, error) {
 // are identical to Run's; under fault injection the interleaving — and
 // therefore the exact realignment behavior — becomes fully deterministic,
 // which Run cannot guarantee. Use it for reproducible experiments and
-// debugging. Queues never block in this mode (producers always run before
-// consumers), so blocking-timeout effects do not occur.
+// debugging. Queues never block in this mode: a pop on an empty queue
+// cannot wait for a producer that runs on the same goroutine, so it times
+// out at once. Error-free, producers always run a whole iteration ahead
+// and no pop finds its queue empty. Under faults (a dropped header, a
+// short frame) one can: the AM pads it at once, and items that arrive late
+// are discarded, so timeouts, pads and quality can differ from Run's.
 func (e *Engine) RunSequential() (*RunStats, error) {
 	return e.execute(true)
 }
@@ -213,6 +218,13 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 		iterations, err = e.deriveIterations()
 		if err != nil {
 			return nil, err
+		}
+	}
+	// Presize every sink's tape for the run's whole output, so no firing
+	// regrows it.
+	for _, n := range e.g.Nodes {
+		if sink, ok := n.F.(*Sink); ok {
+			sink.out = slices.Grow(sink.out, iterations*e.sched.Multiplicity[n.ID]*sink.rate)
 		}
 	}
 
