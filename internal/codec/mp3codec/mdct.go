@@ -29,47 +29,56 @@ const FrameSamples = N
 // (w[n]^2 + w[n+N]^2 = 1) required for perfect reconstruction.
 var window [2 * N]float64
 
-// mdctCos[k][n] caches cos(pi/N * (n + 0.5 + N/2) * (k + 0.5)).
-var mdctCos [][]float64
+// mdctCos[n][k] caches cos(pi/N * (n + 0.5 + N/2) * (k + 0.5)), laid out
+// so that IMDCT's inner loop over k and MDCT's inner loop over k both read
+// one contiguous row.
+var mdctCos [2 * N][N]float64
 
 func init() {
 	for n := 0; n < 2*N; n++ {
 		window[n] = math.Sin(math.Pi / (2 * N) * (float64(n) + 0.5))
-	}
-	mdctCos = make([][]float64, N)
-	for k := 0; k < N; k++ {
-		mdctCos[k] = make([]float64, 2*N)
-		for n := 0; n < 2*N; n++ {
-			mdctCos[k][n] = math.Cos(math.Pi / N * (float64(n) + 0.5 + N/2) * (float64(k) + 0.5))
+		for k := 0; k < N; k++ {
+			mdctCos[n][k] = math.Cos(math.Pi / N * (float64(n) + 0.5 + N/2) * (float64(k) + 0.5))
 		}
 	}
 }
 
-// MDCT transforms 2N windowed time samples into N coefficients.
+// MDCT transforms 2N windowed time samples into N coefficients. Each
+// out[k] is the sum over n, in n order from 0.0, of x[n]*window[n]*cos.
 //
 //hotpath:entry
 func MDCT(x *[2 * N]float64, out *[N]float64) {
-	for k := 0; k < N; k++ {
-		sum := 0.0
-		row := mdctCos[k]
-		for n := 0; n < 2*N; n++ {
-			sum += x[n] * window[n] * row[n]
+	*out = [N]float64{}
+	for n := 0; n < 2*N; n++ {
+		xw := x[n] * window[n]
+		row := &mdctCos[n]
+		for k := range out {
+			out[k] += xw * row[k]
 		}
-		out[k] = sum
 	}
 }
 
 // IMDCT expands N coefficients into 2N windowed time samples ready for
-// overlap-add (includes the 2/N scaling and synthesis window).
+// overlap-add (includes the 2/N scaling and synthesis window). Each out[n]
+// is the sum over k, in k order from 0.0, of coeffs[k]*cos, then scaled;
+// four outputs accumulate side by side in independent registers so their
+// add chains overlap.
 //
 //hotpath:entry
 func IMDCT(coeffs *[N]float64, out *[2 * N]float64) {
-	for n := 0; n < 2*N; n++ {
-		sum := 0.0
-		for k := 0; k < N; k++ {
-			sum += coeffs[k] * mdctCos[k][n]
+	for n := 0; n < 2*N; n += 4 {
+		r0, r1, r2, r3 := &mdctCos[n], &mdctCos[n+1], &mdctCos[n+2], &mdctCos[n+3]
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for k, c := range coeffs {
+			s0 += c * r0[k]
+			s1 += c * r1[k]
+			s2 += c * r2[k]
+			s3 += c * r3[k]
 		}
-		out[n] = sum * (2.0 / N) * window[n]
+		out[n] = s0 * (2.0 / N) * window[n]
+		out[n+1] = s1 * (2.0 / N) * window[n+1]
+		out[n+2] = s2 * (2.0 / N) * window[n+2]
+		out[n+3] = s3 * (2.0 / N) * window[n+3]
 	}
 }
 

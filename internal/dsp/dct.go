@@ -6,12 +6,15 @@ import "math"
 // the jpeg benchmark's IDCT stage). Coefficients follow the JPEG
 // convention: orthonormal scaling with c(0)=1/sqrt(2).
 
-var dctCos [8][8]float64
+// dctCos[k][n] is DCT8's table, contiguous in n; idctCos[n][k] is the
+// same values transposed for IDCT8, contiguous in k.
+var dctCos, idctCos [8][8]float64
 
 func init() {
 	for k := 0; k < 8; k++ {
 		for n := 0; n < 8; n++ {
 			dctCos[k][n] = math.Cos(math.Pi * float64(k) * (2*float64(n) + 1) / 16)
+			idctCos[n][k] = dctCos[k][n]
 		}
 	}
 }
@@ -37,13 +40,20 @@ func DCT8(dst, src *[8]float64) {
 }
 
 // IDCT8 computes the 1-D 8-point inverse DCT (DCT-III) of src into dst.
+// Each dst[n] is the sum over k, in k order from 0.0, of
+// (alpha(k)*src[k])*cos; the scaled inputs are computed once per call.
 //
 //hotpath:entry
 func IDCT8(dst, src *[8]float64) {
-	for n := 0; n < 8; n++ {
+	var a [8]float64
+	for k := range a {
+		a[k] = alpha(k) * src[k]
+	}
+	for n := range dst {
+		row := &idctCos[n]
 		sum := 0.0
-		for k := 0; k < 8; k++ {
-			sum += alpha(k) * src[k] * dctCos[k][n]
+		for k, v := range a {
+			sum += v * row[k]
 		}
 		dst[n] = 0.5 * sum
 	}

@@ -42,13 +42,15 @@ func MustNewFIR(taps []float64) *FIR {
 func (f *FIR) Process(x float64) float64 {
 	f.delay[f.pos] = x
 	acc := 0.0
-	idx := f.pos
-	for _, t := range f.taps {
-		acc += t * f.delay[idx]
-		idx--
-		if idx < 0 {
-			idx = len(f.delay) - 1
-		}
+	// Tap k reads the sample k steps back: delay[pos] down to delay[0],
+	// then, wrapped around, delay[len-1] down to delay[pos+1]. Two
+	// straight segments keep that tap order without a per-tap wrap test.
+	pos, last := f.pos, len(f.delay)-1
+	for k, t := range f.taps[:pos+1] {
+		acc += t * f.delay[pos-k]
+	}
+	for k, t := range f.taps[pos+1:] {
+		acc += t * f.delay[last-k]
 	}
 	f.pos++
 	if f.pos == len(f.delay) {

@@ -354,7 +354,7 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 		Queues:     make([]queue.Stats, len(rawQs)),
 	}
 	for i, th := range threads {
-		stats.Cores[i] = th.stats
+		stats.Cores[i] = th.coreStats()
 		stats.Cores[i].Node = e.g.Nodes[i].Name()
 		stats.Cores[i].PPU = th.core.Stats()
 		stats.Cores[i].Instructions = th.core.Stats().Instructions
@@ -476,6 +476,18 @@ func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector, outs []Ou
 	t.bk, _ = n.F.(BatchKernel)
 	t.ak, _ = n.F.(ABFTKernel)
 	return t
+}
+
+// coreStats returns the thread's statistics with the modeled compute
+// accesses folded in. Every firing accesses the same cost*loadFraction
+// loads and cost*storeFraction stores besides its pops and pushes, so
+// fire counts only the pops and pushes and the per-firing share is added
+// here once, times Firings (the same sum, modulo 2^64 included).
+func (t *thread) coreStats() CoreStats {
+	c := t.stats
+	c.Loads += c.Firings * uint64(float64(t.cost)*loadFraction)
+	c.Stores += c.Firings * uint64(float64(t.cost)*storeFraction)
+	return c
 }
 
 // begin prepares the thread's work context and enters the global scope.
@@ -631,8 +643,8 @@ func (t *thread) fire(ctx *Ctx) {
 	}
 	t.stats.Firings++
 	t.core.Commit(pops + pushes)
-	t.stats.Loads += uint64(float64(t.cost)*loadFraction) + uint64(pops)
-	t.stats.Stores += uint64(float64(t.cost)*storeFraction) + uint64(pushes)
+	t.stats.Loads += uint64(pops)
+	t.stats.Stores += uint64(pushes)
 	if h != nil {
 		h.Record(uint64(time.Since(t0)))
 	}
@@ -825,10 +837,14 @@ func (s *inTransit) clearPlan() {
 }
 
 // take fills dst with the stream's next items: the window first, then the
-// port.
+// port. The window is empty on almost every firing, so its shift is
+// skipped then.
 func (s *inTransit) take(dst []uint32) {
-	n := copy(dst, s.win)
-	s.win = s.win[:copy(s.win, s.win[n:])]
+	n := 0
+	if len(s.win) > 0 {
+		n = copy(dst, s.win)
+		s.win = s.win[:copy(s.win, s.win[n:])]
+	}
 	if n < len(dst) {
 		//hotpath:ok CS023 ports resolve to the transports' PopN entries
 		s.port.PopN(dst[n:])

@@ -113,6 +113,25 @@ func kernelSpecs() []kernelSpec {
 				}, nil)
 			},
 		},
+		// The inverse transforms are the ones the jpeg and mp3 decode
+		// graphs run (F2-idct-color, F2-imdct).
+		{
+			name: "imdct", popRate: mp3codec.N, pushRate: 2 * mp3codec.N, items: 1 << 15,
+			filter: func(variant string) stream.Filter {
+				return blockFilter("imdct", mp3codec.N, 2*mp3codec.N, 20000, variant, func(y, x []float64) {
+					mp3codec.IMDCT((*[mp3codec.N]float64)(x), (*[2 * mp3codec.N]float64)(y))
+				}, nil)
+			},
+		},
+		{
+			name: "idct2d", popRate: 64, pushRate: 64, items: 1 << 17,
+			filter: func(variant string) stream.Filter {
+				return blockFilter("idct2d", 64, 64, 1200, variant, func(y, x []float64) {
+					copy(y, x)
+					dsp.IDCT2D((*[64]float64)(y))
+				}, nil)
+			},
+		},
 	}
 }
 
