@@ -2,7 +2,7 @@
 // It reads `go test -bench` output on standard input and compares it with
 // the committed baseline, BENCH_micro.txt, which holds the same format:
 //
-//	go test -run=NONE -bench='QueueTransfer|KernelFiring|BuilderNew' -cpu 1,2 -count 3 \
+//	go test -run=NONE -bench='QueueTransfer|KernelFiring|SplitJoin|BuilderNew' -cpu 1,2 -count 3 \
 //	    -benchtime 200ms ./internal/commguard ./internal/stream ./internal/apps |
 //	    go run ./cmd/benchdiff BENCH_micro.txt
 //

@@ -207,6 +207,26 @@ func (inj *Injector) Advance(n int) []Class {
 	return fired
 }
 
+// Quiet commits up to n consecutive windows of w instructions each,
+// stopping before the first window in which Advance(w) would report an
+// error, and returns how many windows it committed. It leaves the
+// injector exactly as that many nil-returning Advance(w) calls would: the
+// instruction count moves by the same float additions, and no random
+// number is drawn, so the next Advance(w) fires the error that ended the
+// run. A disabled injector (mtbe <= 0) commits all n windows; w <= 0
+// commits nothing, as Advance does, and returns n.
+func (inj *Injector) Quiet(w, n int) int {
+	if w <= 0 {
+		return max(n, 0)
+	}
+	k := 0
+	for k < n && inj.now+float64(w) < inj.nextAt {
+		inj.now += float64(w)
+		k++
+	}
+	return k
+}
+
 // Instructions returns the number of instructions committed so far.
 func (inj *Injector) Instructions() uint64 { return uint64(inj.now) }
 

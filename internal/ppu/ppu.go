@@ -192,15 +192,31 @@ func (c *Core) LoopGuard(bound int) *LoopGuard {
 // loop-bound violation (the watchdog actually had to intervene).
 func (g *LoopGuard) Next() bool {
 	if g.left <= 0 {
-		if !g.fired {
-			g.core.stats.LoopBoundViolations++
-			g.fired = true
-			g.core.trace.Watchdog(g.bound)
-		}
-		return false
+		return g.refuse()
 	}
 	g.left--
 	return true
+}
+
+// NextN consumes n permits at once, for n iterations that run as one
+// group. It refuses as Next does when fewer than n are left, consuming
+// none.
+func (g *LoopGuard) NextN(n int) bool {
+	if g.left < n {
+		return g.refuse()
+	}
+	g.left -= n
+	return true
+}
+
+// refuse counts the guard's first refusal as a loop-bound violation.
+func (g *LoopGuard) refuse() bool {
+	if !g.fired {
+		g.core.stats.LoopBoundViolations++
+		g.fired = true
+		g.core.trace.Watchdog(g.bound)
+	}
+	return false
 }
 
 // Remaining reports how many iterations the guard still permits.

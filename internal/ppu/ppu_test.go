@@ -151,6 +151,30 @@ func TestLoopGuardBoundsIterations(t *testing.T) {
 	}
 }
 
+// TestLoopGuardNextN pins that a group of n permits consumes what n
+// Next calls would, and that a group the guard cannot cover is refused
+// whole, counted once like Next's refusal.
+func TestLoopGuardNextN(t *testing.T) {
+	c := MustNewCore(0, 1)
+	g := c.LoopGuard(10)
+	if !g.NextN(4) || !g.Next() || !g.NextN(5) {
+		t.Fatal("guard refused permits within its bound")
+	}
+	if g.Remaining() != 0 || c.Stats().LoopBoundViolations != 0 {
+		t.Fatalf("Remaining = %d, violations = %d after 10 permits", g.Remaining(), c.Stats().LoopBoundViolations)
+	}
+	g = c.LoopGuard(3)
+	if g.NextN(4) {
+		t.Error("NextN(4) granted on a guard with 3 permits")
+	}
+	if g.Remaining() != 3 || c.Stats().LoopBoundViolations != 1 {
+		t.Errorf("after refused NextN(4): Remaining = %d, violations = %d; want 3, 1", g.Remaining(), c.Stats().LoopBoundViolations)
+	}
+	if !g.NextN(3) || g.NextN(1) || c.Stats().LoopBoundViolations != 1 {
+		t.Error("a guard counts at most one violation")
+	}
+}
+
 func TestCommitAccountsInstructions(t *testing.T) {
 	c := MustNewCore(9, 1)
 	c.Commit(100)

@@ -21,6 +21,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 )
 
@@ -44,21 +45,36 @@ type Program struct {
 	lenient bool
 }
 
-// FindRoot walks up from the working directory to the enclosing module
-// root (the directory holding go.mod), so tests and experiment runs can
-// analyze the repo's own sources from any package directory.
+// FindRoot returns the enclosing module root (the directory holding
+// go.mod): the first above the working directory, so tests and experiment
+// runs analyze the tree they run in, else the first above this package's
+// source directory as compiled, so a built binary run from outside any
+// module still finds the tree it was built from.
 func FindRoot() (string, error) {
 	dir, err := os.Getwd()
 	if err != nil {
 		return "", err
 	}
+	if root, ok := moduleAbove(dir); ok {
+		return root, nil
+	}
+	if _, file, _, ok := runtime.Caller(0); ok && filepath.IsAbs(file) {
+		if root, ok := moduleAbove(filepath.Dir(file)); ok {
+			return root, nil
+		}
+	}
+	return "", fmt.Errorf("srcload: no go.mod found above the working directory or the srcload source directory")
+}
+
+// moduleAbove walks up from dir to the first directory holding go.mod.
+func moduleAbove(dir string) (string, bool) {
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+			return dir, true
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("srcload: no go.mod found above working directory")
+			return "", false
 		}
 		dir = parent
 	}

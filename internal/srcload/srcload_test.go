@@ -113,3 +113,65 @@ package x
 		}
 	}
 }
+
+// chdir moves the test into dir until it ends. Go 1.24's t.Chdir does
+// this, but the module builds with Go 1.22.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
+	back, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(back); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFindRootOutsideModule: a working directory with no go.mod above it
+// falls back to the module this package was compiled from.
+func TestFindRootOutsideModule(t *testing.T) {
+	want, err := FindRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chdir(t, t.TempDir())
+	got, err := FindRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("FindRoot outside the module = %q, want %q", got, want)
+	}
+	if _, err := Open(got); err != nil {
+		t.Errorf("Open(%q): %v", got, err)
+	}
+}
+
+// TestFindRootPrefersWorkingDirectory: a module above the working
+// directory wins over the one srcload was compiled from.
+func TestFindRootPrefersWorkingDirectory(t *testing.T) {
+	root := writeModule(t, map[string]string{"a/a.go": "package a\n"})
+	chdir(t, filepath.Join(root, "a"))
+	got, err := FindRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// TempDir may sit behind a symlink; compare what both resolve to.
+	if mustEval(t, got) != mustEval(t, root) {
+		t.Errorf("FindRoot = %q, want %q", got, root)
+	}
+}
+
+func mustEval(t *testing.T, path string) string {
+	t.Helper()
+	p, err := filepath.EvalSymlinks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}

@@ -201,12 +201,16 @@ func (e *Engine) Run() (*RunStats, error) {
 // are identical to Run's; under fault injection the interleaving — and
 // therefore the exact realignment behavior — becomes fully deterministic,
 // which Run cannot guarantee. Use it for reproducible experiments and
-// debugging. Queues never block in this mode: a pop on an empty queue
-// cannot wait for a producer that runs on the same goroutine, so it times
-// out at once. Error-free, producers always run a whole iteration ahead
-// and no pop finds its queue empty. Under faults (a dropped header, a
-// short frame) one can: the AM pads it at once, and items that arrive late
-// are discarded, so timeouts, pads and quality can differ from Run's.
+// debugging. Since a node's whole iteration of input is published before
+// it runs, a whole-firing kernel moves the items of up to
+// max(1, 256/maxPortRate) fault-free firings through each port in one
+// transit call (runIteration), with every result and counter as if it
+// fired one by one. Queues never block in this mode: a pop on an empty
+// queue cannot wait for a producer that runs on the same goroutine, so it
+// times out at once. Error-free, producers always run a whole iteration
+// ahead and no pop finds its queue empty. Under faults (a dropped header,
+// a short frame) one can: the AM pads it at once, and items that arrive
+// late are discarded, so timeouts, pads and quality can differ from Run's.
 func (e *Engine) RunSequential() (*RunStats, error) {
 	return e.execute(true)
 }
@@ -263,13 +267,22 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 		}
 	}
 
+	// Only the sequential engine groups firings into runs (runIteration):
+	// there a node's whole iteration of input is already published when
+	// it runs. On the concurrent engine a run would wait for n·rate items
+	// per port, changing how bounded queues block and time out, so every
+	// thread there fires one firing at a time.
+	items := 0
+	if sequential {
+		items = runItems
+	}
 	threads := make([]*thread, len(e.g.Nodes))
 	for _, n := range e.g.Nodes {
 		var inj *fault.Injector
 		if e.cfg.NewInjector != nil {
 			inj = e.cfg.NewInjector(n.ID)
 		}
-		th := newThread(n, cores[n.ID], e.sched.Multiplicity[n.ID], inj, outs, ins)
+		th := newThread(n, cores[n.ID], e.sched.Multiplicity[n.ID], inj, outs, ins, items)
 		th.cancel = e.cfg.Cancel
 		th.abft = e.cfg.ABFT && th.ak != nil
 		th.health = e.cfg.Health
@@ -445,36 +458,62 @@ type thread struct {
 	hABFT   *hist.Shard
 	det     *obs.Detector
 	itemsIn uint64
+
+	runLen int // longest run of fault-free firings fireRun takes at once
 }
 
+// runItems bounds the items one port moves in a run of grouped firings:
+// a whole-firing kernel fires up to max(1, runItems/maxRate) fault-free
+// firings per transit call, maxRate being its largest port rate. 256
+// items amortize a transit call's fixed cost over many rate-1..3
+// firings while a run's buffers stay a few KB; a kernel with a port rate
+// above 128 keeps one firing per call. Tests set it to 0 to force the
+// per-firing path.
+var runItems = 256
+
 // newThread builds node n's thread over the wired ports (outs and ins are
-// indexed by edge ID), with one flat buffer per port.
-func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector, outs []OutPort, ins []InPort) *thread {
+// indexed by edge ID), with one flat buffer per port. A whole-firing
+// kernel's buffers hold a run of up to max(1, items/maxRate) firings,
+// capped at the node's multiplicity; items is 0 on the concurrent engine.
+func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector, outs []OutPort, ins []InPort, items int) *thread {
 	t := &thread{
-		node:  n,
-		core:  core,
-		inj:   inj,
-		mult:  mult,
-		cost:  DefaultFiringCost(n.F),
-		trace: core.TraceRing(),
+		node:   n,
+		core:   core,
+		inj:    inj,
+		mult:   mult,
+		cost:   DefaultFiringCost(n.F),
+		runLen: 1,
+		trace:  core.TraceRing(),
 	}
 	for _, edge := range n.In {
-		s := &inTransit{port: ins[edge.ID], rate: edge.PopRate()}
-		// The spare slot past the rate receives a pop past the buffer.
-		s.buf = make([]uint32, s.rate, s.rate+1)
-		s.clearPlan()
-		t.ins = append(t.ins, s)
-		t.inBufs = append(t.inBufs, s.buf)
+		t.ins = append(t.ins, &inTransit{port: ins[edge.ID], rate: edge.PopRate()})
 	}
 	for _, edge := range n.Out {
-		s := &outTransit{port: outs[edge.ID], rate: edge.PushRate()}
-		s.buf = make([]uint32, s.rate)
-		s.clearPlan()
-		t.outs = append(t.outs, s)
-		t.outBufs = append(t.outBufs, s.buf)
+		t.outs = append(t.outs, &outTransit{port: outs[edge.ID], rate: edge.PushRate()})
 	}
 	t.bk, _ = n.F.(BatchKernel)
 	t.ak, _ = n.F.(ABFTKernel)
+	if t.bk != nil {
+		maxRate := 1
+		for _, s := range t.ins {
+			maxRate = max(maxRate, s.rate)
+		}
+		for _, s := range t.outs {
+			maxRate = max(maxRate, s.rate)
+		}
+		t.runLen = max(1, min(mult, items/maxRate))
+	}
+	for _, s := range t.ins {
+		// The spare slot past a run receives a pop past the buffer.
+		s.buf = make([]uint32, s.rate, t.runLen*s.rate+1)
+		s.clearPlan()
+		t.inBufs = append(t.inBufs, s.buf)
+	}
+	for _, s := range t.outs {
+		s.buf = make([]uint32, s.rate, t.runLen*s.rate)
+		s.clearPlan()
+		t.outBufs = append(t.outBufs, s.buf)
+	}
 	return t
 }
 
@@ -497,17 +536,45 @@ func (t *thread) begin() *Ctx {
 }
 
 // runIteration executes one steady-state iteration (one frame computation)
-// of the node.
+// of the node. A whole-firing kernel fires its fault-free firings in runs
+// of up to t.runLen (fireRun): the injector's Quiet commits the run's
+// instruction windows and ends it just before the first firing with an
+// error. That firing takes the per-firing path (fireWithFaults), as does
+// every firing of a thread whose runs are one firing long: a Work
+// kernel, a node that fires once per iteration, any node on the
+// concurrent engine.
 func (t *thread) runIteration(ctx *Ctx) {
 	t.core.BeginScope("frame-computation")
 	t.core.BeginFrameComputation()
 	// The PPU watchdog bounds looping inside the scope: even with
 	// control-frame repeats the firing count cannot run away.
 	guard := t.core.LoopGuard(t.mult * 2)
-	for k := 0; k < t.mult && guard.Next(); k++ {
+	for k := 0; k < t.mult; {
+		if t.runLen > 1 {
+			if n := t.quietRun(min(t.mult-k, guard.Remaining())); n > 0 && guard.NextN(n) {
+				t.fireRun(n)
+				k += n
+				continue
+			}
+		}
+		if !guard.Next() {
+			break
+		}
 		t.fireWithFaults(ctx)
+		k++
 	}
 	_ = t.core.EndScope()
+}
+
+// quietRun returns how many of the next firings, at most limit, form a
+// fault-free run, committing their instruction windows in the injector:
+// 0 when the next firing has an error.
+func (t *thread) quietRun(limit int) int {
+	n := min(limit, t.runLen)
+	if t.inj != nil {
+		n = t.inj.Quiet(t.cost+t.commItems(), n)
+	}
+	return n
 }
 
 // finish exits the outermost scope (signalling end of computation to the
@@ -599,12 +666,14 @@ func (t *thread) fireWithFaults(ctx *Ctx) {
 	}
 }
 
-// fire executes one firing: every input port fills its flat buffer and
-// applies its armed perturbations, the kernel runs over the buffers, and
-// every output port applies its own and pushes. Only the kernel form
-// differs between firings: the checksummed ABFT kernel when no
-// item-count perturbation is armed, else WorkBatch when the filter has
-// one, else Work through Ctx.
+// fire executes one firing on the per-firing path, which every firing
+// with an error takes, and every firing of a thread with run length 1
+// (runIteration): every input port fills its flat buffer and applies its
+// armed perturbations, the kernel runs over the buffers, and every output
+// port applies its own and pushes. Only the kernel form differs between
+// firings: the checksummed ABFT kernel when no item-count perturbation is
+// armed, else WorkBatch when the filter has one, else Work through Ctx.
+// Other fault-free firings run grouped (fireRun).
 //
 //hotpath:entry
 func (t *thread) fire(ctx *Ctx) {
@@ -649,6 +718,76 @@ func (t *thread) fire(ctx *Ctx) {
 		h.Record(uint64(time.Since(t0)))
 	}
 	t.itemsIn += uint64(pops)
+}
+
+// fireRun executes n fault-free firings of a whole-firing kernel as one
+// run. Each input port takes n·rate items into its flat buffer in one
+// transit call, the kernel runs once per firing over that firing's
+// rate-long sub-slices, in order, and each output port pushes its n·rate
+// items in one transit call. No perturbation is armed in a run, so every
+// port moves the items n calls of fire would, in the same order, and
+// every counter is charged the same totals: n·cost plus the items moved,
+// n Firings, the ABFT work of n checksummed firings, and one firing
+// histogram sample per firing (the run's time split evenly).
+//
+//hotpath:entry
+func (t *thread) fireRun(n int) {
+	var t0 time.Time
+	if t.hItem != nil {
+		t0 = time.Now()
+	}
+	inRate, outRate := 0, 0
+	for _, s := range t.ins {
+		s.buf = s.buf[:n*s.rate]
+		s.take(s.buf)
+		s.last = s.buf[len(s.buf)-1]
+		inRate += s.rate
+	}
+	for _, s := range t.outs {
+		s.buf = s.buf[:n*s.rate]
+		outRate += s.rate
+	}
+	h := t.hBatch
+	if t.abft {
+		h = t.hABFT
+	}
+	for j := range n {
+		for i, s := range t.ins {
+			t.inBufs[i] = s.buf[j*s.rate : (j+1)*s.rate : (j+1)*s.rate]
+		}
+		for o, s := range t.outs {
+			t.outBufs[o] = s.buf[j*s.rate : (j+1)*s.rate : (j+1)*s.rate]
+		}
+		if t.abft {
+			t.workABFT()
+		} else {
+			//hotpath:ok CS023 batch kernels are annotated entries of their own (dsp/codec kernels)
+			t.bk.WorkBatch(t.inBufs, t.outBufs)
+		}
+		t.itemsIn += uint64(inRate)
+	}
+	for i, s := range t.ins {
+		s.buf = s.buf[:s.rate]
+		t.inBufs[i] = s.buf
+	}
+	for o, s := range t.outs {
+		//hotpath:ok CS023 ports resolve to the transports' PushN entries
+		s.port.PushN(s.buf)
+		s.last = s.buf[len(s.buf)-1]
+		s.buf = s.buf[:s.rate]
+		t.outBufs[o] = s.buf
+	}
+	pops, pushes := n*inRate, n*outRate
+	t.stats.Firings += uint64(n)
+	t.core.Commit(n*t.cost + pops + pushes)
+	t.stats.Loads += uint64(pops)
+	t.stats.Stores += uint64(pushes)
+	if h != nil {
+		d := uint64(time.Since(t0)) / uint64(n)
+		for range n {
+			h.Record(d)
+		}
+	}
 }
 
 // countArmed reports whether an item-count perturbation (extra or starved

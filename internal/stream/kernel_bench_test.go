@@ -46,6 +46,69 @@ func BenchmarkKernelFiring(b *testing.B) {
 	}
 }
 
+// BenchmarkSplitJoin measures firing-bound transit: jpeg's colour
+// split-join (Fig. 1) on the sequential engine, a round-robin splitter
+// dealing one item at a time to three rate-1 kernels and a joiner
+// merging them back, in the batch and abft kernel forms. Each branch
+// fires 1024 times per iteration, so nearly every firing moves one to
+// three items and the per-call cost of transit dominates. One op is one
+// run of splitJoinItems items, timed like BenchmarkKernelFiring.
+func BenchmarkSplitJoin(b *testing.B) {
+	tape := make([]uint32, splitJoinItems)
+	for i := range tape {
+		tape[i] = stream.F32Bits(float32(i%509) / 509)
+	}
+	for _, variant := range []string{"batch", "abft"} {
+		b.Run(variant, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := splitJoinEngine(b, variant, tape)
+				runtime.GC()
+				b.StartTimer()
+				if _, err := eng.RunSequential(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*splitJoinItems), "ns/item")
+		})
+	}
+}
+
+// splitJoinItems is 64 iterations of 3072 items.
+const splitJoinItems = 64 * 3 * 1024
+
+// splitJoinEngine wires src -> rr-splitter(1,1,1) -> three rate-1 kernels
+// -> rr-joiner(1,1,1) -> sink over tape.
+func splitJoinEngine(b *testing.B, variant string, tape []uint32) *stream.Engine {
+	g := stream.NewGraph()
+	src := g.Add(stream.NewSource("src", 3*1024, tape))
+	split := g.Add(stream.NewRoundRobinSplitter("split", 1, 1, 1))
+	join := g.Add(stream.NewRoundRobinJoiner("join", 1, 1, 1))
+	snk := g.Add(stream.NewSink("snk", 3*1024))
+	var branches [][]stream.Filter
+	for c := range 3 {
+		scale := 0.25 * float64(c+1)
+		branches = append(branches, []stream.Filter{blockFilter("colour", 1, 1, 10, variant, func(y, x []float64) {
+			y[0] = x[0]*scale + 0.5
+		}, nil)})
+	}
+	if err := g.Connect(src, 0, split, 0); err != nil {
+		b.Fatal(err)
+	}
+	if err := g.SplitJoin(split, join, branches...); err != nil {
+		b.Fatal(err)
+	}
+	if err := g.Connect(join, 0, snk, 0); err != nil {
+		b.Fatal(err)
+	}
+	tr := &stream.PlainTransport{Queue: queue.Config{WorkingSets: 8, WorkingSetUnits: 1024, ProtectPointers: true, Timeout: 0}}
+	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: tr, ABFT: variant == "abft"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 // kernelEngine wires one (kernel, kernel form) pipeline over tape.
 func kernelEngine(b *testing.B, spec kernelSpec, variant string, tape []uint32) *stream.Engine {
 	g := stream.NewGraph()

@@ -45,7 +45,7 @@ func transitThread(t *testing.T, f Filter, in InPort, out OutPort) (*thread, *Ct
 		t.Fatal(err)
 	}
 	// Chain numbers the edges src->f 0 and f->snk 1.
-	th := newThread(g.Edges[0].Dst, core, 1, nil, []OutPort{nil, out}, []InPort{in, nil})
+	th := newThread(g.Edges[0].Dst, core, 1, nil, []OutPort{nil, out}, []InPort{in, nil}, 0)
 	return th, th.begin()
 }
 
