@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,10 +11,12 @@ import (
 	"commguard/internal/stream"
 )
 
-// abftDomains draws one seeded input item in each checksummed kernel's
-// item domain, keyed by "app/node". A new ABFT kernel needs an entry here
-// before TestABFTKernelContract accepts it.
-var abftDomains = map[string]func(r *rand.Rand, i int) uint32{
+// kernelDomains draws one seeded input item in a whole-firing kernel's
+// item domain, keyed by "app/node"; i is the item's index within its
+// firing. Every checksummed kernel needs an entry here before
+// TestABFTKernelContract accepts it (its fused sum must stay finite);
+// other kernels default to random words.
+var kernelDomains = map[string]func(r *rand.Rand, i int) uint32{
 	// Quantized DCT coefficients, signed integers on the tape.
 	"jpeg/F1-dequant": func(r *rand.Rand, _ int) uint32 { return uint32(int32(r.Intn(129) - 64)) },
 	// Dequantized coefficients as float32.
@@ -29,76 +32,154 @@ var abftDomains = map[string]func(r *rand.Rand, i int) uint32{
 	},
 	// MDCT coefficients as float32.
 	"mp3/F2-imdct": func(r *rand.Rand, _ int) uint32 { return stream.F32Bits(float32(r.Float64()*2 - 1)) },
+	// Widened IMDCT output and PCM, as float32 around the clamp range.
+	"mp3/F3-overlap": func(r *rand.Rand, _ int) uint32 { return stream.F32Bits(float32(r.Float64()*6 - 3)) },
+	"mp3/F4-pcm":     func(r *rand.Rand, _ int) uint32 { return stream.F32Bits(float32(r.Float64()*6 - 3)) },
 }
 
-// Every stream.ABFTKernel in the builtin graphs must honour the contract
-// the engine's ABFT repair relies on. ChecksumBatch over a clean output
-// must reproduce the fused sum bit for bit, or every clean firing would
-// count as a correction. WorkBatch on the same, untouched input buffers
-// must reproduce the output bit for bit, or the repair would not restore
-// the firing. Neither breach shows in any output: the repair recomputes
-// the same output either way, so only this test sees them.
+// Every stream.BatchKernel in the builtin graphs must honour the
+// k-firing contract the sequential engine's runs rely on: one WorkBatch
+// call over k firings on a fresh instance equals k single-firing calls,
+// in order, on another, outputs and kernel state alike (a following
+// firing must agree too, which catches a source's tape position or
+// mp3's overlap tail; a sink's tape must agree), and no call writes to
+// its input buffers.
+//
+// Every stream.ABFTKernel must also honour the contract the engine's
+// ABFT repair relies on. ChecksumBatch over a clean k-firing output must
+// reproduce the fused sum bit for bit, or every clean run would count as
+// a correction. WorkBatch on the same, untouched input buffers must
+// reproduce the output bit for bit, or the repair would not restore the
+// run. Neither breach shows in any output: the repair recomputes the
+// same output either way, so only this test sees them.
 func TestABFTKernelContract(t *testing.T) {
-	checked := 0
+	batch, abft := 0, 0
 	for _, b := range AllBuiltin() {
+		probe, err := b.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, n := range probe.Graph.Nodes {
+			if _, ok := n.F.(stream.BatchKernel); !ok {
+				continue
+			}
+			batch++
+			key := b.Name + "/" + n.F.Name()
+			draw, ok := kernelDomains[key]
+			if _, isABFT := n.F.(stream.ABFTKernel); isABFT {
+				abft++
+				if !ok {
+					t.Errorf("%s: ABFT kernel has no input domain in kernelDomains", key)
+					continue
+				}
+			}
+			if !ok {
+				draw = func(r *rand.Rand, _ int) uint32 { return r.Uint32() }
+			}
+			for k := 1; k <= 3; k++ {
+				checkKFirings(t, fmt.Sprintf("%s k=%d", key, k), b, idx, k, draw)
+			}
+		}
+	}
+	if batch != 32 || abft != 4 {
+		t.Errorf("checked %d batch kernels, %d of them ABFT; want 32 and 4 (jpeg and mp3 F1/F2)", batch, abft)
+	}
+}
+
+// checkKFirings runs node idx of two fresh instances of b, k firings in
+// one call on one and one firing per call on the other, then one more
+// firing on each, and compares everything the contracts name.
+func checkKFirings(t *testing.T, name string, b Builder, idx, k int, draw func(r *rand.Rand, i int) uint32) {
+	t.Helper()
+	var kernels [2]stream.BatchKernel
+	for i := range kernels {
 		inst, err := b.New()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range inst.Graph.Nodes {
-			k, ok := n.F.(stream.ABFTKernel)
-			if !ok {
-				continue
-			}
-			checked++
-			key := b.Name + "/" + n.F.Name()
-			draw, ok := abftDomains[key]
-			if !ok {
-				t.Errorf("%s: ABFT kernel has no input domain in abftDomains", key)
-				continue
-			}
-			r := rand.New(rand.NewSource(1))
-			in := make([][]uint32, len(n.In))
-			for i, e := range n.In {
-				in[i] = make([]uint32, e.PopRate())
-			}
-			out := make([][]uint32, len(n.Out))
-			redo := make([][]uint32, len(n.Out))
-			for o, e := range n.Out {
-				out[o] = make([]uint32, e.PushRate())
-				redo[o] = make([]uint32, e.PushRate())
-			}
-			// Several firings on fresh inputs, so state carried from one
-			// firing into the next shows up in the repair.
-			for firing := 0; firing < 4; firing++ {
-				for _, buf := range in {
-					for i := range buf {
-						buf[i] = draw(r, i)
-					}
-				}
-				saved := make([][]uint32, len(in))
-				for i, buf := range in {
-					saved[i] = slices.Clone(buf)
-				}
-				sum := k.WorkBatchABFT(in, out)
-				if check := k.ChecksumBatch(out); math.Float64bits(check) != math.Float64bits(sum) {
-					t.Errorf("%s firing %d: ChecksumBatch %v != fused sum %v", key, firing, check, sum)
-				}
-				k.WorkBatch(in, redo)
-				for i := range in {
-					if !slices.Equal(in[i], saved[i]) {
-						t.Errorf("%s firing %d: kernel changed input buffer %d", key, firing, i)
-					}
-				}
-				for o := range out {
-					if !slices.Equal(redo[o], out[o]) {
-						t.Errorf("%s firing %d: WorkBatch repair differs from the fused output on port %d", key, firing, o)
-					}
-				}
+		kernels[i] = inst.Graph.Nodes[idx].F.(stream.BatchKernel)
+	}
+	whole, single := kernels[0], kernels[1]
+	pops, pushes := whole.PopRates(), whole.PushRates()
+	r := rand.New(rand.NewSource(int64(k)))
+	in := make([][]uint32, len(pops))
+	for i, rate := range pops {
+		in[i] = make([]uint32, k*rate)
+		for j := range in[i] {
+			in[i][j] = draw(r, j%rate)
+		}
+	}
+	saved := make([][]uint32, len(in))
+	for i := range in {
+		saved[i] = slices.Clone(in[i])
+	}
+	outs := func(firings int) [][]uint32 {
+		out := make([][]uint32, len(pushes))
+		for o, rate := range pushes {
+			out[o] = make([]uint32, firings*rate)
+		}
+		return out
+	}
+	run := func(kern stream.BatchKernel, in, out [][]uint32) float64 {
+		if ak, ok := kern.(stream.ABFTKernel); ok {
+			return ak.WorkBatchABFT(in, out)
+		}
+		kern.WorkBatch(in, out)
+		return 0
+	}
+
+	got, want := outs(k), outs(k)
+	sum := run(whole, in, got)
+	for j := range k {
+		inJ, outJ := make([][]uint32, len(in)), make([][]uint32, len(want))
+		for i, rate := range pops {
+			inJ[i] = in[i][j*rate : (j+1)*rate]
+		}
+		for o, rate := range pushes {
+			outJ[o] = want[o][j*rate : (j+1)*rate]
+		}
+		run(single, inJ, outJ)
+	}
+	for i := range in {
+		if !slices.Equal(in[i], saved[i]) {
+			t.Errorf("%s: kernel changed input buffer %d", name, i)
+		}
+	}
+	for o := range got {
+		if !slices.Equal(got[o], want[o]) {
+			t.Errorf("%s: one %d-firing call differs from %d single calls on port %d", name, k, k, o)
+		}
+	}
+	if ak, ok := whole.(stream.ABFTKernel); ok {
+		if check := ak.ChecksumBatch(got); math.Float64bits(check) != math.Float64bits(sum) {
+			t.Errorf("%s: ChecksumBatch %v != fused sum %v", name, check, sum)
+		}
+		redo := outs(k)
+		ak.WorkBatch(in, redo)
+		for o := range got {
+			if !slices.Equal(redo[o], got[o]) {
+				t.Errorf("%s: WorkBatch repair differs from the fused output on port %d", name, o)
 			}
 		}
 	}
-	if checked != 4 {
-		t.Errorf("checked %d ABFT kernels, want 4 (jpeg and mp3 F1/F2)", checked)
+
+	// The state each form left behind must drive the next firing alike.
+	next := make([][]uint32, len(pops))
+	for i, rate := range pops {
+		next[i] = make([]uint32, rate)
+		for j := range next[i] {
+			next[i][j] = draw(r, j)
+		}
+	}
+	gotNext, wantNext := outs(1), outs(1)
+	whole.WorkBatch(next, gotNext)
+	single.WorkBatch(next, wantNext)
+	for o := range gotNext {
+		if !slices.Equal(gotNext[o], wantNext[o]) {
+			t.Errorf("%s: the firing after the run differs on port %d", name, o)
+		}
+	}
+	if sink, ok := whole.(*stream.Sink); ok && !slices.Equal(sink.Collected(), single.(*stream.Sink).Collected()) {
+		t.Errorf("%s: sink tapes differ", name)
 	}
 }

@@ -47,9 +47,11 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 	src := g.Add(stream.NewSource("F0-coeffs", jpegcodec.CoeffsPerMCU, w.tape))
 
 	// Every stage carries a whole-firing batch kernel bit-identical to its
-	// per-item work function. The two compute stages' batch kernels are
-	// their ABFT kernels, with the output checksum fused in: F1's sum lives
-	// in the pushed float32 domain, F2's in the raw pixel words.
+	// per-item work function, looping over the 192-item blocks of however
+	// many firings it is handed. The two compute stages' batch kernels are
+	// their ABFT kernels, with the output checksum fused in and carried
+	// across blocks: F1's sum lives in the pushed float32 domain, F2's in
+	// the raw pixel words.
 	dequant := stream.NewFuncFilter("F1-dequant", 192, 192, 1200, func(ctx *stream.Ctx) {
 		var zz [64]int32
 		var out [64]float64
@@ -70,19 +72,22 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 		var zz [64]int32
 		var blk [64]float64
 		s := 0.0
-		for ci := 0; ci < 3; ci++ {
-			for i := 0; i < 64; i++ {
-				zz[i] = int32(in[0][ci*64+i])
-			}
-			quant := &lumaQ
-			if ci > 0 {
-				quant = &chromaQ
-			}
-			jpegcodec.DequantizeBlock(zz[:], quant, &blk)
-			for i := 0; i < 64; i++ {
-				y := float32(blk[i])
-				out[0][ci*64+i] = stream.F32Bits(y)
-				s += float64(y)
+		for b := 0; b < len(in[0]); b += 192 {
+			src, dst := in[0][b:b+192], out[0][b:b+192]
+			for ci := 0; ci < 3; ci++ {
+				for i := 0; i < 64; i++ {
+					zz[i] = int32(src[ci*64+i])
+				}
+				quant := &lumaQ
+				if ci > 0 {
+					quant = &chromaQ
+				}
+				jpegcodec.DequantizeBlock(zz[:], quant, &blk)
+				for i := 0; i < 64; i++ {
+					y := float32(blk[i])
+					dst[ci*64+i] = stream.F32Bits(y)
+					s += float64(y)
+				}
 			}
 		}
 		return s
@@ -103,19 +108,22 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 		}
 	}).ABFT(func(in, out [][]uint32) float64 {
 		var comps [3][64]float64
-		for ci := 0; ci < 3; ci++ {
-			for i := 0; i < 64; i++ {
-				comps[ci][i] = sanitize(float64(stream.BitsF32(in[0][ci*64+i])))
-			}
-			jpegcodec.ReconstructBlock(&comps[ci])
-		}
 		var rgb [192]uint8
-		jpegcodec.MCUToRGB(&comps[0], &comps[1], &comps[2], &rgb)
 		s := 0.0
-		for i := 0; i < 192; i++ {
-			v := uint32(rgb[i])
-			out[0][i] = v
-			s += float64(v)
+		for b := 0; b < len(in[0]); b += 192 {
+			src, dst := in[0][b:b+192], out[0][b:b+192]
+			for ci := 0; ci < 3; ci++ {
+				for i := 0; i < 64; i++ {
+					comps[ci][i] = sanitize(float64(stream.BitsF32(src[ci*64+i])))
+				}
+				jpegcodec.ReconstructBlock(&comps[ci])
+			}
+			jpegcodec.MCUToRGB(&comps[0], &comps[1], &comps[2], &rgb)
+			for i := 0; i < 192; i++ {
+				v := uint32(rgb[i])
+				dst[i] = v
+				s += float64(v)
+			}
 		}
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumU32(out[0]) })

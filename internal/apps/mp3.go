@@ -37,11 +37,13 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 	src := g.Add(stream.NewSource("F0-frames", mp3codec.ItemsPerFrame, w.tape))
 
 	// Batch kernels reuse closure-captured scratch (the per-item forms
-	// allocate theirs per firing). The two compute-heavy stages' batch
-	// kernels are their ABFT kernels, with the output checksum fused in
-	// the pushed float32 domain. F3 keeps its overlap tail across firings,
-	// so it batches but stays un-checksummed: ABFT repair re-runs the
-	// kernel, which needs the kernel to be stateless.
+	// allocate theirs per firing) and loop over the frames of however many
+	// firings they are handed. The two compute-heavy stages' batch kernels
+	// are their ABFT kernels, with the output checksum fused in the pushed
+	// float32 domain and carried across frames. F3 keeps its overlap tail
+	// across firings, frame by frame in order, so it batches but stays
+	// un-checksummed: ABFT repair re-runs the kernel, which needs the
+	// kernel to be stateless.
 	var dqItems [mp3codec.ItemsPerFrame]int32
 	dequant := stream.NewFuncFilter("F1-dequant", mp3codec.ItemsPerFrame, mp3codec.N, 1500, func(ctx *stream.Ctx) {
 		items := make([]int32, mp3codec.ItemsPerFrame)
@@ -54,16 +56,20 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 			ctx.PushF32(0, float32(c))
 		}
 	}).ABFT(func(in, out [][]uint32) float64 {
-		for i := range dqItems {
-			dqItems[i] = int32(in[0][i])
-		}
 		var coeffs [mp3codec.N]float64
-		mp3codec.DequantizeFrame(dqItems[:], &coeffs)
 		s := 0.0
-		for i, c := range coeffs {
-			y := float32(c)
-			out[0][i] = stream.F32Bits(y)
-			s += float64(y)
+		for f := 0; f*mp3codec.ItemsPerFrame < len(in[0]); f++ {
+			src := in[0][f*mp3codec.ItemsPerFrame : (f+1)*mp3codec.ItemsPerFrame]
+			dst := out[0][f*mp3codec.N : (f+1)*mp3codec.N]
+			for i := range dqItems {
+				dqItems[i] = int32(src[i])
+			}
+			mp3codec.DequantizeFrame(dqItems[:], &coeffs)
+			for i, c := range coeffs {
+				y := float32(c)
+				dst[i] = stream.F32Bits(y)
+				s += float64(y)
+			}
 		}
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
@@ -80,16 +86,20 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		}
 	}).ABFT(func(in, out [][]uint32) float64 {
 		var coeffs [mp3codec.N]float64
-		for i := range coeffs {
-			coeffs[i] = sanitize(float64(stream.BitsF32(in[0][i])))
-		}
 		var widened [2 * mp3codec.N]float64
-		mp3codec.IMDCT(&coeffs, &widened)
 		s := 0.0
-		for i, v := range widened {
-			y := float32(v)
-			out[0][i] = stream.F32Bits(y)
-			s += float64(y)
+		for f := 0; f*mp3codec.N < len(in[0]); f++ {
+			src := in[0][f*mp3codec.N : (f+1)*mp3codec.N]
+			dst := out[0][f*2*mp3codec.N : (f+1)*2*mp3codec.N]
+			for i := range coeffs {
+				coeffs[i] = sanitize(float64(stream.BitsF32(src[i])))
+			}
+			mp3codec.IMDCT(&coeffs, &widened)
+			for i, v := range widened {
+				y := float32(v)
+				dst[i] = stream.F32Bits(y)
+				s += float64(y)
+			}
 		}
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
@@ -107,13 +117,17 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		}
 	}).Batch(func(in, out [][]uint32) {
 		var cur [2 * mp3codec.N]float64
-		for i := range cur {
-			cur[i] = sanitize(float64(stream.BitsF32(in[0][i])))
-		}
 		var res [mp3codec.N]float64
-		mp3codec.OverlapAdd(&tail, &cur, &res)
-		for i, v := range res {
-			out[0][i] = stream.F32Bits(float32(v))
+		for f := 0; f*2*mp3codec.N < len(in[0]); f++ {
+			src := in[0][f*2*mp3codec.N : (f+1)*2*mp3codec.N]
+			dst := out[0][f*mp3codec.N : (f+1)*mp3codec.N]
+			for i := range cur {
+				cur[i] = sanitize(float64(stream.BitsF32(src[i])))
+			}
+			mp3codec.OverlapAdd(&tail, &cur, &res)
+			for i, v := range res {
+				dst[i] = stream.F32Bits(float32(v))
+			}
 		}
 	})
 

@@ -733,7 +733,11 @@ func (q *Queue) publish(n uint32) {
 	q.prodWSIdx = (f + 1) % k
 	q.prodBase = q.prodWSIdx * uint32(q.cfg.WorkingSetUnits)
 	q.prodOffset.store(q.plain, 0)
-	signal(q.notEmpty)
+	if !q.plain {
+		// A sequential queue's consumer never waits (SetSequential), so
+		// there is no one to wake.
+		signal(q.notEmpty)
+	}
 }
 
 // Flush publishes a partially filled working set. The producer calls it
@@ -897,7 +901,10 @@ func (q *Queue) returnWS() {
 	q.consWSIdx = nw % uint32(q.cfg.WorkingSets)
 	q.consBase = q.consWSIdx * uint32(q.cfg.WorkingSetUnits)
 	q.consOffset.store(q.plain, 0)
-	signal(q.notFull)
+	if !q.plain {
+		// As in publish: a sequential producer never waits.
+		signal(q.notFull)
+	}
 }
 
 // Len reports the number of published, undrained units (approximate under

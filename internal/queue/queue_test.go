@@ -121,6 +121,37 @@ func TestFlushDeliversPartialWorkingSet(t *testing.T) {
 	}
 }
 
+// On a sequential queue neither side ever waits, so publishing and
+// returning working sets must leave no wake token behind, while the
+// concurrent queue keeps signalling its peer.
+func TestSequentialQueueSendsNoWakeSignals(t *testing.T) {
+	for _, sequential := range []bool{true, false} {
+		q := MustNew(1, testConfig())
+		if sequential {
+			q.SetSequential()
+		}
+		const n = 3 * 8 // three working sets, each published and returned
+		for round := 0; round < 2; round++ {
+			for i := 0; i < n; i++ {
+				q.Push(DataUnit(uint32(i)))
+			}
+			q.Flush()
+			for i := 0; i < n; i++ {
+				if u, ok := q.Pop(); !ok || u.Payload() != uint32(i) {
+					t.Fatalf("sequential=%v round %d pop %d = %v,%v", sequential, round, i, u, ok)
+				}
+			}
+		}
+		tokens := len(q.notEmpty) + len(q.notFull)
+		if sequential && tokens != 0 {
+			t.Errorf("sequential queue left %d wake tokens (notEmpty %d, notFull %d)", tokens, len(q.notEmpty), len(q.notFull))
+		}
+		if !sequential && tokens == 0 {
+			t.Error("concurrent queue sent no wake signal")
+		}
+	}
+}
+
 func TestPopTimesOutWhenEmpty(t *testing.T) {
 	cfg := testConfig()
 	cfg.Timeout = 20 * time.Millisecond

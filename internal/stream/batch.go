@@ -7,7 +7,8 @@ import "math"
 // fault perturbations to them, runs the kernel, and pushes the output
 // buffers (engine.fire). A filter that implements BatchKernel runs over
 // those buffers in one WorkBatch call instead of item by item through
-// Ctx.
+// Ctx, and the sequential engine hands it a whole run of fault-free
+// firings in one call (engine.fireRun).
 //
 // On top of that alloc-free steady state, ABFTKernel adds
 // algorithm-based fault tolerance in the style of FT-GEMM: the kernel
@@ -19,14 +20,18 @@ import "math"
 // than CommGuard (no headers, no alignment FSM) but blind to input
 // corruption and to control-flow slips.
 
-// BatchKernel is an optional Filter extension: WorkBatch executes one
-// firing over whole-firing slices instead of per-item Ctx calls. in[i]
-// holds exactly PopRates()[i] items and out[o] must be filled with
-// exactly PushRates()[o] items. The engine calls WorkBatch for every
-// firing of such a filter, so it must be observably identical to Work —
-// same values in the same order, bit-for-bit (including floating-point
-// operation order): Work remains the filter's reference form, and the
-// two must agree on any input, perturbed or not.
+// BatchKernel is an optional Filter extension: WorkBatch executes k >= 1
+// consecutive firings over flat buffers instead of per-item Ctx calls.
+// in[i] holds exactly k·PopRates()[i] items, firing j's at
+// [j·rate, (j+1)·rate), and out[o] must be filled with exactly
+// k·PushRates()[o] items laid out the same way. The engine passes k = 1
+// on the per-firing path and a run's length on the sequential engine's
+// grouped path, so one call over k firings must be observably identical
+// to k calls over one firing each, in order, kernel state included, and
+// each of those to Work — same values in the same order, bit-for-bit
+// (including floating-point operation order): Work remains the filter's
+// reference form, and the forms must agree on any input, perturbed or
+// not. WorkBatch must not write to in.
 type BatchKernel interface {
 	Filter
 	WorkBatch(in, out [][]uint32)
@@ -34,7 +39,9 @@ type BatchKernel interface {
 
 // ABFTKernel extends BatchKernel with a checksummed execution mode for
 // the ABFT protection scheme. WorkBatchABFT is WorkBatch with a float64
-// checksum over the produced items fused into its compute loop;
+// checksum over the produced items fused into its compute loop; over k
+// firings it returns one sum of the whole k-firing output, accumulated
+// in buffer order from 0.0 (never a sum of per-firing sums).
 // ChecksumBatch re-derives the same checksum from the output buffers
 // with the identical value sequence, so a clean buffer reproduces the
 // fused sum bit-for-bit and any corrupted item changes it. The engine
@@ -79,8 +86,9 @@ func ChecksumU32(buf []uint32) float64 {
 }
 
 // BatchFuncFilter pairs a FuncFilter with a whole-firing kernel.
-// Constructed via FuncFilter.Batch; the batch work function must be
-// observably identical to the per-item work function (see BatchKernel).
+// Constructed via FuncFilter.Batch; the batch work function runs k >= 1
+// firings per call and must be observably identical to the per-item work
+// function (see BatchKernel).
 type BatchFuncFilter struct {
 	*FuncFilter
 	workBatch func(in, out [][]uint32)
@@ -108,7 +116,8 @@ type ABFTFuncFilter struct {
 
 // ABFT attaches a stateless whole-firing kernel with the output checksum
 // fused into its compute loop, and checksum, which re-derives that sum
-// from the output buffers (see ABFTKernel). The fused kernel is the
+// from the output buffers (see ABFTKernel). Both run k >= 1 firings per
+// call. The fused kernel is the
 // filter's only whole-firing form: WorkBatch runs it and drops the sum,
 // so its outputs must match the per-item work function's (see
 // BatchKernel).

@@ -166,21 +166,16 @@ var _ BatchKernel = (*DuplicateSplitter)(nil)
 type RoundRobinSplitter struct {
 	name    string
 	weights []int
+	total   int // items per firing: the sum of weights
 }
 
 // NewRoundRobinSplitter creates a weighted round-robin splitter.
 func NewRoundRobinSplitter(name string, weights ...int) *RoundRobinSplitter {
-	return &RoundRobinSplitter{name: name, weights: weights}
+	return &RoundRobinSplitter{name: name, weights: weights, total: sumWeights(weights)}
 }
 
-func (f *RoundRobinSplitter) Name() string { return f.name }
-func (f *RoundRobinSplitter) PopRates() []int {
-	total := 0
-	for _, w := range f.weights {
-		total += w
-	}
-	return []int{total}
-}
+func (f *RoundRobinSplitter) Name() string     { return f.name }
+func (f *RoundRobinSplitter) PopRates() []int  { return []int{f.total} }
 func (f *RoundRobinSplitter) PushRates() []int { return append([]int(nil), f.weights...) }
 
 func (f *RoundRobinSplitter) Work(ctx *Ctx) {
@@ -191,15 +186,65 @@ func (f *RoundRobinSplitter) Work(ctx *Ctx) {
 	}
 }
 
-// WorkBatch implements BatchKernel.
+// WorkBatch implements BatchKernel: branch b gathers its weights[b]
+// items of every firing, one strided pass per branch.
 //
 //hotpath:entry
 func (f *RoundRobinSplitter) WorkBatch(in, out [][]uint32) {
+	src := in[0]
 	off := 0
 	for b, w := range f.weights {
-		copy(out[b], in[0][off:off+w])
+		gather(out[b], src, off, w, f.total)
 		off += w
 	}
+}
+
+// gather fills dst with the w-item blocks of src that start at off and
+// recur every stride items.
+//
+//hotpath:entry
+func gather(dst, src []uint32, off, w, stride int) {
+	if w == 1 {
+		for j := range dst {
+			dst[j] = src[off]
+			off += stride
+		}
+		return
+	}
+	for j := 0; j < len(dst); j += w {
+		for i := range w {
+			dst[j+i] = src[off+i]
+		}
+		off += stride
+	}
+}
+
+// scatter is gather's inverse: it spreads src's w-item blocks over dst,
+// starting at off and every stride items.
+//
+//hotpath:entry
+func scatter(dst, src []uint32, off, w, stride int) {
+	if w == 1 {
+		for _, v := range src {
+			dst[off] = v
+			off += stride
+		}
+		return
+	}
+	for j := 0; j < len(src); j += w {
+		for i := range w {
+			dst[off+i] = src[j+i]
+		}
+		off += stride
+	}
+}
+
+func sumWeights(weights []int) int {
+	total := 0
+	for _, w := range weights {
+		total += w
+	}
+	return total
 }
 
 var _ BatchKernel = (*RoundRobinSplitter)(nil)
@@ -209,24 +254,17 @@ var _ BatchKernel = (*RoundRobinSplitter)(nil)
 type RoundRobinJoiner struct {
 	name    string
 	weights []int
+	total   int // items per firing: the sum of weights
 }
 
 // NewRoundRobinJoiner creates a weighted round-robin joiner.
 func NewRoundRobinJoiner(name string, weights ...int) *RoundRobinJoiner {
-	return &RoundRobinJoiner{name: name, weights: weights}
+	return &RoundRobinJoiner{name: name, weights: weights, total: sumWeights(weights)}
 }
 
-func (f *RoundRobinJoiner) Name() string { return f.name }
-func (f *RoundRobinJoiner) PopRates() []int {
-	return append([]int(nil), f.weights...)
-}
-func (f *RoundRobinJoiner) PushRates() []int {
-	total := 0
-	for _, w := range f.weights {
-		total += w
-	}
-	return []int{total}
-}
+func (f *RoundRobinJoiner) Name() string     { return f.name }
+func (f *RoundRobinJoiner) PopRates() []int  { return append([]int(nil), f.weights...) }
+func (f *RoundRobinJoiner) PushRates() []int { return []int{f.total} }
 
 func (f *RoundRobinJoiner) Work(ctx *Ctx) {
 	for b, w := range f.weights {
@@ -236,13 +274,15 @@ func (f *RoundRobinJoiner) Work(ctx *Ctx) {
 	}
 }
 
-// WorkBatch implements BatchKernel.
+// WorkBatch implements BatchKernel: branch b's items land as the
+// weights[b]-item blocks of every firing, one strided pass per branch.
 //
 //hotpath:entry
 func (f *RoundRobinJoiner) WorkBatch(in, out [][]uint32) {
+	dst := out[0]
 	off := 0
 	for b, w := range f.weights {
-		copy(out[0][off:off+w], in[b])
+		scatter(dst, in[b], off, w, f.total)
 		off += w
 	}
 }

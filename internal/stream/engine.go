@@ -722,8 +722,8 @@ func (t *thread) fire(ctx *Ctx) {
 
 // fireRun executes n fault-free firings of a whole-firing kernel as one
 // run. Each input port takes n·rate items into its flat buffer in one
-// transit call, the kernel runs once per firing over that firing's
-// rate-long sub-slices, in order, and each output port pushes its n·rate
+// transit call, the kernel runs once over the run's buffers (the
+// k-firing BatchKernel contract), and each output port pushes its n·rate
 // items in one transit call. No perturbation is armed in a run, so every
 // port moves the items n calls of fire would, in the same order, and
 // every counter is charged the same totals: n·cost plus the items moved,
@@ -737,35 +737,28 @@ func (t *thread) fireRun(n int) {
 		t0 = time.Now()
 	}
 	inRate, outRate := 0, 0
-	for _, s := range t.ins {
+	for i, s := range t.ins {
 		s.buf = s.buf[:n*s.rate]
 		s.take(s.buf)
 		s.last = s.buf[len(s.buf)-1]
+		t.inBufs[i] = s.buf
 		inRate += s.rate
 	}
-	for _, s := range t.outs {
+	for o, s := range t.outs {
 		s.buf = s.buf[:n*s.rate]
+		t.outBufs[o] = s.buf
 		outRate += s.rate
 	}
 	h := t.hBatch
 	if t.abft {
 		h = t.hABFT
+		t.workABFT()
+	} else {
+		//hotpath:ok CS023 batch kernels are annotated entries of their own (dsp/codec kernels)
+		t.bk.WorkBatch(t.inBufs, t.outBufs)
 	}
-	for j := range n {
-		for i, s := range t.ins {
-			t.inBufs[i] = s.buf[j*s.rate : (j+1)*s.rate : (j+1)*s.rate]
-		}
-		for o, s := range t.outs {
-			t.outBufs[o] = s.buf[j*s.rate : (j+1)*s.rate : (j+1)*s.rate]
-		}
-		if t.abft {
-			t.workABFT()
-		} else {
-			//hotpath:ok CS023 batch kernels are annotated entries of their own (dsp/codec kernels)
-			t.bk.WorkBatch(t.inBufs, t.outBufs)
-		}
-		t.itemsIn += uint64(inRate)
-	}
+	pops, pushes := n*inRate, n*outRate
+	t.itemsIn += uint64(pops)
 	for i, s := range t.ins {
 		s.buf = s.buf[:s.rate]
 		t.inBufs[i] = s.buf
@@ -777,7 +770,6 @@ func (t *thread) fireRun(n int) {
 		s.buf = s.buf[:s.rate]
 		t.outBufs[o] = s.buf
 	}
-	pops, pushes := n*inRate, n*outRate
 	t.stats.Firings += uint64(n)
 	t.core.Commit(n*t.cost + pops + pushes)
 	t.stats.Loads += uint64(pops)
@@ -808,21 +800,23 @@ func (t *thread) countArmed() bool {
 	return false
 }
 
-// workABFT runs the checksummed kernel. Output transit corruption strikes
-// after the checksum was fused into the compute loop — the window ABFT
-// closes — so the armed output flips are applied here, the checksum is
-// re-derived from the communicated buffers, and a mismatch repairs the
-// outputs by running the stateless kernel's WorkBatch again over the
-// intact input buffers.
+// workABFT runs the checksummed kernel over the ports' buffers: one
+// firing on the per-firing path, a whole run in fireRun. Output transit
+// corruption strikes after the checksum was fused into the compute loop
+// — the window ABFT closes — so the armed output flips are applied here,
+// the checksum is re-derived from the communicated buffers, and a
+// mismatch repairs the outputs by running the stateless kernel's
+// WorkBatch again over the intact input buffers. Checksum work is
+// charged per item, so a run costs what its firings would one by one.
 func (t *thread) workABFT() {
 	//hotpath:ok CS023 ABFT kernels are annotated entries of their own (dsp/codec kernels)
 	sum := t.ak.WorkBatchABFT(t.inBufs, t.outBufs)
 	itemsIn := t.itemsIn
-	for _, s := range t.ins {
-		itemsIn += uint64(s.rate)
+	for _, b := range t.inBufs {
+		itemsIn += uint64(len(b))
 	}
 	for _, s := range t.outs {
-		t.stats.ABFT.ChecksumOps += uint64(fault.ABFTChecksumOpsPerItem * s.rate)
+		t.stats.ABFT.ChecksumOps += uint64(fault.ABFTChecksumOpsPerItem * len(s.buf))
 		if s.flipAt >= 0 {
 			// The scheme's detectable-fault site, so the detection-latency
 			// measurement arms here (and only here: input-side corruption

@@ -202,8 +202,9 @@ func kernelSpecs() []kernelSpec {
 // firing's pop-rate inputs x to its push-rate outputs y, over float32
 // items. Every kernel form runs the same transform: per-item pops and
 // pushes each item through Ctx (perItem, when set, replaces that
-// firing), batch converts the flat buffers, and the abft form fuses the
-// output checksum into the batch conversion.
+// firing), batch converts the flat buffers of each firing it is handed,
+// and the abft form fuses the output checksum, carried across firings,
+// into the batch conversion.
 func blockFilter(name string, pop, push, cost int, variant string, block func(y, x []float64), perItem func(ctx *stream.Ctx)) stream.Filter {
 	x, y := make([]float64, pop), make([]float64, push)
 	if perItem == nil {
@@ -217,10 +218,10 @@ func blockFilter(name string, pop, push, cost int, variant string, block func(y,
 			}
 		}
 	}
-	// load converts one firing's input buffer (resliced to the pop rate so
+	// load converts firing j's input block (resliced to the pop rate so
 	// the loop runs without bounds checks) and runs the transform.
-	load := func(in []uint32) {
-		in = in[:len(x)]
+	load := func(in []uint32, j int) {
+		in = in[j*pop : (j+1)*pop]
 		for i := range x {
 			x[i] = float64(stream.BitsF32(in[i]))
 		}
@@ -232,21 +233,25 @@ func blockFilter(name string, pop, push, cost int, variant string, block func(y,
 	}
 	if variant == "batch" {
 		return ff.Batch(func(in, out [][]uint32) {
-			load(in[0])
-			ob := out[0][:len(y)]
-			for i, v := range y {
-				ob[i] = stream.F32Bits(float32(v))
+			for j := range len(in[0]) / pop {
+				load(in[0], j)
+				ob := out[0][j*push : (j+1)*push]
+				for i, v := range y {
+					ob[i] = stream.F32Bits(float32(v))
+				}
 			}
 		})
 	}
 	return ff.ABFT(func(in, out [][]uint32) float64 {
-		load(in[0])
-		ob := out[0][:len(y)]
 		s := 0.0
-		for i, v := range y {
-			yf := float32(v)
-			ob[i] = stream.F32Bits(yf)
-			s += float64(yf)
+		for j := range len(in[0]) / pop {
+			load(in[0], j)
+			ob := out[0][j*push : (j+1)*push]
+			for i, v := range y {
+				yf := float32(v)
+				ob[i] = stream.F32Bits(yf)
+				s += float64(yf)
+			}
 		}
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })

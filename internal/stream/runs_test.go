@@ -12,6 +12,7 @@ import (
 	"commguard/internal/commguard"
 	"commguard/internal/fault"
 	"commguard/internal/obs"
+	"commguard/internal/obs/hist"
 	"commguard/internal/ppu"
 	"commguard/internal/queue"
 	"commguard/internal/sim"
@@ -19,7 +20,7 @@ import (
 )
 
 // The sequential engine fires a whole-firing kernel's fault-free firings
-// in runs, one transit call per port per run. These tests run each
+// in runs: one transit call per port and one kernel call per run. These tests run each
 // configuration twice, grouped and with stream.ForcePerFiring, and
 // require the two to agree bit for bit on everything a run reports.
 
@@ -75,8 +76,9 @@ func runSim(t *testing.T, b apps.Builder, cfg sim.Config, perFiring bool) *sim.R
 
 // compareSim requires two sim results to agree on the output tape and its
 // score, every core's statistics (PPU, ABFT and injector tallies
-// included), every queue's, CommGuard's, and the firing-histogram sample
-// counts, which must also equal the firings.
+// included), every queue's, CommGuard's, the firing-histogram sample
+// counts, which must also equal the firings, and the detection-latency
+// histograms.
 func compareSim(t *testing.T, name string, grouped, perFiring *sim.Result) {
 	t.Helper()
 	if !slices.EqualFunc(grouped.Output, perFiring.Output, func(a, b float64) bool {
@@ -106,6 +108,27 @@ func compareSim(t *testing.T, name string, grouped, perFiring *sim.Result) {
 	}
 	if samples != firings {
 		t.Errorf("%s: %d firing-histogram samples for %d firings", name, samples, firings)
+	}
+	compareDetections(t, name, grouped.Health, perFiring.Health)
+}
+
+// compareDetections requires two runs' detection-latency histograms to
+// agree: as many detections, and, in items consumed, the same latencies
+// (wall-clock latencies are timing, so only their count is compared).
+func compareDetections(t *testing.T, name string, grouped, perFiring []hist.Summary) {
+	t.Helper()
+	for i, h := range grouped {
+		p := perFiring[i]
+		switch h.Name {
+		case "detect_wall":
+			if h.Count != p.Count {
+				t.Errorf("%s: %d detections timed, per-firing %d", name, h.Count, p.Count)
+			}
+		case "detect_items":
+			if !reflect.DeepEqual(h, p) {
+				t.Errorf("%s: detection latency in items %+v, per-firing %+v", name, h, p)
+			}
+		}
 	}
 }
 
@@ -167,9 +190,13 @@ func rgbSplitJoin(tape []uint32) handGraph {
 func affine(name string, a, c uint32) stream.Filter {
 	ff := stream.NewFuncFilter(name, 1, 1, 10, func(ctx *stream.Ctx) { ctx.Push(0, a*ctx.Pop(0)+c) })
 	return ff.ABFT(func(in, out [][]uint32) float64 {
-		v := a*in[0][0] + c
-		out[0][0] = v
-		return float64(v)
+		s := 0.0
+		for i, v := range in[0] {
+			v = a*v + c
+			out[0][i] = v
+			s += float64(v)
+		}
+		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumU32(out[0]) })
 }
 
@@ -189,8 +216,10 @@ func unequalRates(tape []uint32) handGraph {
 			sum += ctx.Pop(0)
 			ctx.Push(0, sum)
 		}).Batch(func(in, out [][]uint32) {
-			sum += in[0][0]
-			out[0][0] = sum
+			for i, v := range in[0] {
+				sum += v
+				out[0][i] = sum
+			}
 		})
 		widen := stream.NewFuncFilter("widen", 2, 4, 30, func(ctx *stream.Ctx) {
 			a, b := ctx.Pop(0), ctx.Pop(0)
@@ -199,8 +228,10 @@ func unequalRates(tape []uint32) handGraph {
 			ctx.Push(0, a^b)
 			ctx.Push(0, a+b)
 		}).Batch(func(in, out [][]uint32) {
-			a, b := in[0][0], in[0][1]
-			out[0][0], out[0][1], out[0][2], out[0][3] = a, b, a^b, a+b
+			for j := range len(in[0]) / 2 {
+				a, b := in[0][2*j], in[0][2*j+1]
+				out[0][4*j], out[0][4*j+1], out[0][4*j+2], out[0][4*j+3] = a, b, a^b, a+b
+			}
 		})
 		reverse := stream.NewFuncFilter("reverse", 3, 3, 20, func(ctx *stream.Ctx) {
 			a, b, c := ctx.Pop(0), ctx.Pop(0), ctx.Pop(0)
@@ -223,8 +254,9 @@ type handRun struct {
 	tape     []uint32
 	stats    *stream.RunStats
 	guard    *commguard.Stats
-	samples  []uint64 // firing-histogram samples per core
-	transits int      // PopN and PushN calls
+	samples  []uint64       // firing-histogram samples per core
+	health   []hist.Summary // every runtime-health histogram
+	transits int            // PopN and PushN calls
 }
 
 // runHand runs the graph on the sequential engine under scheme, as sim
@@ -265,7 +297,7 @@ func runHand(t *testing.T, build handGraph, scheme string, mtbe float64, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := handRun{tape: sink.Collected(), stats: stats, transits: tr.calls}
+	r := handRun{tape: sink.Collected(), stats: stats, transits: tr.calls, health: health.Summaries()}
 	if guard != nil {
 		gs := guard.Stats()
 		r.guard = &gs
@@ -315,6 +347,7 @@ func TestGroupedRunsMatchPerFiringHandGraphs(t *testing.T) {
 								name, i, grouped.samples[i], perFiring.samples[i], c.Firings)
 						}
 					}
+					compareDetections(t, name, grouped.health, perFiring.health)
 					if errs := errorsInjected(grouped.stats); mtbe == 3000 && scheme != "error-free" && errs < 100 {
 						t.Errorf("%s: only %d errors injected; runs were not cut", name, errs)
 					}
