@@ -120,16 +120,23 @@ func checkKFirings(t *testing.T, name string, b Builder, idx, k int, draw func(r
 		}
 		return out
 	}
-	run := func(kern stream.BatchKernel, in, out [][]uint32) float64 {
-		if ak, ok := kern.(stream.ABFTKernel); ok {
-			return ak.WorkBatchABFT(in, out)
+	// run fires kern once over in and out. A checksummed kernel's fused
+	// sum must equal ChecksumBatch over its output on every call, so a
+	// sum accumulator that outlives a call shows on the second one.
+	run := func(what string, kern stream.BatchKernel, in, out [][]uint32) {
+		ak, ok := kern.(stream.ABFTKernel)
+		if !ok {
+			kern.WorkBatch(in, out)
+			return
 		}
-		kern.WorkBatch(in, out)
-		return 0
+		sum := ak.WorkBatchABFT(in, out)
+		if check := ak.ChecksumBatch(out); math.Float64bits(check) != math.Float64bits(sum) {
+			t.Errorf("%s: %s: ChecksumBatch %v != fused sum %v", name, what, check, sum)
+		}
 	}
 
 	got, want := outs(k), outs(k)
-	sum := run(whole, in, got)
+	run("the k-firing call", whole, in, got)
 	for j := range k {
 		inJ, outJ := make([][]uint32, len(in)), make([][]uint32, len(want))
 		for i, rate := range pops {
@@ -138,7 +145,7 @@ func checkKFirings(t *testing.T, name string, b Builder, idx, k int, draw func(r
 		for o, rate := range pushes {
 			outJ[o] = want[o][j*rate : (j+1)*rate]
 		}
-		run(single, inJ, outJ)
+		run(fmt.Sprintf("single call %d", j), single, inJ, outJ)
 	}
 	for i := range in {
 		if !slices.Equal(in[i], saved[i]) {
@@ -151,9 +158,6 @@ func checkKFirings(t *testing.T, name string, b Builder, idx, k int, draw func(r
 		}
 	}
 	if ak, ok := whole.(stream.ABFTKernel); ok {
-		if check := ak.ChecksumBatch(got); math.Float64bits(check) != math.Float64bits(sum) {
-			t.Errorf("%s: ChecksumBatch %v != fused sum %v", name, check, sum)
-		}
 		redo := outs(k)
 		ak.WorkBatch(in, redo)
 		for o := range got {
@@ -172,8 +176,8 @@ func checkKFirings(t *testing.T, name string, b Builder, idx, k int, draw func(r
 		}
 	}
 	gotNext, wantNext := outs(1), outs(1)
-	whole.WorkBatch(next, gotNext)
-	single.WorkBatch(next, wantNext)
+	run("the firing after the run", whole, next, gotNext)
+	run("the firing after the single calls", single, next, wantNext)
 	for o := range gotNext {
 		if !slices.Equal(gotNext[o], wantNext[o]) {
 			t.Errorf("%s: the firing after the run differs on port %d", name, o)

@@ -204,13 +204,6 @@ func (f *RoundRobinSplitter) WorkBatch(in, out [][]uint32) {
 //
 //hotpath:entry
 func gather(dst, src []uint32, off, w, stride int) {
-	if w == 1 {
-		for j := range dst {
-			dst[j] = src[off]
-			off += stride
-		}
-		return
-	}
 	for j := 0; j < len(dst); j += w {
 		for i := range w {
 			dst[j+i] = src[off+i]
@@ -224,13 +217,6 @@ func gather(dst, src []uint32, off, w, stride int) {
 //
 //hotpath:entry
 func scatter(dst, src []uint32, off, w, stride int) {
-	if w == 1 {
-		for _, v := range src {
-			dst[off] = v
-			off += stride
-		}
-		return
-	}
 	for j := 0; j < len(src); j += w {
 		for i := range w {
 			dst[off+i] = src[j+i]
