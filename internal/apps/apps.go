@@ -116,17 +116,20 @@ func clampByte(v float64) uint8 {
 	return uint8(v)
 }
 
-// psnrQuality converts both sides to 8-bit pixels and computes PSNR.
+// psnrQuality is metrics.PSNR over both sides clamped to 8-bit pixels,
+// summed in one pass without materializing the byte slices.
 func psnrQuality(out, ref []float64) float64 {
-	rb := make([]uint8, len(ref))
-	for i, v := range ref {
-		rb[i] = clampByte(v)
+	if len(ref) == 0 {
+		return math.NaN()
 	}
-	tb := make([]uint8, len(out))
-	for i, v := range out {
-		tb[i] = clampByte(v)
+	n := min(len(ref), len(out))
+	var se float64
+	for i, r := range ref[:n] {
+		d := float64(clampByte(r)) - float64(clampByte(out[i]))
+		se += d * d
 	}
-	return metrics.PSNR(rb, tb)
+	se += 255 * 255 * float64(len(ref)-n)
+	return metrics.PSNRFromSquaredError(se, len(ref))
 }
 
 // clampPCM saturates an audio sample to the representable PCM range, as

@@ -344,3 +344,47 @@ func TestDoAllConfigValidation(t *testing.T) {
 		t.Error("zero tasks accepted")
 	}
 }
+
+// psnrQuality sums the clamped-byte errors in one pass; it must equal
+// metrics.PSNR over the clampByte'd slices bit for bit (NaN for NaN), and
+// allocate nothing.
+func TestPSNRQualityMatchesBytes(t *testing.T) {
+	bytes := func(xs []float64) []uint8 {
+		b := make([]uint8, len(xs))
+		for i, v := range xs {
+			b[i] = clampByte(v)
+		}
+		return b
+	}
+	ref := []float64{0, 12.5, 255, 128, 77.9, 3, 254.99, 40}
+	odd := []float64{-3, 300, math.NaN(), math.Inf(1), math.Inf(-1), 255.5, -0.5, 1e300}
+	cases := []struct {
+		name     string
+		out, ref []float64
+	}{
+		{"equal", []float64{1, 12, 250, 129, 77, 4, 254, 41}, ref},
+		{"short-out", ref[:5], ref},
+		{"long-out", append(append([]float64{}, odd...), 9, 9), ref},
+		{"empty-ref", ref, nil},
+		{"identical", ref, ref},
+		{"out-of-range", odd, ref},
+		{"out-of-range-ref", ref, odd},
+	}
+	for _, c := range cases {
+		got := psnrQuality(c.out, c.ref)
+		want := metrics.PSNR(bytes(c.ref), bytes(c.out))
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("%s: psnrQuality = %v (%#x), metrics.PSNR = %v (%#x)",
+				c.name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if got := psnrQuality(ref, nil); !math.IsNaN(got) {
+		t.Errorf("empty reference: %v, want NaN", got)
+	}
+	if got := psnrQuality(ref, ref); !math.IsInf(got, 1) {
+		t.Errorf("identical inputs: %v, want +Inf", got)
+	}
+	if avg := testing.AllocsPerRun(100, func() { psnrQuality(odd, ref) }); avg != 0 {
+		t.Errorf("%.1f allocs/run, want 0", avg)
+	}
+}

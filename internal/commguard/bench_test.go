@@ -12,7 +12,8 @@ import (
 // guarded per-item transit through the HI/AM, and guarded batch transit
 // (AM.PopN). Each of these moves one item per reported op between two
 // goroutines, so they are directly comparable. Sequential instead reports
-// ns/frame on one goroutine (see there).
+// ns/frame on one goroutine, and SequentialBatch ns per 256-item round
+// trip on one goroutine (see there).
 //
 // The committed numbers live in BENCH_micro.txt at the repository root,
 // and cmd/benchdiff gates every row of it.
@@ -132,6 +133,28 @@ func BenchmarkQueueTransfer(b *testing.B) {
 		b.StopTimer()
 		if st := am.Stats(); st.ItemsDelivered != uint64(2*b.N) || st.DataLossItems() != 0 {
 			b.Fatalf("frames did not transit intact: %+v", st)
+		}
+	})
+
+	// SequentialBatch is the sequential engine's batch copy: one goroutine
+	// in one-goroutine mode pushes chunk items with PushDataN, publishes
+	// them with Flush and pops them back with PopDataN. One op is one
+	// chunk-item round trip.
+	b.Run("SequentialBatch", func(b *testing.B) {
+		q := queue.MustNew(0, qcfg)
+		q.SetSequential()
+		src := make([]uint32, chunk)
+		for i := range src {
+			src[i] = uint32(i)
+		}
+		dst := make([]uint32, chunk)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q.PushDataN(src)
+			q.Flush()
+			if n, stop := q.PopDataN(dst); n != chunk || stop != queue.PopStopFull {
+				b.Fatalf("popped %d items (stop %v), want %d", n, stop, chunk)
+			}
 		}
 	})
 }

@@ -1,20 +1,21 @@
 package dsp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The 8-point DCT-II/DCT-III pair used by the JPEG codec (and exercised by
 // the jpeg benchmark's IDCT stage). Coefficients follow the JPEG
 // convention: orthonormal scaling with c(0)=1/sqrt(2).
 
-// dctCos[k][n] is DCT8's table, contiguous in n; idctCos[n][k] is the
-// same values transposed for IDCT8, contiguous in k.
-var dctCos, idctCos [8][8]float64
+// dctCos[k][n] = cos(pi*k*(2n+1)/16), contiguous in n.
+var dctCos [8][8]float64
 
 func init() {
 	for k := 0; k < 8; k++ {
 		for n := 0; n < 8; n++ {
 			dctCos[k][n] = math.Cos(math.Pi * float64(k) * (2*float64(n) + 1) / 16)
-			idctCos[n][k] = dctCos[k][n]
 		}
 	}
 }
@@ -36,26 +37,6 @@ func DCT8(dst, src *[8]float64) {
 			sum += src[n] * dctCos[k][n]
 		}
 		dst[k] = 0.5 * alpha(k) * sum
-	}
-}
-
-// IDCT8 computes the 1-D 8-point inverse DCT (DCT-III) of src into dst.
-// Each dst[n] is the sum over k, in k order from 0.0, of
-// (alpha(k)*src[k])*cos; the scaled inputs are computed once per call.
-//
-//hotpath:entry
-func IDCT8(dst, src *[8]float64) {
-	var a [8]float64
-	for k := range a {
-		a[k] = alpha(k) * src[k]
-	}
-	for n := range dst {
-		row := &idctCos[n]
-		sum := 0.0
-		for k, v := range a {
-			sum += v * row[k]
-		}
-		dst[n] = 0.5 * sum
 	}
 }
 
@@ -81,25 +62,55 @@ func DCT2D(block *[64]float64) {
 	}
 }
 
-// IDCT2D computes the 8x8 inverse DCT of block in row-major order, in place.
+// IDCT2D computes the 8x8 inverse DCT of block in row-major order, in place:
+// the 1-D DCT-III of every column, then of every row. Each 1-D output n is
+// 0.5 times the sum over k, in k order from 0.0, of (alpha(k)*x[k])*cos[k][n].
+//
+// Decoded blocks are sparse (a handful of nonzero coefficients in two or
+// three columns), so each pass is an axpy over the nonzero scaled inputs
+// only: eight accumulators take v*cos[k][n] for each k with v != 0. This is
+// bit-exact with the dense sum. A sum that starts at +0.0 never becomes -0
+// (x + -x is +0 in round-to-nearest), so adding a ±0 term never changes its
+// bits, and the nonzero terms are still added in k order. A NaN v is
+// nonzero and is kept. An all-zero column gives a +0 stage column, which
+// the row pass then skips as a whole.
 //
 //hotpath:entry
 func IDCT2D(block *[64]float64) {
-	var col, tmp [8]float64
+	// stage is the column pass's output transposed (stage[c*8+n] is column
+	// c's output n), so both passes read their lines with stride 8.
 	var stage [64]float64
-	for c := 0; c < 8; c++ {
-		for r := 0; r < 8; r++ {
-			col[r] = block[r*8+c]
+	cols := idctPass(&stage, block, 0xff)
+	idctPass(block, &stage, cols)
+}
+
+// idctPass writes dst[l*8+n], the 1-D inverse DCT output n of line l whose
+// inputs are src[k*8+l], for every l. Only the k set in ks are read: every
+// other src[k*8+l] must be ±0. It returns the set of lines with a nonzero
+// scaled input; every other line is written as +0.
+func idctPass(dst, src *[64]float64, ks uint8) (lines uint8) {
+	for l := 0; l < 8; l++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for m := ks; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros8(m)
+			v := alpha(k) * src[k*8+l]
+			if v == 0 {
+				continue
+			}
+			lines |= 1 << l
+			c := &dctCos[k]
+			s0 += v * c[0]
+			s1 += v * c[1]
+			s2 += v * c[2]
+			s3 += v * c[3]
+			s4 += v * c[4]
+			s5 += v * c[5]
+			s6 += v * c[6]
+			s7 += v * c[7]
 		}
-		IDCT8(&tmp, &col)
-		for r := 0; r < 8; r++ {
-			stage[r*8+c] = tmp[r]
-		}
+		d := (*[8]float64)(dst[l*8 : l*8+8])
+		d[0], d[1], d[2], d[3] = 0.5*s0, 0.5*s1, 0.5*s2, 0.5*s3
+		d[4], d[5], d[6], d[7] = 0.5*s4, 0.5*s5, 0.5*s6, 0.5*s7
 	}
-	var row [8]float64
-	for r := 0; r < 8; r++ {
-		copy(row[:], stage[r*8:r*8+8])
-		IDCT8(&tmp, &row)
-		copy(block[r*8:r*8+8], tmp[:])
-	}
+	return lines
 }

@@ -315,7 +315,7 @@ func TestDCT8ConstantSignal(t *testing.T) {
 	}
 }
 
-// Property: IDCT8(DCT8(x)) == x.
+// Property: the 1-D inverse DCT (DCT-III) of DCT8(x) is x.
 func TestQuickDCT8RoundTrip(t *testing.T) {
 	f := func(vals [8]float64) bool {
 		var src [8]float64
@@ -327,7 +327,13 @@ func TestQuickDCT8RoundTrip(t *testing.T) {
 		}
 		var freq, back [8]float64
 		DCT8(&freq, &src)
-		IDCT8(&back, &freq)
+		for n := range back {
+			sum := 0.0
+			for k, v := range freq {
+				sum += alpha(k) * v * dctCos[k][n]
+			}
+			back[n] = 0.5 * sum
+		}
 		for i := range src {
 			if math.Abs(back[i]-src[i]) > 1e-9 {
 				return false
@@ -390,18 +396,6 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = FFT(re, im)
-	}
-}
-
-func BenchmarkIDCT2D(b *testing.B) {
-	var block [64]float64
-	for i := range block {
-		block[i] = float64(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk := block
-		IDCT2D(&blk)
 	}
 }
 

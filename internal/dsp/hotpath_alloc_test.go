@@ -23,14 +23,6 @@ func TestHotpathAllocFree(t *testing.T) {
 		assertZero(t, func() { DCT8(&dst, &src) })
 	})
 
-	t.Run("IDCT8", func(t *testing.T) {
-		var dst, src [8]float64
-		for i := range src {
-			src[i] = float64(i)
-		}
-		assertZero(t, func() { IDCT8(&dst, &src) })
-	})
-
 	t.Run("DCT2D", func(t *testing.T) {
 		var block [64]float64
 		for i := range block {

@@ -70,10 +70,17 @@ func PSNR(ref, test []uint8) float64 {
 		se += d * d
 	}
 	se += 255 * 255 * float64(len(ref)-n)
+	return PSNRFromSquaredError(se, len(ref))
+}
+
+// PSNRFromSquaredError is PSNR's last step, for callers that sum the
+// squared 8-bit pixel errors themselves: 10*log10(255^2 / (se/n)), and
+// +Inf when se is 0. n is the reference length, at least 1.
+func PSNRFromSquaredError(se float64, n int) float64 {
 	if se == 0 {
 		return math.Inf(1)
 	}
-	mse := se / float64(len(ref))
+	mse := se / float64(n)
 	return 10 * math.Log10(255*255/mse)
 }
 

@@ -31,12 +31,13 @@ const (
 //queue:side producer
 //hotpath:entry
 func (q *Queue) PushDataN(vs []uint32) {
+	plain := q.plain
 	s := uint32(q.cfg.WorkingSetUnits)
 	for len(vs) > 0 {
-		off := uint32(q.prodOffset.load(q.plain))
+		off := uint32(q.prodOffset.load(plain))
 		if off == 0 {
 			q.acquireFillSlot()
-			off = uint32(q.prodOffset.load(q.plain))
+			off = uint32(q.prodOffset.load(plain))
 		}
 		if off >= s {
 			q.Push(DataUnit(vs[0]))
@@ -47,13 +48,21 @@ func (q *Queue) PushDataN(vs []uint32) {
 		if room := s - off; n > room {
 			n = room
 		}
-		base := q.prodBase
-		for i := uint32(0); i < n; i++ {
-			q.buf[base+off+i].store(q.plain, uint64(DataUnit(vs[i])))
+		start := q.prodBase + off
+		ws := q.buf[start : start+n]
+		src := vs[:len(ws)]
+		if plain {
+			for i, v := range src {
+				ws[i].store(true, uint64(DataUnit(v)))
+			}
+		} else {
+			for i, v := range src {
+				ws[i].store(false, uint64(DataUnit(v)))
+			}
 		}
-		q.stats.itemStores.add(q.plain, uint64(n))
+		q.stats.itemStores.add(plain, uint64(n))
 		off += n
-		q.prodOffset.store(q.plain, uint64(off))
+		q.prodOffset.store(plain, uint64(off))
 		if off >= s {
 			q.publish(s)
 		}
@@ -69,24 +78,25 @@ func (q *Queue) PushDataN(vs []uint32) {
 //queue:side consumer
 //hotpath:entry
 func (q *Queue) PopDataN(dst []uint32) (int, PopStop) {
+	plain := q.plain
 	s := uint32(q.cfg.WorkingSetUnits)
 	popped := 0
 	for popped < len(dst) {
 		if !q.acquireDrainSlot() {
 			return popped, PopStopFail
 		}
-		off := uint32(q.consOffset.load(q.plain))
-		limit := uint32(q.wsLen[q.consWSIdx].load(q.plain))
+		off := uint32(q.consOffset.load(plain))
+		limit := uint32(q.wsLen[q.consWSIdx].load(plain))
 		if off >= limit || limit > s {
 			// Degenerate geometry: replicate one per-item Pop, except a
 			// header is left in place for the caller's FSM path.
-			u := Unit(q.buf[q.consBase+off%s].load(q.plain))
+			u := Unit(q.buf[q.consBase+off%s].load(plain))
 			if u.IsHeader() {
 				return popped, PopStopHeader
 			}
-			q.stats.itemLoads.add(q.plain, 1)
+			q.stats.itemLoads.add(plain, 1)
 			off++
-			q.consOffset.store(q.plain, uint64(off))
+			q.consOffset.store(plain, uint64(off))
 			if off >= limit {
 				q.returnWS()
 			}
@@ -98,28 +108,39 @@ func (q *Queue) PopDataN(dst []uint32) (int, PopStop) {
 		if avail := limit - off; n > avail {
 			n = avail
 		}
-		base := q.consBase
-		consumed := uint32(0)
-		sawHeader := false
-		for i := uint32(0); i < n; i++ {
-			u := Unit(q.buf[base+off+i].load(q.plain))
-			if u.IsHeader() {
-				sawHeader = true
-				break
+		start := q.consBase + off
+		ws := q.buf[start : start+n]
+		out := dst[popped : popped+len(ws)]
+		consumed := len(ws)
+		if plain {
+			for i := range ws {
+				u := Unit(ws[i].load(true))
+				if u.IsHeader() {
+					consumed = i
+					break
+				}
+				out[i] = u.Payload()
 			}
-			dst[popped+int(consumed)] = u.Payload()
-			consumed++
+		} else {
+			for i := range ws {
+				u := Unit(ws[i].load(false))
+				if u.IsHeader() {
+					consumed = i
+					break
+				}
+				out[i] = u.Payload()
+			}
 		}
 		if consumed > 0 {
-			q.stats.itemLoads.add(q.plain, uint64(consumed))
-			off += consumed
-			q.consOffset.store(q.plain, uint64(off))
+			q.stats.itemLoads.add(plain, uint64(consumed))
+			off += uint32(consumed)
+			q.consOffset.store(plain, uint64(off))
 			if off >= limit {
 				q.returnWS()
 			}
-			popped += int(consumed)
+			popped += consumed
 		}
-		if sawHeader {
+		if consumed < len(ws) {
 			return popped, PopStopHeader
 		}
 	}
