@@ -105,31 +105,38 @@ func snrQuality(out, ref []float64) float64 {
 	return metrics.SNR(ref, out)
 }
 
-// clampByte clamps a float to 0..255 for pixel comparison.
-func clampByte(v float64) uint8 {
-	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return uint8(v)
-}
-
 // psnrQuality is metrics.PSNR over both sides clamped to 8-bit pixels,
-// summed in one pass without materializing the byte slices.
+// summed in one pass without materializing the byte slices. The squared
+// errors add up in an int64: each is at most 255² = 65,025, so for any
+// reference under 1.38e11 values (2^53 / 65,025) every partial sum is an
+// integer below 2^53, which a float64 sum of the same terms holds exactly
+// too, and the two totals are equal bit for bit.
 func psnrQuality(out, ref []float64) float64 {
 	if len(ref) == 0 {
 		return math.NaN()
 	}
 	n := min(len(ref), len(out))
-	var se float64
+	out = out[:n]
+	var se int64
 	for i, r := range ref[:n] {
-		d := float64(clampByte(r)) - float64(clampByte(out[i]))
+		d := pixel(r) - pixel(out[i])
 		se += d * d
 	}
-	se += 255 * 255 * float64(len(ref)-n)
-	return metrics.PSNRFromSquaredError(se, len(ref))
+	se += 255 * 255 * int64(len(ref)-n)
+	return metrics.PSNRFromSquaredError(float64(se), len(ref))
+}
+
+// pixel clamps v to an 8-bit pixel value: NaN and negatives to 0, values
+// above 255 to 255, the rest truncated toward zero. NaN must take the first
+// branch: Go leaves int64(NaN) to the platform.
+func pixel(v float64) int64 {
+	if !(v >= 0) {
+		return 0
+	}
+	if v > 255 {
+		return 255
+	}
+	return int64(v)
 }
 
 // clampPCM saturates an audio sample to the representable PCM range, as

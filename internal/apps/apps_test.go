@@ -2,6 +2,8 @@ package apps
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,7 +14,7 @@ import (
 	"commguard/internal/stream"
 )
 
-func runErrorFree(t *testing.T, inst *Instance) []float64 {
+func runErrorFree(t testing.TB, inst *Instance) []float64 {
 	t.Helper()
 	qcfg := queue.Config{WorkingSets: 4, WorkingSetUnits: 256, ProtectPointers: true, Timeout: 2 * time.Second}
 	eng, err := stream.NewEngine(inst.Graph, stream.EngineConfig{Transport: &stream.PlainTransport{Queue: qcfg}})
@@ -128,6 +130,101 @@ func TestJPEGErrorFreeMatchesReferenceDecode(t *testing.T) {
 		t.Errorf("error-free PSNR vs original = %.2f dB, want lossy-compression range", q)
 	}
 }
+
+// imageRaster is jpeg's Output built the old way: MCU by MCU into a
+// jpegcodec.Image (items clamped to 255, a short tape zero-filled), then
+// converted to floats.
+func imageRaster(tape []uint32, w, h int) []float64 {
+	img := jpegcodec.NewImage(w, h)
+	var rgb [192]uint8
+	for m := 0; m < (w/8)*(h/8); m++ {
+		for i := range rgb {
+			var v uint32
+			if m*192+i < len(tape) {
+				v = tape[m*192+i]
+			}
+			rgb[i] = uint8(min(v, 255))
+		}
+		jpegcodec.PlaceMCU(img, m, &rgb)
+	}
+	pix := make([]float64, len(img.Pix))
+	for i, p := range img.Pix {
+		pix[i] = float64(p)
+	}
+	return pix
+}
+
+// jpeg's Output lays the sink tape straight into the float raster; it must
+// equal the image path bit for bit on the decoded tape, on tapes a fault
+// left short or long, and on items above 255, in one allocation.
+func TestJPEGOutputMatchesImagePath(t *testing.T) {
+	cfg := DefaultJPEGConfig()
+	inst, err := NewJPEG(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runErrorFree(t, inst)
+	tape := inst.Graph.Sinks()[0].F.(*stream.Sink).Collected()
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if want := imageRaster(tape, cfg.W, cfg.H); !slices.EqualFunc(out, want, sameBits) {
+		t.Fatal("Output differs from the image path on the decoded tape")
+	}
+	if avg := testing.AllocsPerRun(10, func() { inst.Output() }); avg != 1 {
+		t.Errorf("Output: %.1f allocs/run, want 1", avg)
+	}
+
+	r := rand.New(rand.NewSource(1))
+	hot := slices.Clone(tape)
+	for i := range hot {
+		switch r.Intn(4) {
+		case 0:
+			hot[i] = r.Uint32()
+		case 1:
+			hot[i] = 256 + uint32(r.Intn(4))
+		}
+	}
+	long := append(slices.Clone(tape), 7, 300, 9)
+	cases := []struct {
+		name string
+		w, h int
+		tape []uint32
+	}{
+		{"full", cfg.W, cfg.H, tape},
+		{"short-mid-row", cfg.W, cfg.H, tape[:len(tape)/2+7]},
+		{"short-one-mcu-row", cfg.W, cfg.H, tape[:24]},
+		{"short-last-item", cfg.W, cfg.H, tape[:len(tape)-1]},
+		{"empty", cfg.W, cfg.H, nil},
+		{"long", cfg.W, cfg.H, long},
+		{"above-255", cfg.W, cfg.H, hot},
+		{"above-255-short", cfg.W, cfg.H, hot[:len(hot)-3*192-5]},
+		{"narrow-tall", 16, 40, hot[:5000]},
+		{"one-mcu", 8, 8, hot[:200]},
+	}
+	for _, c := range cases {
+		got, want := jpegcodec.Raster(c.tape, c.w, c.h), imageRaster(c.tape, c.w, c.h)
+		if !slices.EqualFunc(got, want, sameBits) {
+			t.Errorf("%s: raster differs from the image path", c.name)
+		}
+	}
+}
+
+// BenchmarkJPEGScore measures what scoring a finished jpeg run costs:
+// Output's raster from the sink tape plus Quality against the reference,
+// on an error-free run of the default config.
+func BenchmarkJPEGScore(b *testing.B) {
+	inst, err := NewJPEG(DefaultJPEGConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	runErrorFree(b, inst)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scoreSink = inst.Quality(inst.Output(), inst.Reference)
+	}
+}
+
+var scoreSink float64
 
 func TestJPEGConfigValidation(t *testing.T) {
 	if _, err := NewJPEG(JPEGConfig{W: 10, H: 8, Quality: 75}); err == nil {
@@ -345,9 +442,21 @@ func TestDoAllConfigValidation(t *testing.T) {
 	}
 }
 
-// psnrQuality sums the clamped-byte errors in one pass; it must equal
-// metrics.PSNR over the clampByte'd slices bit for bit (NaN for NaN), and
-// allocate nothing.
+// clampByte is the byte clamp psnrQuality's reference is defined by:
+// negatives and NaN to 0, values above 255 to 255, the rest truncated.
+func clampByte(v float64) uint8 {
+	if v < 0 || math.IsNaN(v) {
+		return 0
+	}
+	if v > 255 {
+		return 255
+	}
+	return uint8(v)
+}
+
+// psnrQuality sums the clamped-byte errors in one integer pass; it must
+// equal metrics.PSNR over the clampByte'd slices bit for bit (NaN for NaN),
+// and allocate nothing.
 func TestPSNRQualityMatchesBytes(t *testing.T) {
 	bytes := func(xs []float64) []uint8 {
 		b := make([]uint8, len(xs))
@@ -358,6 +467,15 @@ func TestPSNRQualityMatchesBytes(t *testing.T) {
 	}
 	ref := []float64{0, 12.5, 255, 128, 77.9, 3, 254.99, 40}
 	odd := []float64{-3, 300, math.NaN(), math.Inf(1), math.Inf(-1), 255.5, -0.5, 1e300}
+	tiny := []float64{math.Copysign(0, -1), 0, 5e-324, -5e-324, 2.2250738585072009e-308,
+		-2.2250738585072009e-308, math.Nextafter(1, 0), math.Nextafter(255, 256)}
+	// A jpeg-sized worst case: every pixel off by 255, the largest total
+	// psnrQuality can meet on the default image.
+	zeros := make([]float64, 3*640*192)
+	full := make([]float64, len(zeros))
+	for i := range full {
+		full[i] = 255
+	}
 	cases := []struct {
 		name     string
 		out, ref []float64
@@ -369,6 +487,11 @@ func TestPSNRQualityMatchesBytes(t *testing.T) {
 		{"identical", ref, ref},
 		{"out-of-range", odd, ref},
 		{"out-of-range-ref", ref, odd},
+		{"zeros-and-subnormals", tiny, ref},
+		{"zeros-and-subnormals-ref", ref, tiny},
+		{"jpeg-worst-case", zeros, full},
+		{"jpeg-worst-case-ref", full, zeros},
+		{"jpeg-empty-out", nil, full},
 	}
 	for _, c := range cases {
 		got := psnrQuality(c.out, c.ref)

@@ -177,34 +177,10 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 	}
 
 	return &Instance{
-		Name:   "jpeg",
-		Metric: "PSNR",
-		Graph:  g,
-		Output: func() []float64 {
-			out := jpegcodec.NewImage(cfg.W, cfg.H)
-			collected := sink.Collected()
-			var rgb [192]uint8
-			mcus := (cfg.W / 8) * (cfg.H / 8)
-			for m := 0; m < mcus; m++ {
-				base := m * 192
-				for i := 0; i < 192; i++ {
-					var v uint32
-					if base+i < len(collected) {
-						v = collected[base+i]
-					}
-					if v > 255 {
-						v = 255
-					}
-					rgb[i] = uint8(v)
-				}
-				jpegcodec.PlaceMCU(out, m, &rgb)
-			}
-			pix := make([]float64, len(out.Pix))
-			for i, p := range out.Pix {
-				pix[i] = float64(p)
-			}
-			return pix
-		},
+		Name:      "jpeg",
+		Metric:    "PSNR",
+		Graph:     g,
+		Output:    func() []float64 { return jpegcodec.Raster(sink.Collected(), cfg.W, cfg.H) },
 		Reference: w.ref,
 		Quality:   psnrQuality,
 	}, nil

@@ -232,17 +232,45 @@ func MCUToRGB(y, cb, cr *[64]float64, out *[192]uint8) {
 	}
 }
 
+// A decoded MCU is mcuSide pixel rows of mcuRowItems interleaved R,G,B
+// items, CoeffsPerMCU items in all; MCUs tile the image in row-major order.
+const (
+	mcuSide     = 8
+	mcuRowItems = 3 * mcuSide
+)
+
 // PlaceMCU writes 64 interleaved-RGB pixels into the image at MCU index m
 // (row-major MCU order).
 func PlaceMCU(img *Image, m int, rgb *[192]uint8) {
-	mcuCols := img.W / 8
+	mcuCols := img.W / mcuSide
 	mx, my := m%mcuCols, m/mcuCols
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			i := 3 * (r*8 + c)
-			img.Set(mx*8+c, my*8+r, rgb[i], rgb[i+1], rgb[i+2])
+	for r := 0; r < mcuSide; r++ {
+		for c := 0; c < mcuSide; c++ {
+			i := 3 * (r*mcuSide + c)
+			img.Set(mx*mcuSide+c, my*mcuSide+r, rgb[i], rgb[i+1], rgb[i+2])
 		}
 	}
+}
+
+// Raster lays a tape of decoded MCUs (CoeffsPerMCU interleaved-RGB items
+// each, in PlaceMCU's order) out as the w x h image's interleaved-RGB
+// pixels, one float per byte: each MCU row's mcuRowItems items are copied
+// to their place in one pass, clamped to 255. Pixels past a short tape stay
+// 0, and items past the image are ignored.
+func Raster(tape []uint32, w, h int) []float64 {
+	pix := make([]float64, 3*w*h)
+	tape = tape[:min(len(tape), len(pix))]
+	mcuCols := w / mcuSide
+	for src := 0; src < len(tape); src += mcuRowItems {
+		m, r := src/CoeffsPerMCU, src/mcuRowItems%mcuSide
+		x, y := m%mcuCols*mcuSide, m/mcuCols*mcuSide+r
+		seg := tape[src:min(src+mcuRowItems, len(tape))]
+		dst := pix[3*(y*w+x):][:len(seg)]
+		for i, v := range seg {
+			dst[i] = float64(min(v, 255))
+		}
+	}
+	return pix
 }
 
 // Decode is the monolithic reference decoder: the exact computation the

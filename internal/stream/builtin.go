@@ -200,15 +200,17 @@ func (f *RoundRobinSplitter) WorkBatch(in, out [][]uint32) {
 }
 
 // gather fills dst with the w-item blocks of src that start at off and
-// recur every stride items.
+// recur every stride items, one strided loop per lane of the block (a unit
+// weight is one strided loop).
 //
 //hotpath:entry
 func gather(dst, src []uint32, off, w, stride int) {
-	for j := 0; j < len(dst); j += w {
-		for i := range w {
-			dst[j+i] = src[off+i]
+	for i := range w {
+		s := off + i
+		for j := i; j < len(dst); j += w {
+			dst[j] = src[s]
+			s += stride
 		}
-		off += stride
 	}
 }
 
@@ -217,11 +219,12 @@ func gather(dst, src []uint32, off, w, stride int) {
 //
 //hotpath:entry
 func scatter(dst, src []uint32, off, w, stride int) {
-	for j := 0; j < len(src); j += w {
-		for i := range w {
-			dst[off+i] = src[j+i]
+	for i := range w {
+		d := off + i
+		for j := i; j < len(src); j += w {
+			dst[d] = src[j]
+			d += stride
 		}
-		off += stride
 	}
 }
 

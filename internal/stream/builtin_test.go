@@ -25,10 +25,14 @@ func TestBuiltinKernelsKFirings(t *testing.T) {
 			func(in [][]uint32) [][]uint32 { return deal(in[0], []int{1, 2, 3}) }},
 		{"splitter-2-1", func() stream.BatchKernel { return stream.NewRoundRobinSplitter("s", 2, 1) },
 			func(in [][]uint32) [][]uint32 { return deal(in[0], []int{2, 1}) }},
+		{"splitter-1-1-1", func() stream.BatchKernel { return stream.NewRoundRobinSplitter("s", 1, 1, 1) },
+			func(in [][]uint32) [][]uint32 { return deal(in[0], []int{1, 1, 1}) }},
 		{"joiner-1-2-3", func() stream.BatchKernel { return stream.NewRoundRobinJoiner("j", 1, 2, 3) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{merge(in, []int{1, 2, 3})} }},
 		{"joiner-2-1", func() stream.BatchKernel { return stream.NewRoundRobinJoiner("j", 2, 1) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{merge(in, []int{2, 1})} }},
+		{"joiner-1-1-1", func() stream.BatchKernel { return stream.NewRoundRobinJoiner("j", 1, 1, 1) },
+			func(in [][]uint32) [][]uint32 { return [][]uint32{merge(in, []int{1, 1, 1})} }},
 		{"duplicate-3", func() stream.BatchKernel { return stream.NewDuplicateSplitter("d", 2, 3) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{in[0], in[0], in[0]} }},
 		{"identity-5", func() stream.BatchKernel { return stream.NewIdentity("i", 5) },
