@@ -89,11 +89,11 @@ func TestCommittedBaselineParses(t *testing.T) {
 		}
 		perLayer[strings.SplitN(name, "/", 2)[0]]++
 	}
-	// 7 transit variants; 6 kernels x 3 firing paths; 2 split-join
+	// 7 transit variants; 6 kernels x 2 kernel forms; 2 split-join
 	// kernel forms; 7 builtin apps.
-	if perLayer["BenchmarkQueueTransfer"] != 7 || perLayer["BenchmarkKernelFiring"] != 18 ||
+	if perLayer["BenchmarkQueueTransfer"] != 7 || perLayer["BenchmarkKernelFiring"] != 12 ||
 		perLayer["BenchmarkSplitJoin"] != 2 || perLayer["BenchmarkBuilderNew"] != 7 {
-		t.Errorf("rows per benchmark at GOMAXPROCS=1 = %v, want 7 QueueTransfer, 18 KernelFiring, 2 SplitJoin and 7 BuilderNew", perLayer)
+		t.Errorf("rows per benchmark at GOMAXPROCS=1 = %v, want 7 QueueTransfer, 12 KernelFiring, 2 SplitJoin and 7 BuilderNew", perLayer)
 	}
 	if code, _ := gate(t, baseline(t)); code != 0 {
 		t.Errorf("baseline against itself: exit %d, want 0", code)

@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		appName    = flag.String("app", "jpeg", "benchmark: audiobeamformer|channelvocoder|complex-fir|fft|jpeg|mp3")
+		appName    = flag.String("app", "jpeg", "benchmark: "+strings.Join(apps.BuiltinNames(), "|"))
 		protection = flag.String("protection", "commguard", "protection: error-free|software-queue|reliable-queue|commguard|abft")
 		mtbe       = flag.Float64("mtbe", 512_000, "per-core mean instructions between errors (0 = error-free)")
 		seed       = flag.Int64("seed", 1, "error-injection seed")

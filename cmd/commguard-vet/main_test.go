@@ -127,9 +127,9 @@ func TestCritmapJSONContract(t *testing.T) {
 import "commguard/internal/stream"
 
 func vetPlantedCrit() *stream.FuncFilter {
-	return stream.NewFuncFilter("planted", 1, 1, 1, func(ctx *stream.Ctx) {
-		for i := 0; i < int(ctx.PopI32(0)); i++ {
-			ctx.Push(0, uint32(i))
+	return stream.NewFuncFilter("planted", 1, 1, 1, func(in, out [][]uint32) {
+		for i := 0; i < int(in[0][0]); i++ {
+			out[0][0] = uint32(i)
 		}
 	})
 }
@@ -382,10 +382,10 @@ func TestVetReportsPoppedLoopBoundOnce(t *testing.T) {
 import "commguard/internal/stream"
 
 func vetPlantedLoop() *stream.FuncFilter {
-	return stream.NewFuncFilter("planted", 1, 1, 1, func(ctx *stream.Ctx) {
-		n := int(ctx.PopI32(0))
+	return stream.NewFuncFilter("planted", 1, 1, 1, func(in, out [][]uint32) {
+		n := int(in[0][0])
 		for i := 0; i < n; i++ {
-			ctx.Push(0, uint32(i))
+			out[0][0] = uint32(i)
 		}
 	})
 }

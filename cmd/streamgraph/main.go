@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"commguard/internal/apps"
 	"commguard/internal/fault"
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	appName := flag.String("app", "jpeg", "benchmark: audiobeamformer|channelvocoder|complex-fir|fft|jpeg|mp3")
+	appName := flag.String("app", "jpeg", "benchmark: "+strings.Join(apps.BuiltinNames(), "|"))
 	mtbe := flag.Float64("mtbe", 0, "if > 0, print the Rely-style frame reliability analysis at this MTBE")
 	flag.Parse()
 

@@ -21,7 +21,7 @@ const (
 	goodManifest = `"manifest": {"go_version": "go1.24.0", "gomaxprocs": 1}`
 	goodSnapshot = `{` + goodManifest + `, "sections": {
 		"latency": {"histograms": [
-			{"name": "fire_item", "unit": "ns", "count": 2, "buckets": [0, 1, 1], "p50": 1, "p90": 2, "p99": 2}]},
+			{"name": "fire_batch", "unit": "ns", "count": 2, "buckets": [0, 1, 1], "p50": 1, "p90": 2, "p99": 2}]},
 		"flight": {"triggers": [{"kind": "hang", "detail": "cancelled"}]}}}`
 )
 

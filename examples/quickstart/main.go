@@ -25,10 +25,12 @@ func buildPipeline(n int) (*stream.Graph, *stream.Sink) {
 		data[i] = uint32(i)
 	}
 	g := stream.NewGraph()
-	square := stream.NewFuncFilter("square", 4, 4, 50, func(ctx *stream.Ctx) {
-		for i := 0; i < 4; i++ {
-			v := ctx.Pop(0)
-			ctx.Push(0, v*v)
+	// A filter is one whole-firing kernel: it reads a firing's popped
+	// items from in and writes its pushed items to out (here 4 each per
+	// firing; the engine may hand it several firings in one call).
+	square := stream.NewFuncFilter("square", 4, 4, 50, func(in, out [][]uint32) {
+		for i, v := range in[0] {
+			out[0][i] = v * v
 		}
 	})
 	sink := stream.NewSink("collect", 8)

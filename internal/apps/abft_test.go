@@ -5,18 +5,32 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"commguard/internal/codec/mp3codec"
 	"commguard/internal/stream"
 )
 
-// kernelDomains draws one seeded input item in a whole-firing kernel's
-// item domain, keyed by "app/node"; i is the item's index within its
-// firing. Every checksummed kernel needs an entry here before
-// TestABFTKernelContract accepts it (its fused sum must stay finite);
-// other kernels default to random words.
+// kernelDomains draws one seeded input item in a kernel's item domain,
+// keyed by "app/node", where a node name ending in a number ("chan0",
+// "butterfly16") is keyed by its stem ("chan", "butterfly"); i is the
+// item's index within its firing. Every checksummed kernel needs an entry
+// here before TestABFTKernelContract accepts it (its fused sum must stay
+// finite); other kernels default to random words.
 var kernelDomains = map[string]func(r *rand.Rand, i int) uint32{
+	// Per-sample float kernels, on signal-range samples.
+	"fft/window":           f32Domain(-1, 1),
+	"fft/bitrev":           f32Domain(-1, 1),
+	"fft/butterfly":        f32Domain(-64, 64),
+	"fft/magnitude":        f32Domain(-64, 64),
+	"audiobeamformer/chan": f32Domain(-1, 1),
+	"audiobeamformer/sum":  f32Domain(-1, 1),
+	"channelvocoder/band":  f32Domain(-1, 1),
+	"channelvocoder/env":   f32Domain(-1, 1),
+	"channelvocoder/mix":   f32Domain(-1, 1),
+	"complex-fir/cfir":     f32Domain(-1, 1),
+	"doall/worker":         f32Domain(1, 1000),
 	// Quantized DCT coefficients, signed integers on the tape.
 	"jpeg/F1-dequant": func(r *rand.Rand, _ int) uint32 { return uint32(int32(r.Intn(129) - 64)) },
 	// Dequantized coefficients as float32.
@@ -37,8 +51,22 @@ var kernelDomains = map[string]func(r *rand.Rand, i int) uint32{
 	"mp3/F4-pcm":     func(r *rand.Rand, _ int) uint32 { return stream.F32Bits(float32(r.Float64()*6 - 3)) },
 }
 
-// Every stream.BatchKernel in the builtin graphs must honour the
-// k-firing contract the sequential engine's runs rely on: one WorkBatch
+// f32Domain draws float32 items uniformly from [lo, hi).
+func f32Domain(lo, hi float64) func(r *rand.Rand, i int) uint32 {
+	return func(r *rand.Rand, _ int) uint32 { return stream.F32Bits(float32(lo + r.Float64()*(hi-lo))) }
+}
+
+// domainFor looks up a node's input domain in kernelDomains.
+func domainFor(app, node string) (func(r *rand.Rand, i int) uint32, bool) {
+	if d, ok := kernelDomains[app+"/"+node]; ok {
+		return d, true
+	}
+	d, ok := kernelDomains[app+"/"+strings.TrimRight(node, "0123456789")]
+	return d, ok
+}
+
+// Every node of every builtin graph must honour Filter.WorkBatch's
+// k-firing contract, which the sequential engine's runs rely on: one WorkBatch
 // call over k firings on a fresh instance equals k single-firing calls,
 // in order, on another, outputs and kernel state alike (a following
 // firing must agree too, which catches a source's tape position or
@@ -53,19 +81,16 @@ var kernelDomains = map[string]func(r *rand.Rand, i int) uint32{
 // run. Neither breach shows in any output: the repair recomputes the
 // same output either way, so only this test sees them.
 func TestABFTKernelContract(t *testing.T) {
-	batch, abft := 0, 0
+	nodes, abft := 0, 0
 	for _, b := range AllBuiltin() {
 		probe, err := b.New()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for idx, n := range probe.Graph.Nodes {
-			if _, ok := n.F.(stream.BatchKernel); !ok {
-				continue
-			}
-			batch++
+			nodes++
 			key := b.Name + "/" + n.F.Name()
-			draw, ok := kernelDomains[key]
+			draw, ok := domainFor(b.Name, n.F.Name())
 			if _, isABFT := n.F.(stream.ABFTKernel); isABFT {
 				abft++
 				if !ok {
@@ -81,8 +106,8 @@ func TestABFTKernelContract(t *testing.T) {
 			}
 		}
 	}
-	if batch != 32 || abft != 4 {
-		t.Errorf("checked %d batch kernels, %d of them ABFT; want 32 and 4 (jpeg and mp3 F1/F2)", batch, abft)
+	if nodes != 61 || abft != 4 {
+		t.Errorf("checked %d kernels, %d of them ABFT; want all 61 nodes of the 7 builtins and 4 (jpeg and mp3 F1/F2)", nodes, abft)
 	}
 }
 
@@ -91,13 +116,13 @@ func TestABFTKernelContract(t *testing.T) {
 // firing on each, and compares everything the contracts name.
 func checkKFirings(t *testing.T, name string, b Builder, idx, k int, draw func(r *rand.Rand, i int) uint32) {
 	t.Helper()
-	var kernels [2]stream.BatchKernel
+	var kernels [2]stream.Filter
 	for i := range kernels {
 		inst, err := b.New()
 		if err != nil {
 			t.Fatal(err)
 		}
-		kernels[i] = inst.Graph.Nodes[idx].F.(stream.BatchKernel)
+		kernels[i] = inst.Graph.Nodes[idx].F
 	}
 	whole, single := kernels[0], kernels[1]
 	pops, pushes := whole.PopRates(), whole.PushRates()
@@ -123,7 +148,7 @@ func checkKFirings(t *testing.T, name string, b Builder, idx, k int, draw func(r
 	// run fires kern once over in and out. A checksummed kernel's fused
 	// sum must equal ChecksumBatch over its output on every call, so a
 	// sum accumulator that outlives a call shows on the second one.
-	run := func(what string, kern stream.BatchKernel, in, out [][]uint32) {
+	run := func(what string, kern stream.Filter, in, out [][]uint32) {
 		ak, ok := kern.(stream.ABFTKernel)
 		if !ok {
 			kern.WorkBatch(in, out)

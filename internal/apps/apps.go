@@ -72,6 +72,15 @@ func AllBuiltin() []Builder {
 	)
 }
 
+// BuiltinNames returns the names ByName accepts, in AllBuiltin order.
+func BuiltinNames() []string {
+	var names []string
+	for _, b := range AllBuiltin() {
+		names = append(names, b.Name)
+	}
+	return names
+}
+
 // ByName returns the builder for one built-in benchmark, or false.
 func ByName(name string) (Builder, bool) {
 	for _, b := range AllBuiltin() {

@@ -9,6 +9,7 @@ import (
 
 	"commguard/internal/codec/jpegcodec"
 	"commguard/internal/codec/mp3codec"
+	"commguard/internal/dsp"
 	"commguard/internal/metrics"
 	"commguard/internal/queue"
 	"commguard/internal/stream"
@@ -62,6 +63,14 @@ func TestAllRegistryBuilds(t *testing.T) {
 	}
 	if n := len(AllBuiltin()); n != 7 {
 		t.Errorf("AllBuiltin has %d benchmarks, want 7", n)
+	}
+	if got := BuiltinNames(); len(got) != 7 || got[6] != "doall" {
+		t.Errorf("BuiltinNames() = %v, want the seven AllBuiltin names", got)
+	}
+	for _, name := range BuiltinNames() {
+		if _, ok := ByName(name); !ok {
+			t.Errorf("ByName(%q) failed for a BuiltinNames entry", name)
+		}
 	}
 	if b, ok := ByName("doall"); !ok {
 		t.Error("ByName(doall) failed")
@@ -389,6 +398,53 @@ func TestFFTStreamMatchesMonolithic(t *testing.T) {
 	}
 	if maxBin < 1 || maxBin > 3 {
 		t.Errorf("dominant bin = %d, want around 2", maxBin)
+	}
+}
+
+// The magnitude stage's kernel on a single tone's spectrum: |X[k]| is n/2
+// in the tone's two bins and 0 elsewhere, and a value far past the 4n
+// display range saturates there. One call runs two firings: the clean
+// spectrum, then the same spectrum with one value blown up.
+func TestFFTMagnitudeKernel(t *testing.T) {
+	const n, bin, blown = 64, 5, 7
+	inst, err := NewFFT(FFTConfig{Points: n, Blocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mag stream.Filter
+	for _, node := range inst.Graph.Nodes {
+		if node.F.Name() == "magnitude" {
+			mag = node.F
+		}
+	}
+	re, im := make([]float64, n), make([]float64, n)
+	for i := range re {
+		re[i] = math.Cos(2 * math.Pi * bin * float64(i) / n)
+	}
+	if err := dsp.FFT(re, im); err != nil {
+		t.Fatal(err)
+	}
+	in := make([]uint32, 2*2*n)
+	for i := range re {
+		in[2*i], in[2*i+1] = stream.F32Bits(float32(re[i])), stream.F32Bits(float32(im[i]))
+	}
+	copy(in[2*n:], in[:2*n])
+	in[2*n+2*blown] = stream.F32Bits(1e6)
+	out := make([]uint32, 2*n)
+	mag.WorkBatch([][]uint32{in}, [][]uint32{out})
+	for f := 0; f < 2; f++ {
+		for i := 0; i < n; i++ {
+			want := 0.0
+			switch {
+			case i == bin || i == n-bin:
+				want = n / 2
+			case f == 1 && i == blown:
+				want = 4 * n
+			}
+			if got := float64(stream.BitsF32(out[f*n+i])); math.Abs(got-want) > 1e-4 {
+				t.Errorf("firing %d bin %d magnitude = %v, want %v", f, i, got, want)
+			}
+		}
 	}
 }
 

@@ -61,16 +61,18 @@ func NewBeamformer(cfg BeamformerConfig) (*Instance, error) {
 		lp := dsp.MustNewFIR(dsp.LowPassTaps(16, 0.12))
 		gain := 1 / float64(c)
 		branches[ch] = []stream.Filter{
-			stream.NewFuncFilter(fmt.Sprintf("chan%d", ch), 1, 1, 60, func(ctx *stream.Ctx) {
-				x := sanitize(float64(ctx.PopF32(0)))
-				if delayLen > 0 {
-					x, delayLine[pos] = delayLine[pos], x
-					pos++
-					if pos == delayLen {
-						pos = 0
+			stream.NewFuncFilter(fmt.Sprintf("chan%d", ch), 1, 1, 60, func(in, out [][]uint32) {
+				for i, v := range in[0] {
+					x := sanitize(float64(stream.BitsF32(v)))
+					if delayLen > 0 {
+						x, delayLine[pos] = delayLine[pos], x
+						pos++
+						if pos == delayLen {
+							pos = 0
+						}
 					}
+					out[0][i] = stream.F32Bits(float32(lp.Process(x) * gain))
 				}
-				ctx.PushF32(0, float32(lp.Process(x)*gain))
 			}),
 		}
 	}
@@ -78,12 +80,14 @@ func NewBeamformer(cfg BeamformerConfig) (*Instance, error) {
 		return nil, err
 	}
 
-	sum := stream.NewFuncFilter("sum", c, 1, 20, func(ctx *stream.Ctx) {
-		acc := 0.0
-		for i := 0; i < c; i++ {
-			acc += sanitize(float64(ctx.PopF32(0)))
+	sum := stream.NewFuncFilter("sum", c, 1, 20, func(in, out [][]uint32) {
+		for j := range out[0] {
+			acc := 0.0
+			for _, v := range in[0][j*c : (j+1)*c] {
+				acc += sanitize(float64(stream.BitsF32(v)))
+			}
+			out[0][j] = stream.F32Bits(float32(clampPCM(acc)))
 		}
-		ctx.PushF32(0, float32(clampPCM(acc)))
 	})
 	sink := stream.NewSink("beam-out", 1)
 	nSum := g.Add(sum)

@@ -48,12 +48,15 @@ func NewComplexFIR(cfg ComplexFIRConfig) (*Instance, error) {
 		}
 		cf := dsp.MustNewComplexFIR(tapsRe, tapsIm)
 		filters = append(filters,
-			stream.NewFuncFilter(fmt.Sprintf("cfir%d", s), 2, 2, 33, func(ctx *stream.Ctx) {
-				xr := sanitize(float64(ctx.PopF32(0)))
-				xi := sanitize(float64(ctx.PopF32(0)))
-				yr, yi := cf.Process(xr, xi)
-				ctx.PushF32(0, float32(yr))
-				ctx.PushF32(0, float32(yi))
+			stream.NewFuncFilter(fmt.Sprintf("cfir%d", s), 2, 2, 33, func(in, out [][]uint32) {
+				src, dst := in[0], out[0]
+				for i := 0; i < len(src); i += 2 {
+					xr := sanitize(float64(stream.BitsF32(src[i])))
+					xi := sanitize(float64(stream.BitsF32(src[i+1])))
+					yr, yi := cf.Process(xr, xi)
+					dst[i] = stream.F32Bits(float32(yr))
+					dst[i+1] = stream.F32Bits(float32(yi))
+				}
 			}))
 	}
 	sink := stream.NewSink("iq-out", 2)

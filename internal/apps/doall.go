@@ -49,18 +49,20 @@ func NewDoAll(cfg DoAllConfig) (*Instance, error) {
 	iters := cfg.IterationsPerTask
 	for i := 0; i < w; i++ {
 		branches[i] = []stream.Filter{
-			stream.NewFuncFilter(fmt.Sprintf("worker%d", i), 1, 1, 12*iters, func(ctx *stream.Ctx) {
-				x := sanitize(float64(ctx.PopF32(0)))
-				if x < 1e-6 {
-					x = 1e-6
+			stream.NewFuncFilter(fmt.Sprintf("worker%d", i), 1, 1, 12*iters, func(in, out [][]uint32) {
+				for j := range in[0] {
+					x := sanitize(float64(stream.BitsF32(in[0][j])))
+					if x < 1e-6 {
+						x = 1e-6
+					}
+					// Newton's method for the cube root: each item is an
+					// independent, idempotent task — the do-all model.
+					z := x / 3
+					for k := 0; k < iters; k++ {
+						z -= (z*z*z - x) / (3 * z * z)
+					}
+					out[0][j] = stream.F32Bits(float32(z))
 				}
-				// Newton's method for the cube root: each item is an
-				// independent, idempotent task — the do-all model.
-				z := x / 3
-				for k := 0; k < iters; k++ {
-					z -= (z*z*z - x) / (3 * z * z)
-				}
-				ctx.PushF32(0, float32(z))
 			}),
 		}
 	}

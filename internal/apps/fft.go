@@ -31,67 +31,79 @@ func NewFFT(cfg FFTConfig) (*Instance, error) {
 	n := cfg.Points
 	rate := 2 * n
 
-	popBlock := func(ctx *stream.Ctx, re, im []float64) {
-		for i := 0; i < len(re); i++ {
-			re[i] = sanitize(float64(ctx.PopF32(0)))
-			im[i] = sanitize(float64(ctx.PopF32(0)))
-		}
-	}
-	pushBlock := func(ctx *stream.Ctx, re, im []float64) {
-		for i := 0; i < len(re); i++ {
-			ctx.PushF32(0, float32(re[i]))
-			ctx.PushF32(0, float32(im[i]))
-		}
-	}
-
+	// Every kernel loops over the blocks of however many firings it is
+	// handed. The transform stages work in their own scratch block, which
+	// each firing overwrites whole before use.
 	g := stream.NewGraph()
 	window := dsp.Hann(n)
+	bre, bim := make([]float64, n), make([]float64, n)
 	filters := []stream.Filter{
 		stream.NewSource("samples-in", rate, sharedTape(cfg, fftTape)),
-		stream.NewFuncFilter("window", rate, rate, 7*rate, func(ctx *stream.Ctx) {
-			for i := 0; i < n; i++ {
-				re := sanitize(float64(ctx.PopF32(0)))
-				im := sanitize(float64(ctx.PopF32(0)))
-				ctx.PushF32(0, float32(re*window[i]))
-				ctx.PushF32(0, float32(im*window[i]))
+		stream.NewFuncFilter("window", rate, rate, 7*rate, func(in, out [][]uint32) {
+			for b := 0; b < len(in[0]); b += rate {
+				src, dst := in[0][b:b+rate], out[0][b:b+rate]
+				for i := 0; i < n; i++ {
+					re := sanitize(float64(stream.BitsF32(src[2*i])))
+					im := sanitize(float64(stream.BitsF32(src[2*i+1])))
+					dst[2*i] = stream.F32Bits(float32(re * window[i]))
+					dst[2*i+1] = stream.F32Bits(float32(im * window[i]))
+				}
 			}
 		}),
-		stream.NewFuncFilter("bitrev", rate, rate, 4*rate, func(ctx *stream.Ctx) {
-			re := make([]float64, n)
-			im := make([]float64, n)
-			popBlock(ctx, re, im)
-			// n is a validated power of two, so this cannot fail; the
-			// block is pushed unconditionally to honor the static rate.
-			_ = dsp.BitReverse(re, im)
-			pushBlock(ctx, re, im)
+		stream.NewFuncFilter("bitrev", rate, rate, 4*rate, func(in, out [][]uint32) {
+			for b := 0; b < len(in[0]); b += rate {
+				src, dst := in[0][b:b+rate], out[0][b:b+rate]
+				for i := range bre {
+					bre[i] = sanitize(float64(stream.BitsF32(src[2*i])))
+					bim[i] = sanitize(float64(stream.BitsF32(src[2*i+1])))
+				}
+				// n is a validated power of two, so this cannot fail; the
+				// block is pushed unconditionally to honor the static rate.
+				_ = dsp.BitReverse(bre, bim)
+				for i := range bre {
+					dst[2*i] = stream.F32Bits(float32(bre[i]))
+					dst[2*i+1] = stream.F32Bits(float32(bim[i]))
+				}
+			}
 		}),
 	}
 	for size := 2; size <= n; size <<= 1 {
 		sz := size
+		re, im := make([]float64, n), make([]float64, n)
 		filters = append(filters,
-			stream.NewFuncFilter(fmt.Sprintf("butterfly%d", sz), rate, rate, 10*rate, func(ctx *stream.Ctx) {
-				re := make([]float64, n)
-				im := make([]float64, n)
-				popBlock(ctx, re, im)
-				_ = dsp.FFTStage(re, im, sz) // cannot fail for validated n
-				pushBlock(ctx, re, im)
+			stream.NewFuncFilter(fmt.Sprintf("butterfly%d", sz), rate, rate, 10*rate, func(in, out [][]uint32) {
+				for b := 0; b < len(in[0]); b += rate {
+					src, dst := in[0][b:b+rate], out[0][b:b+rate]
+					for i := range re {
+						re[i] = sanitize(float64(stream.BitsF32(src[2*i])))
+						im[i] = sanitize(float64(stream.BitsF32(src[2*i+1])))
+					}
+					_ = dsp.FFTStage(re, im, sz) // cannot fail for validated n
+					for i := range re {
+						dst[2*i] = stream.F32Bits(float32(re[i]))
+						dst[2*i+1] = stream.F32Bits(float32(im[i]))
+					}
+				}
 			}))
 	}
 	sink := stream.NewSink("spectrum-out", n)
+	// Saturate like a fixed-point spectrum display: legitimate magnitudes
+	// are bounded by n * max amplitude; bit-flipped float garbage is
+	// clipped rather than dominating SNR.
+	limit := 4 * float64(n)
 	filters = append(filters,
-		stream.NewFuncFilter("magnitude", rate, n, 8*n, func(ctx *stream.Ctx) {
-			re := make([]float64, n)
-			im := make([]float64, n)
-			popBlock(ctx, re, im)
-			// Saturate like a fixed-point spectrum display: legitimate
-			// magnitudes are bounded by n * max amplitude; bit-flipped
-			// float garbage is clipped rather than dominating SNR.
-			limit := 4 * float64(n)
-			for _, m := range dsp.Magnitudes(re, im) {
-				if m > limit {
-					m = limit
+		stream.NewFuncFilter("magnitude", rate, n, 8*n, func(in, out [][]uint32) {
+			for b := 0; b*rate < len(in[0]); b++ {
+				src, dst := in[0][b*rate:(b+1)*rate], out[0][b*n:(b+1)*n]
+				for i := range dst {
+					re := sanitize(float64(stream.BitsF32(src[2*i])))
+					im := sanitize(float64(stream.BitsF32(src[2*i+1])))
+					m := math.Hypot(re, im)
+					if m > limit {
+						m = limit
+					}
+					dst[i] = stream.F32Bits(float32(m))
 				}
-				ctx.PushF32(0, float32(m))
 			}
 		}),
 		sink,

@@ -46,29 +46,11 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 	g := stream.NewGraph()
 	src := g.Add(stream.NewSource("F0-coeffs", jpegcodec.CoeffsPerMCU, w.tape))
 
-	// Every stage carries a whole-firing batch kernel bit-identical to its
-	// per-item work function, looping over the 192-item blocks of however
-	// many firings it is handed. The two compute stages' batch kernels are
-	// their ABFT kernels, with the output checksum fused in and carried
-	// across blocks: F1's sum lives in the pushed float32 domain, F2's in
-	// the raw pixel words.
-	dequant := stream.NewFuncFilter("F1-dequant", 192, 192, 1200, func(ctx *stream.Ctx) {
-		var zz [64]int32
-		var out [64]float64
-		for ci := 0; ci < 3; ci++ {
-			for i := 0; i < 64; i++ {
-				zz[i] = int32(ctx.Pop(0))
-			}
-			quant := &lumaQ
-			if ci > 0 {
-				quant = &chromaQ
-			}
-			jpegcodec.DequantizeBlock(zz[:], quant, &out)
-			for i := 0; i < 64; i++ {
-				ctx.PushF32(0, float32(out[i]))
-			}
-		}
-	}).ABFT(func(in, out [][]uint32) float64 {
+	// Every stage's kernel loops over the 192-item blocks of however many
+	// firings it is handed. The two compute stages are ABFT kernels, with
+	// the output checksum fused in and carried across blocks: F1's sum
+	// lives in the pushed float32 domain, F2's in the raw pixel words.
+	dequant := stream.NewABFTFilter("F1-dequant", 192, 192, 1200, func(in, out [][]uint32) float64 {
 		var zz [64]int32
 		var blk [64]float64
 		s := 0.0
@@ -93,20 +75,7 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
 
-	idctColor := stream.NewFuncFilter("F2-idct-color", 192, 192, 6500, func(ctx *stream.Ctx) {
-		var comps [3][64]float64
-		for ci := 0; ci < 3; ci++ {
-			for i := 0; i < 64; i++ {
-				comps[ci][i] = sanitize(float64(ctx.PopF32(0)))
-			}
-			jpegcodec.ReconstructBlock(&comps[ci])
-		}
-		var rgb [192]uint8
-		jpegcodec.MCUToRGB(&comps[0], &comps[1], &comps[2], &rgb)
-		for i := 0; i < 192; i++ {
-			ctx.Push(0, uint32(rgb[i]))
-		}
-	}).ABFT(func(in, out [][]uint32) float64 {
+	idctColor := stream.NewABFTFilter("F2-idct-color", 192, 192, 6500, func(in, out [][]uint32) float64 {
 		var comps [3][64]float64
 		var rgb [192]uint8
 		s := 0.0
@@ -129,15 +98,9 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 	}, func(out [][]uint32) float64 { return stream.ChecksumU32(out[0]) })
 
 	channelFilter := func(name string) stream.Filter {
-		return stream.NewFuncFilter(name, 1, 1, 12, func(ctx *stream.Ctx) {
-			v := ctx.Pop(0)
-			if v > 255 { // condition the channel value back into pixel range
-				v = 255
-			}
-			ctx.Push(0, v)
-		}).Batch(func(in, out [][]uint32) {
+		return stream.NewFuncFilter(name, 1, 1, 12, func(in, out [][]uint32) {
 			for i, v := range in[0] {
-				if v > 255 {
+				if v > 255 { // condition the channel value back into pixel range
 					v = 255
 				}
 				out[0][i] = v
@@ -145,11 +108,7 @@ func NewJPEG(cfg JPEGConfig) (*Instance, error) {
 		})
 	}
 
-	rowAssemble := stream.NewFuncFilter("F6-row", 192, 192, 600, func(ctx *stream.Ctx) {
-		for i := 0; i < 192; i++ {
-			ctx.Push(0, ctx.Pop(0))
-		}
-	}).Batch(func(in, out [][]uint32) {
+	rowAssemble := stream.NewFuncFilter("F6-row", 192, 192, 600, func(in, out [][]uint32) {
 		copy(out[0], in[0])
 	})
 

@@ -36,26 +36,15 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 	g := stream.NewGraph()
 	src := g.Add(stream.NewSource("F0-frames", mp3codec.ItemsPerFrame, w.tape))
 
-	// Batch kernels reuse closure-captured scratch (the per-item forms
-	// allocate theirs per firing) and loop over the frames of however many
-	// firings they are handed. The two compute-heavy stages' batch kernels
-	// are their ABFT kernels, with the output checksum fused in the pushed
+	// Kernels reuse closure-captured scratch and loop over the frames of
+	// however many firings they are handed. The two compute-heavy stages
+	// are ABFT kernels, with the output checksum fused in the pushed
 	// float32 domain and carried across frames. F3 keeps its overlap tail
-	// across firings, frame by frame in order, so it batches but stays
+	// across firings, frame by frame in order, so it stays
 	// un-checksummed: ABFT repair re-runs the kernel, which needs the
 	// kernel to be stateless.
 	var dqItems [mp3codec.ItemsPerFrame]int32
-	dequant := stream.NewFuncFilter("F1-dequant", mp3codec.ItemsPerFrame, mp3codec.N, 1500, func(ctx *stream.Ctx) {
-		items := make([]int32, mp3codec.ItemsPerFrame)
-		for i := range items {
-			items[i] = int32(ctx.Pop(0))
-		}
-		var coeffs [mp3codec.N]float64
-		mp3codec.DequantizeFrame(items, &coeffs)
-		for _, c := range coeffs {
-			ctx.PushF32(0, float32(c))
-		}
-	}).ABFT(func(in, out [][]uint32) float64 {
+	dequant := stream.NewABFTFilter("F1-dequant", mp3codec.ItemsPerFrame, mp3codec.N, 1500, func(in, out [][]uint32) float64 {
 		var coeffs [mp3codec.N]float64
 		s := 0.0
 		for f := 0; f*mp3codec.ItemsPerFrame < len(in[0]); f++ {
@@ -74,17 +63,7 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		return s
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
 
-	imdct := stream.NewFuncFilter("F2-imdct", mp3codec.N, 2*mp3codec.N, 20000, func(ctx *stream.Ctx) {
-		var coeffs [mp3codec.N]float64
-		for i := range coeffs {
-			coeffs[i] = sanitize(float64(ctx.PopF32(0)))
-		}
-		var widened [2 * mp3codec.N]float64
-		mp3codec.IMDCT(&coeffs, &widened)
-		for _, v := range widened {
-			ctx.PushF32(0, float32(v))
-		}
-	}).ABFT(func(in, out [][]uint32) float64 {
+	imdct := stream.NewABFTFilter("F2-imdct", mp3codec.N, 2*mp3codec.N, 20000, func(in, out [][]uint32) float64 {
 		var coeffs [mp3codec.N]float64
 		var widened [2 * mp3codec.N]float64
 		s := 0.0
@@ -105,17 +84,7 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 	}, func(out [][]uint32) float64 { return stream.ChecksumF32(out[0]) })
 
 	var tail [mp3codec.N]float64
-	ola := stream.NewFuncFilter("F3-overlap", 2*mp3codec.N, mp3codec.N, 2500, func(ctx *stream.Ctx) {
-		var cur [2 * mp3codec.N]float64
-		for i := range cur {
-			cur[i] = sanitize(float64(ctx.PopF32(0)))
-		}
-		var out [mp3codec.N]float64
-		mp3codec.OverlapAdd(&tail, &cur, &out)
-		for _, v := range out {
-			ctx.PushF32(0, float32(v))
-		}
-	}).Batch(func(in, out [][]uint32) {
+	ola := stream.NewFuncFilter("F3-overlap", 2*mp3codec.N, mp3codec.N, 2500, func(in, out [][]uint32) {
 		var cur [2 * mp3codec.N]float64
 		var res [mp3codec.N]float64
 		for f := 0; f*2*mp3codec.N < len(in[0]); f++ {
@@ -131,20 +100,9 @@ func NewMP3(cfg MP3Config) (*Instance, error) {
 		}
 	})
 
-	condition := stream.NewFuncFilter("F4-pcm", mp3codec.N, mp3codec.N, 800, func(ctx *stream.Ctx) {
-		for i := 0; i < mp3codec.N; i++ {
-			v := sanitize(float64(ctx.PopF32(0)))
-			if v > 2 {
-				v = 2
-			}
-			if v < -2 {
-				v = -2
-			}
-			ctx.PushF32(0, float32(v))
-		}
-	}).Batch(func(in, out [][]uint32) {
-		for i, b := range in[0] {
-			v := sanitize(float64(stream.BitsF32(b)))
+	condition := stream.NewFuncFilter("F4-pcm", mp3codec.N, mp3codec.N, 800, func(in, out [][]uint32) {
+		for i := range in[0] {
+			v := sanitize(float64(stream.BitsF32(in[0][i])))
 			if v > 2 {
 				v = 2
 			}

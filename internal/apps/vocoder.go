@@ -50,18 +50,22 @@ func NewVocoder(cfg VocoderConfig) (*Instance, error) {
 		carrierFreq := (lo + hi) / 2
 		phase := 0.0
 		branches[band] = []stream.Filter{
-			stream.NewFuncFilter(fmt.Sprintf("band%d", band), 1, 1, 150, func(ctx *stream.Ctx) {
-				x := sanitize(float64(ctx.PopF32(0)))
-				ctx.PushF32(0, float32(bp.Process(x)))
-			}),
-			stream.NewFuncFilter(fmt.Sprintf("env%d", band), 1, 1, 120, func(ctx *stream.Ctx) {
-				x := sanitize(float64(ctx.PopF32(0)))
-				env := envLP.Process(math.Abs(x))
-				phase += 2 * math.Pi * carrierFreq
-				if phase > 2*math.Pi {
-					phase -= 2 * math.Pi
+			stream.NewFuncFilter(fmt.Sprintf("band%d", band), 1, 1, 150, func(in, out [][]uint32) {
+				for i, v := range in[0] {
+					x := sanitize(float64(stream.BitsF32(v)))
+					out[0][i] = stream.F32Bits(float32(bp.Process(x)))
 				}
-				ctx.PushF32(0, float32(env*math.Sin(phase)))
+			}),
+			stream.NewFuncFilter(fmt.Sprintf("env%d", band), 1, 1, 120, func(in, out [][]uint32) {
+				for i, v := range in[0] {
+					x := sanitize(float64(stream.BitsF32(v)))
+					env := envLP.Process(math.Abs(x))
+					phase += 2 * math.Pi * carrierFreq
+					if phase > 2*math.Pi {
+						phase -= 2 * math.Pi
+					}
+					out[0][i] = stream.F32Bits(float32(env * math.Sin(phase)))
+				}
 			}),
 		}
 	}
@@ -69,12 +73,14 @@ func NewVocoder(cfg VocoderConfig) (*Instance, error) {
 		return nil, err
 	}
 
-	sum := stream.NewFuncFilter("mix", b, 1, 20, func(ctx *stream.Ctx) {
-		acc := 0.0
-		for i := 0; i < b; i++ {
-			acc += sanitize(float64(ctx.PopF32(0)))
+	sum := stream.NewFuncFilter("mix", b, 1, 20, func(in, out [][]uint32) {
+		for j := range out[0] {
+			acc := 0.0
+			for _, v := range in[0][j*b : (j+1)*b] {
+				acc += sanitize(float64(stream.BitsF32(v)))
+			}
+			out[0][j] = stream.F32Bits(float32(clampPCM(acc)))
 		}
-		ctx.PushF32(0, float32(clampPCM(acc)))
 	})
 	sink := stream.NewSink("vocoded-out", 1)
 	nSum := g.Add(sum)

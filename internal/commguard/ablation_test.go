@@ -88,12 +88,12 @@ func TestMarkerOnlyCheckerHandlesItemSlips(t *testing.T) {
 	const perFrame = 8
 	data := seq(frames * perFrame)
 	sink := stream.NewSink("sink", perFrame)
-	bad := &faultyFilter{rate: perFrame, badAt: 5, delta: +3, badValue: 0xDEAD}
+	bad := stream.NewIdentity("faulty", perFrame)
 	if _, err := g.Chain(stream.NewSource("src", perFrame, data), bad, sink); err != nil {
 		t.Fatal(err)
 	}
 	tr := NewMarkerTransport(cgQueue())
-	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: tr})
+	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: miscount(tr, 5, +3, 0xDEAD)})
 	if err != nil {
 		t.Fatal(err)
 	}

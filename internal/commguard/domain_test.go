@@ -161,13 +161,13 @@ func TestDomainRealignment(t *testing.T) {
 	const perFrame = 8
 	data := seq(frames * perFrame)
 	sink := stream.NewSink("sink", perFrame)
-	bad := &faultyFilter{rate: perFrame, badAt: 6, delta: -3, badValue: 0xBEEF}
+	bad := stream.NewIdentity("faulty", perFrame)
 	if _, err := g.Chain(stream.NewSource("src", perFrame, data), bad, sink); err != nil {
 		t.Fatal(err)
 	}
 	tr := NewTransport(cgQueue())
 	tr.ScaleFor = func(e *stream.Edge) int { return 4 }
-	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: tr})
+	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: miscount(tr, 6, -3, 0xBEEF)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,34 +98,49 @@ func TestHeaderInserterSequence(t *testing.T) {
 	}
 }
 
-// faultyFilter misbehaves on demand: on the chosen firing it pushes extra
-// or fewer items, modeling a control-flow error inside the producer.
-type faultyFilter struct {
-	rate     int
-	firing   int
-	badAt    int
-	delta    int // +k extra pushes, -k missing pushes
-	badValue uint32
+// miscount wraps a transport so that the producer named "faulty"
+// misbehaves on demand: its badAt-th push (0-based; one push per firing
+// on the concurrent engine) carries delta extra badValue items, or loses
+// its last -delta items, modeling a control-flow error inside the
+// producer. A kernel always fills exactly its rate, so a miscount can only
+// arise at the port, where the engine's own fault model arms it too.
+func miscount(tr stream.Transport, badAt, delta int, badValue uint32) stream.Transport {
+	return &miscountTransport{Transport: tr, badAt: badAt, delta: delta, badValue: badValue}
 }
 
-func (f *faultyFilter) Name() string     { return "faulty" }
-func (f *faultyFilter) PopRates() []int  { return []int{f.rate} }
-func (f *faultyFilter) PushRates() []int { return []int{f.rate} }
-func (f *faultyFilter) Work(ctx *stream.Ctx) {
-	n := f.rate
-	if f.firing == f.badAt {
-		n += f.delta
+type miscountTransport struct {
+	stream.Transport
+	badAt, delta int
+	badValue     uint32
+}
+
+func (m *miscountTransport) Wire(e *stream.Edge, prod, cons *ppu.Core) (stream.OutPort, stream.InPort, *queue.Queue, error) {
+	out, in, q, err := m.Transport.Wire(e, prod, cons)
+	if e.Src.F.Name() == "faulty" {
+		out = &miscountOut{OutPort: out, m: m}
 	}
-	for i := 0; i < f.rate; i++ {
-		v := ctx.Pop(0)
-		if i < n {
-			ctx.Push(0, v)
+	return out, in, q, err
+}
+
+type miscountOut struct {
+	stream.OutPort
+	m      *miscountTransport
+	pushes int
+}
+
+func (o *miscountOut) PushN(vs []uint32) {
+	if o.pushes == o.m.badAt {
+		if o.m.delta < 0 {
+			vs = vs[:len(vs)+o.m.delta]
+		} else {
+			vs = vs[:len(vs):len(vs)] // append to a copy, not the engine's buffer
+			for range o.m.delta {
+				vs = append(vs, o.m.badValue) // extra garbage items
+			}
 		}
 	}
-	for i := f.rate; i < n; i++ {
-		ctx.Push(0, f.badValue) // extra garbage items
-	}
-	f.firing++
+	o.pushes++
+	o.OutPort.PushN(vs)
 }
 
 // A producer that pushes extra items mid-stream must corrupt at most the
@@ -147,12 +162,12 @@ func testRealignment(t *testing.T, delta int) {
 	const perFrame = 8
 	data := seq(frames * perFrame)
 	sink := stream.NewSink("sink", perFrame)
-	bad := &faultyFilter{rate: perFrame, badAt: 4, delta: delta, badValue: 0xDEAD}
+	bad := stream.NewIdentity("faulty", perFrame)
 	if _, err := g.Chain(stream.NewSource("src", perFrame, data), bad, sink); err != nil {
 		t.Fatal(err)
 	}
 	tr := NewTransport(cgQueue())
-	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: tr})
+	eng, err := stream.NewEngine(g, stream.EngineConfig{Transport: miscount(tr, 4, delta, 0xDEAD)})
 	if err != nil {
 		t.Fatal(err)
 	}

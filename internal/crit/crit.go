@@ -13,9 +13,9 @@
 //   - control-criticality, backwards from control sinks: loop bounds,
 //     slice/array indices, slice bounds, branch and switch conditions,
 //     range induction variables;
-//   - pop-taint, forwards from stream-data sources: ctx.Pop/Peek calls in
-//     filter mode, element reads of slice/array parameters in kernel mode
-//     (the codec kernels receive the popped frame as a slice).
+//   - pop-taint, forwards from stream data: element reads of the analyzed
+//     function's slice/array parameters (a filter kernel's in and out
+//     buffers; the codec kernels receive the popped frame as a slice).
 //
 // Every tracked variable lands in the two-point lattice {data-tolerable,
 // control-critical}; every statement is charged to the side its writes
@@ -28,7 +28,8 @@
 //	CM001  a loop bound derives from popped data without a bounds guard
 //	CM002  a slice/array index derives from popped data without a bounds
 //	       guard
-//	CM003  a control-critical receiver field is mutated outside Work/Init
+//	CM003  a control-critical receiver field is mutated outside
+//	       WorkBatch/Init
 //
 // Findings are suppressible with `//repolint:ignore CM00x reason` comments
 // (internal/srcload's waiver grammar, which internal/lint shares).
@@ -74,7 +75,7 @@ const (
 	// CodeIndex flags an index derived from popped data (CM002).
 	CodeIndex = "CM002"
 	// CodeFieldMut flags a control-critical field mutated outside
-	// Work/Init (CM003).
+	// WorkBatch/Init (CM003).
 	CodeFieldMut = "CM003"
 )
 
@@ -104,10 +105,11 @@ func (f Finding) String() string {
 
 // FilterMap is the protection map of one work function.
 type FilterMap struct {
-	// Name is the filter's display name: the NewFuncFilter name literal
+	// Name is the filter's display name: the constructor's name literal
 	// (Sprintf formats with the verbs stripped, so "chan%d" matches
-	// "chan0".."chanN"), "pkg.Type" for Work methods, or "pkg.func" for
-	// ctx-taking helpers.
+	// "chan0".."chanN"), "pkg.Type" for WorkBatch methods, "pkg.func@line"
+	// for a kernel whose name is not a literal, or "pkg.func" and
+	// "pkg.Type.Method" for kernel-mode functions.
 	Name string `json:"name"`
 	File string `json:"file"`
 	Line int    `json:"line"`
@@ -243,17 +245,19 @@ func (m *ProtectionMap) MeanFraction() float64 {
 	return float64(control) / float64(stmts)
 }
 
-// Mode selects where stream data enters the analyzed functions.
+// Mode selects which functions of a source directory are analyzed. In
+// both modes taint enters through element reads of an analyzed
+// function's slice/array parameters: a filter kernel's in and out
+// buffers, or the popped frame handed to a codec kernel. Scalar
+// parameters are treated as structural configuration (rates, sizes), not
+// stream data.
 type Mode int
 
 const (
-	// FilterMode analyzes work functions (a *stream.Ctx parameter):
-	// taint enters through ctx.Pop/Peek calls.
+	// FilterMode analyzes filter kernels only: WorkBatch methods and the
+	// kernel literals handed to stream.NewFuncFilter/NewABFTFilter.
 	FilterMode Mode = iota
-	// KernelMode analyzes every function of a codec/DSP package: taint
-	// enters through element reads of slice/array parameters (the popped
-	// frame handed to the kernel). Scalar parameters are treated as
-	// structural configuration (rates, sizes), not stream data.
+	// KernelMode analyzes every function of a codec/DSP package.
 	KernelMode
 )
 
@@ -276,12 +280,6 @@ func analyzeFile(fset *token.FileSet, f *ast.File, mode Mode) *ProtectionMap {
 	return m
 }
 
-// ctxPopFns are the Ctx methods that deliver stream data.
-var ctxPopFns = map[string]bool{
-	"Pop": true, "PopF32": true, "PopI32": true,
-	"Peek": true, "PeekF32": true,
-}
-
 // guardFnRe matches callee names that bound their argument; a tainted
 // value routed through one counts as guarded.
 var guardFnRe = regexp.MustCompile(`(?i)(clamp|bound|min|max|guard|limit)`)
@@ -296,8 +294,8 @@ type fileAnalyzer struct {
 	pkg     string
 	mode    Mode
 	imports map[string]bool
-	// works records each Work method's analysis, keyed by receiver type,
-	// for the CM003 cross-method field-mutation check.
+	// works records each WorkBatch method's analysis, keyed by receiver
+	// type, for the CM003 cross-method field-mutation check.
 	works map[string]workInfo
 }
 
@@ -320,78 +318,40 @@ func importNames(f *ast.File) map[string]bool {
 	return names
 }
 
-// isCtxType reports whether a parameter type is *Ctx / *stream.Ctx.
-func isCtxType(t ast.Expr) bool {
-	star, ok := t.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	switch x := star.X.(type) {
-	case *ast.Ident:
-		return x.Name == "Ctx"
-	case *ast.SelectorExpr:
-		return x.Sel.Name == "Ctx"
-	}
-	return false
-}
-
-// ctxParamNames returns the names of *Ctx-typed parameters.
-func ctxParamNames(params *ast.FieldList) []string {
-	var out []string
-	if params == nil {
-		return nil
-	}
-	for _, field := range params.List {
-		if !isCtxType(field.Type) {
-			continue
-		}
-		for _, n := range field.Names {
-			out = append(out, n.Name)
-		}
-	}
-	return out
-}
-
-// run discovers analyzable functions and analyzes each.
+// run discovers analyzable functions and analyzes each: every function
+// in kernel mode, and in both modes every WorkBatch method and every
+// kernel literal handed to a filter constructor (analyzed as its own
+// function, named by the constructor's name argument).
 func (a *fileAnalyzer) run() *ProtectionMap {
 	m := &ProtectionMap{}
-	names := a.funcLitNames()
-
 	for _, decl := range a.file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			continue
 		}
-		ctxNames := ctxParamNames(fn.Type.Params)
-		switch {
-		case len(ctxNames) > 0:
-			// A work function or ctx-taking helper.
-			fm := a.analyzeFunc(a.declName(fn), fn.Recv, fn.Type.Params, fn.Body, FilterMode, ctxNames, fn.Pos())
+		if a.mode == KernelMode || (fn.Recv != nil && fn.Name.Name == "WorkBatch") {
+			fm := a.analyzeFunc(a.declName(fn), fn.Recv, fn.Type.Params, fn.Body, fn.Pos())
 			m.Filters = append(m.Filters, fm)
 			a.recordWork(fn, fm)
-		case a.mode == KernelMode:
-			m.Filters = append(m.Filters, a.analyzeFunc(a.declName(fn), fn.Recv, fn.Type.Params, fn.Body, KernelMode, nil, fn.Pos()))
 		}
-		// Nested FuncLits with their own ctx parameter (closures handed to
-		// NewFuncFilter from inside builders) are discovered below; the
-		// enclosing builder itself has no ctx param and is skipped in
-		// filter mode.
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			lit, ok := n.(*ast.FuncLit)
-			if !ok {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !filterConstructors[calleeName(call.Fun)] || len(call.Args) == 0 {
 				return true
 			}
-			litCtx := ctxParamNames(lit.Type.Params)
-			if len(litCtx) == 0 {
-				return true
+			for _, arg := range call.Args {
+				lit, ok := arg.(*ast.FuncLit)
+				if !ok {
+					continue
+				}
+				name := stringArgValue(call.Args[0])
+				if name == "" {
+					name = fmt.Sprintf("%s.func@%d", a.pkg, a.fset.Position(lit.Pos()).Line)
+				}
+				m.Filters = append(m.Filters, a.analyzeFunc(name, nil, lit.Type.Params, lit.Body, lit.Pos()))
+				break // the first literal is the kernel (an ABFT checksum follows it)
 			}
-			name := names[lit]
-			if name == "" {
-				pos := a.fset.Position(lit.Pos())
-				name = fmt.Sprintf("%s.func@%d", a.pkg, pos.Line)
-			}
-			m.Filters = append(m.Filters, a.analyzeFunc(name, nil, lit.Type.Params, lit.Body, FilterMode, litCtx, lit.Pos()))
-			return false // the closure is analyzed as its own function
+			return true
 		})
 	}
 
@@ -399,11 +359,15 @@ func (a *fileAnalyzer) run() *ProtectionMap {
 	return m
 }
 
+// filterConstructors are the stream constructors that take a filter's
+// kernel as a function literal.
+var filterConstructors = map[string]bool{"NewFuncFilter": true, "NewABFTFilter": true}
+
 // declName builds the display name of a FuncDecl.
 func (a *fileAnalyzer) declName(fn *ast.FuncDecl) string {
 	if fn.Recv != nil && len(fn.Recv.List) > 0 {
 		if t := recvTypeName(fn.Recv.List[0].Type); t != "" {
-			if fn.Name.Name == "Work" {
+			if fn.Name.Name == "WorkBatch" {
 				return a.pkg + "." + t
 			}
 			return a.pkg + "." + t + "." + fn.Name.Name
@@ -422,40 +386,6 @@ func recvTypeName(t ast.Expr) string {
 		return recvTypeName(x.X)
 	}
 	return ""
-}
-
-// funcLitNames maps FuncLit nodes to display names derived from their use
-// site: the name argument of an enclosing NewFuncFilter call, or the
-// variable they are assigned to.
-func (a *fileAnalyzer) funcLitNames() map[*ast.FuncLit]string {
-	names := map[*ast.FuncLit]string{}
-	ast.Inspect(a.file, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.CallExpr:
-			if calleeName(node.Fun) != "NewFuncFilter" || len(node.Args) == 0 {
-				return true
-			}
-			lit, ok := node.Args[len(node.Args)-1].(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			if name := stringArgValue(node.Args[0]); name != "" {
-				names[lit] = name
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range node.Rhs {
-				lit, ok := rhs.(*ast.FuncLit)
-				if !ok || i >= len(node.Lhs) {
-					continue
-				}
-				if id, ok := node.Lhs[i].(*ast.Ident); ok {
-					names[lit] = a.pkg + "." + id.Name
-				}
-			}
-		}
-		return true
-	})
-	return names
 }
 
 func calleeName(fun ast.Expr) string {

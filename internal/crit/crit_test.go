@@ -47,10 +47,10 @@ import "commguard/internal/stream"
 func TestLoopBoundFromPoppedData(t *testing.T) {
 	m := analyze(t, filterHeader+`
 func build() *stream.FuncFilter {
-	return stream.NewFuncFilter("bad", 1, 1, 1, func(ctx *stream.Ctx) {
-		n := int(ctx.PopI32(0))
+	return stream.NewFuncFilter("bad", 1, 1, 1, func(in, out [][]uint32) {
+		n := int(in[0][0])
 		for i := 0; i < n; i++ {
-			ctx.Push(0, uint32(i))
+			out[0][0] = uint32(i)
 		}
 	})
 }
@@ -70,9 +70,9 @@ func TestIndexFromPoppedData(t *testing.T) {
 var table [16]uint32
 
 func build() *stream.FuncFilter {
-	return stream.NewFuncFilter("idx", 1, 1, 1, func(ctx *stream.Ctx) {
-		k := int(ctx.PopI32(0))
-		ctx.Push(0, table[k])
+	return stream.NewFuncFilter("idx", 1, 1, 1, func(in, out [][]uint32) {
+		k := int(in[0][0])
+		out[0][0] = table[k]
 	})
 }
 `, FilterMode)
@@ -86,8 +86,8 @@ func TestDirectPopAsIndex(t *testing.T) {
 var table [16]uint32
 
 func build() *stream.FuncFilter {
-	return stream.NewFuncFilter("direct", 1, 1, 1, func(ctx *stream.Ctx) {
-		ctx.Push(0, table[ctx.PopI32(0)])
+	return stream.NewFuncFilter("direct", 1, 1, 1, func(in, out [][]uint32) {
+		out[0][0] = table[in[0][0]]
 	})
 }
 `, FilterMode)
@@ -99,14 +99,14 @@ func build() *stream.FuncFilter {
 func TestGuardedIndexIsClean(t *testing.T) {
 	for _, src := range []string{
 		// Comparison guard in an if condition.
-		`k := int(ctx.PopI32(0))
+		`k := int(in[0][0])
 		if k < 0 || k >= len(table) {
 			return
 		}
-		ctx.Push(0, table[k])`,
+		out[0][0] = table[k]`,
 		// Guard-named helper call.
-		`k := clampIndex(int(ctx.PopI32(0)))
-		ctx.Push(0, table[k])`,
+		`k := clampIndex(int(in[0][0]))
+		out[0][0] = table[k]`,
 	} {
 		m := analyze(t, filterHeader+`
 var table [16]uint32
@@ -114,7 +114,7 @@ var table [16]uint32
 func clampIndex(k int) int { return k }
 
 func build() *stream.FuncFilter {
-	return stream.NewFuncFilter("guarded", 1, 1, 1, func(ctx *stream.Ctx) {
+	return stream.NewFuncFilter("guarded", 1, 1, 1, func(in, out [][]uint32) {
 		`+src+`
 	})
 }
@@ -128,10 +128,10 @@ func build() *stream.FuncFilter {
 func TestPushedDataIsTolerable(t *testing.T) {
 	m := analyze(t, filterHeader+`
 func build() *stream.FuncFilter {
-	return stream.NewFuncFilter("scale", 2, 2, 1, func(ctx *stream.Ctx) {
+	return stream.NewFuncFilter("scale", 2, 2, 1, func(in, out [][]uint32) {
 		for i := 0; i < 2; i++ {
-			v := ctx.PopF32(0) * 0.5
-			ctx.PushF32(0, v)
+			v := stream.BitsF32(in[0][i]) * 0.5
+			out[0][i] = stream.F32Bits(v)
 		}
 	})
 }
@@ -206,13 +206,13 @@ type Counter struct {
 	data []uint32
 }
 
-func (c *Counter) Work(ctx *Ctx) {
-	ctx.Push(0, c.data[c.pos])
+func (c *Counter) WorkBatch(in, out [][]uint32) {
+	out[0][0] = c.data[c.pos]
 	c.pos++
 }
 
 func (c *Counter) Reset() {
-	c.pos = 0 // mutating a control-critical field outside Work/Init
+	c.pos = 0 // mutating a control-critical field outside WorkBatch/Init
 }
 
 func (c *Counter) Init() {
@@ -222,11 +222,6 @@ func (c *Counter) Init() {
 func (c *Counter) Reload(d []uint32) {
 	c.data = d // data field: fine anywhere
 }
-
-type Ctx struct{}
-
-func (c *Ctx) Push(port int, v uint32) {}
-func (c *Ctx) Pop(port int) uint32     { return 0 }
 `
 	m := analyze(t, src, FilterMode)
 	if got := codes(m); len(got) != 1 || got[0] != CodeFieldMut {
@@ -239,23 +234,23 @@ func (c *Ctx) Pop(port int) uint32     { return 0 }
 }
 
 func TestSuppression(t *testing.T) {
-	body := `k := int(ctx.PopI32(0))
-		ctx.Push(0, table[k])`
+	body := `k := int(in[0][0])
+		out[0][0] = table[k]`
 	mk := func(directive, placement string) string {
 		src := filterHeader + `
 var table [16]uint32
 
 func build() *stream.FuncFilter {
-	return stream.NewFuncFilter("s", 1, 1, 1, func(ctx *stream.Ctx) {
+	return stream.NewFuncFilter("s", 1, 1, 1, func(in, out [][]uint32) {
 		` + body + `
 	})
 }
 `
 		switch placement {
 		case "above":
-			return strings.Replace(src, "ctx.Push(0, table[k])", directive+"\n\t\tctx.Push(0, table[k])", 1)
+			return strings.Replace(src, "out[0][0] = table[k]", directive+"\n\t\tout[0][0] = table[k]", 1)
 		case "same":
-			return strings.Replace(src, "ctx.Push(0, table[k])", "ctx.Push(0, table[k]) "+directive, 1)
+			return strings.Replace(src, "out[0][0] = table[k]", "out[0][0] = table[k] "+directive, 1)
 		case "file":
 			return directive + "\n" + src
 		}
@@ -318,12 +313,40 @@ func TestSprintfFilterNames(t *testing.T) {
 import "fmt"
 
 func build(ch int) *stream.FuncFilter {
-	return stream.NewFuncFilter(fmt.Sprintf("chan%d", ch), 1, 1, 1, func(ctx *stream.Ctx) {
-		ctx.Push(0, ctx.Pop(0))
+	return stream.NewFuncFilter(fmt.Sprintf("chan%d", ch), 1, 1, 1, func(in, out [][]uint32) {
+		copy(out[0], in[0])
 	})
 }
 `, FilterMode)
 	filterByName(t, m, "chan")
+}
+
+// A filter's kernel is the first function literal its constructor takes:
+// an ABFT filter's fused kernel is analyzed under the filter's name, its
+// checksum function is not analyzed, and neither is the enclosing
+// builder.
+func TestConstructorKernelLiterals(t *testing.T) {
+	m := analyze(t, filterHeader+`
+func build() *stream.ABFTFuncFilter {
+	return stream.NewABFTFilter("fused", 1, 1, 1, func(in, out [][]uint32) float64 {
+		v := in[0][0]
+		out[0][0] = v
+		return float64(v)
+	}, func(out [][]uint32) float64 { return stream.ChecksumU32(out[0]) })
+}
+`, FilterMode)
+	if len(m.Filters) != 1 {
+		t.Fatalf("analyzed %d functions, want only the fused kernel", len(m.Filters))
+	}
+	fm := filterByName(t, m, "fused")
+	if fm.Line != 7 {
+		t.Errorf("fused kernel analyzed at line %d, want the literal on line 7", fm.Line)
+	}
+	for _, v := range fm.Vars {
+		if v.Name == "v" && !v.PopTainted {
+			t.Error("v reads the input buffer but is not pop-tainted")
+		}
+	}
 }
 
 // TestAnalyzeRepo runs the analysis over the repo's own sources: the 7

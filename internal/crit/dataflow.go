@@ -30,10 +30,8 @@ type varState struct {
 // funcAnalyzer runs the dataflow over one function body.
 type funcAnalyzer struct {
 	file       *fileAnalyzer
-	mode       Mode
-	ctxNames   map[string]bool
 	recvName   string
-	dataParams map[string]bool // kernel mode: slice/array params
+	dataParams map[string]bool // slice/array params: stream data
 	// locals names the function's own declarations (parameters, receiver,
 	// :=/var/range declarations): a plain `=` store to a name outside this
 	// set writes a package-level variable (an escape, see summary.go).
@@ -41,8 +39,8 @@ type funcAnalyzer struct {
 	vars   map[string]*varState
 }
 
-// workInfo records a Work method's critical receiver fields for the CM003
-// cross-method check.
+// workInfo records a WorkBatch method's critical receiver fields for the
+// CM003 cross-method check.
 type workInfo struct {
 	fm       *FilterMap
 	recvType string
@@ -50,17 +48,12 @@ type workInfo struct {
 }
 
 // analyzeFunc classifies one function. recv is non-nil for methods.
-func (a *fileAnalyzer) analyzeFunc(name string, recv *ast.FieldList, params *ast.FieldList, body *ast.BlockStmt, mode Mode, ctxNames []string, pos token.Pos) *FilterMap {
+func (a *fileAnalyzer) analyzeFunc(name string, recv *ast.FieldList, params *ast.FieldList, body *ast.BlockStmt, pos token.Pos) *FilterMap {
 	fa := &funcAnalyzer{
 		file:       a,
-		mode:       mode,
-		ctxNames:   map[string]bool{},
 		dataParams: map[string]bool{},
 		locals:     map[string]bool{},
 		vars:       map[string]*varState{},
-	}
-	for _, n := range ctxNames {
-		fa.ctxNames[n] = true
 	}
 	if recv != nil && len(recv.List) > 0 && len(recv.List[0].Names) > 0 {
 		fa.recvName = recv.List[0].Names[0].Name
@@ -68,10 +61,10 @@ func (a *fileAnalyzer) analyzeFunc(name string, recv *ast.FieldList, params *ast
 	}
 	if params != nil {
 		for _, field := range params.List {
-			isData := mode == KernelMode && isSliceOrArray(field.Type)
+			isData := isSliceOrArray(field.Type)
 			for _, n := range field.Names {
 				fa.locals[n.Name] = true
-				if fa.ctxNames[n.Name] || n.Name == "_" {
+				if n.Name == "_" {
 					continue
 				}
 				fa.ensure(n.Name, n.Pos())
@@ -139,7 +132,7 @@ func (fa *funcAnalyzer) ensure(name string, pos token.Pos) *varState {
 func (fa *funcAnalyzer) key(e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:
-		if x.Name == "_" || fa.ctxNames[x.Name] || fa.file.imports[x.Name] {
+		if x.Name == "_" || fa.file.imports[x.Name] {
 			return ""
 		}
 		return x.Name
@@ -242,8 +235,8 @@ func isGuardCall(c *ast.CallExpr) bool {
 }
 
 // containsTaintSource reports whether an expression reads stream data
-// directly: a ctx.Pop/Peek call, or (kernel mode) an element read of a
-// slice/array parameter. Guard-call and len/cap interiors are skipped.
+// directly: an element read of a slice/array parameter. Guard-call and
+// len/cap interiors are skipped.
 func (fa *funcAnalyzer) containsTaintSource(e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
@@ -255,16 +248,10 @@ func (fa *funcAnalyzer) containsTaintSource(e ast.Expr) bool {
 			if isLenCap(x) || isGuardCall(x) {
 				return false
 			}
-			if fa.isPopCall(x) {
+		case *ast.IndexExpr:
+			if fa.isDataRead(x) {
 				found = true
 				return false
-			}
-		case *ast.IndexExpr:
-			if fa.mode == KernelMode {
-				if id, ok := x.X.(*ast.Ident); ok && fa.dataParams[id.Name] {
-					found = true
-					return false
-				}
 			}
 		case *ast.FuncLit:
 			return false
@@ -274,13 +261,10 @@ func (fa *funcAnalyzer) containsTaintSource(e ast.Expr) bool {
 	return found
 }
 
-func (fa *funcAnalyzer) isPopCall(c *ast.CallExpr) bool {
-	sel, ok := c.Fun.(*ast.SelectorExpr)
-	if !ok || !ctxPopFns[sel.Sel.Name] {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && fa.ctxNames[id.Name]
+// isDataRead reports whether x reads an element of a data parameter.
+func (fa *funcAnalyzer) isDataRead(x *ast.IndexExpr) bool {
+	id, ok := x.X.(*ast.Ident)
+	return ok && fa.dataParams[id.Name]
 }
 
 // assign records one lvalue <- rvalue flow edge.
@@ -454,17 +438,6 @@ func (fa *funcAnalyzer) collect(body *ast.BlockStmt) {
 					}
 				}
 			}
-			// A helper receiving the ctx alongside other mutable
-			// arguments pops into them (e.g. popBlock(ctx, re, im)).
-			if fa.mode == FilterMode && fa.callPassesCtx(node) {
-				for _, arg := range node.Args {
-					if id, ok := arg.(*ast.Ident); ok && !fa.ctxNames[id.Name] {
-						if k := fa.key(id); k != "" {
-							fa.ensure(k, id.Pos()).directSource = true
-						}
-					}
-				}
-			}
 		case *ast.FuncLit:
 			return false // analyzed separately
 		}
@@ -473,22 +446,13 @@ func (fa *funcAnalyzer) collect(body *ast.BlockStmt) {
 }
 
 // containsRangeSource reports whether ranging over e yields stream data
-// directly (kernel mode: a data parameter).
+// directly: a data parameter, or an element read of one (a kernel's
+// in[0]).
 func (fa *funcAnalyzer) containsRangeSource(e ast.Expr) bool {
-	if fa.mode != KernelMode {
-		return false
+	if id, ok := unwrap(e).(*ast.Ident); ok && fa.dataParams[id.Name] {
+		return true
 	}
-	id, ok := unwrap(e).(*ast.Ident)
-	return ok && fa.dataParams[id.Name]
-}
-
-func (fa *funcAnalyzer) callPassesCtx(c *ast.CallExpr) bool {
-	for _, arg := range c.Args {
-		if id, ok := arg.(*ast.Ident); ok && fa.ctxNames[id.Name] {
-			return true
-		}
-	}
-	return false
+	return fa.containsTaintSource(e)
 }
 
 // fixpoint propagates taint forward, criticality backward, and guardedness
@@ -664,16 +628,10 @@ func (fa *funcAnalyzer) violates(e ast.Expr) bool {
 			if isLenCap(x) || isGuardCall(x) {
 				return false
 			}
-			if fa.isPopCall(x) {
+		case *ast.IndexExpr:
+			if fa.isDataRead(x) {
 				bad = true
 				return false
-			}
-		case *ast.IndexExpr:
-			if fa.mode == KernelMode {
-				if id, ok := x.X.(*ast.Ident); ok && fa.dataParams[id.Name] {
-					bad = true
-					return false
-				}
 			}
 		case *ast.Ident:
 			if st := fa.vars[x.Name]; st != nil && st.tainted && !st.guarded {
@@ -696,20 +654,19 @@ func (fa *funcAnalyzer) violates(e ast.Expr) bool {
 }
 
 // firingPathMethod reports whether a method name belongs to the sanctioned
-// firing path: Work and Init, plus the whole-firing kernel forms the
-// engine fires in Work's place (stream.BatchKernel's WorkBatch, which
-// also repairs an ABFT mismatch, and stream.ABFTKernel's WorkBatchABFT).
+// firing path: Init, the kernel (stream.Filter's WorkBatch, which also
+// repairs an ABFT mismatch) and stream.ABFTKernel's WorkBatchABFT.
 func firingPathMethod(name string) bool {
 	switch name {
-	case "Work", "Init", "WorkBatch", "WorkBatchABFT":
+	case "Init", "WorkBatch", "WorkBatchABFT":
 		return true
 	}
 	return false
 }
 
 // checkFieldMutations implements CM003: control-critical receiver fields
-// (as classified by the type's Work analysis) must only be mutated by
-// the firing path (Work/Init and the batch-kernel variants).
+// (as classified by the type's WorkBatch analysis) must only be mutated
+// by the firing path (WorkBatch/Init and the ABFT variant).
 func (a *fileAnalyzer) checkFieldMutations(m *ProtectionMap) {
 	for _, decl := range a.file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -744,7 +701,7 @@ func (a *fileAnalyzer) checkFieldMutations(m *ProtectionMap) {
 				Pos:    a.fset.Position(sel.Pos()),
 				Code:   CodeFieldMut,
 				Filter: info.fm.Name,
-				Message: fmt.Sprintf("control-critical field %s.%s mutated outside Work/Init (in %s); "+
+				Message: fmt.Sprintf("control-critical field %s.%s mutated outside WorkBatch/Init (in %s); "+
 					"desequencing state must stay confined to the firing path", recvType, sel.Sel.Name, fn.Name.Name),
 			})
 		}
@@ -762,9 +719,10 @@ func (a *fileAnalyzer) checkFieldMutations(m *ProtectionMap) {
 	}
 }
 
-// recordWork stores a Work method's critical fields for checkFieldMutations.
+// recordWork stores a WorkBatch method's critical fields for
+// checkFieldMutations.
 func (a *fileAnalyzer) recordWork(fn *ast.FuncDecl, fm *FilterMap) {
-	if fn.Name.Name != "Work" || fn.Recv == nil || len(fn.Recv.List) == 0 {
+	if fn.Name.Name != "WorkBatch" || fn.Recv == nil || len(fn.Recv.List) == 0 {
 		return
 	}
 	recvType := recvTypeName(fn.Recv.List[0].Type)

@@ -131,7 +131,7 @@ func (fa *funcAnalyzer) findEscapes(body *ast.BlockStmt, fm *FilterMap) {
 				switch target := lhs.(type) {
 				case *ast.Ident:
 					if node.Tok != token.DEFINE && target.Name != "_" &&
-						!fa.locals[target.Name] && !fa.ctxNames[target.Name] &&
+						!fa.locals[target.Name] &&
 						!fa.file.imports[target.Name] {
 						report(lhs.Pos(), EscapeGlobal, src, target.Name)
 					}

@@ -8,10 +8,10 @@ func TestFieldEscape(t *testing.T) {
 	m := analyze(t, filterHeader+`
 type acc struct{ last uint32 }
 
-func (a *acc) Work(ctx *stream.Ctx) {
-	v := ctx.Pop(0)
+func (a *acc) WorkBatch(in, out [][]uint32) {
+	v := in[0][0]
 	a.last = v
-	ctx.Push(0, v)
+	out[0][0] = v
 }
 `, FilterMode)
 	fm := filterByName(t, m, "apps.acc")
@@ -28,10 +28,12 @@ func TestGlobalEscape(t *testing.T) {
 	m := analyze(t, filterHeader+`
 var lastSeen uint32
 
-func work(ctx *stream.Ctx) {
-	v := ctx.Pop(0)
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	v := in[0][0]
 	lastSeen = v
-	ctx.Push(0, v)
+	out[0][0] = v
 }
 `, FilterMode)
 	fm := filterByName(t, m, "apps.work")
@@ -42,10 +44,12 @@ func work(ctx *stream.Ctx) {
 
 func TestClosureEscape(t *testing.T) {
 	m := analyze(t, filterHeader+`
-func work(ctx *stream.Ctx, emit func()) {
-	v := ctx.Pop(0)
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	v := in[0][0]
 	f := func() uint32 { return v + 1 }
-	ctx.Push(0, f())
+	out[0][0] = f()
 }
 `, FilterMode)
 	fm := filterByName(t, m, "apps.work")
@@ -62,10 +66,12 @@ func work(ctx *stream.Ctx, emit func()) {
 
 func TestNoEscapeForLocalFlow(t *testing.T) {
 	m := analyze(t, filterHeader+`
-func work(ctx *stream.Ctx) {
-	v := ctx.Pop(0)
+type work struct{}
+
+func (k *work) WorkBatch(in, out [][]uint32) {
+	v := in[0][0]
 	w := v * 2
-	ctx.Push(0, w)
+	out[0][0] = w
 }
 `, FilterMode)
 	fm := filterByName(t, m, "apps.work")
@@ -76,9 +82,12 @@ func work(ctx *stream.Ctx) {
 
 func TestOpaqueFunctionValueCall(t *testing.T) {
 	m := analyze(t, filterHeader+`
-func work(ctx *stream.Ctx, hook func(uint32) uint32) {
-	v := ctx.Pop(0)
-	ctx.Push(0, hook(v))
+type work struct{ hook func(uint32) uint32 }
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	hook := w.hook
+	v := in[0][0]
+	out[0][0] = hook(v)
 }
 `, FilterMode)
 	fm := filterByName(t, m, "apps.work")
@@ -96,10 +105,12 @@ import (
 	"commguard/internal/stream"
 )
 
-func work(ctx *stream.Ctx) {
-	v := ctx.Pop(0)
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	v := in[0][0]
 	_ = reflect.ValueOf(v)
-	ctx.Push(0, v)
+	out[0][0] = v
 }
 `, FilterMode)
 	fm := filterByName(t, m, "apps.work")
@@ -110,11 +121,13 @@ func work(ctx *stream.Ctx) {
 
 func TestCriticalPathReconstruction(t *testing.T) {
 	m := analyze(t, filterHeader+`
-func work(ctx *stream.Ctx) {
-	n := int(ctx.PopI32(0))
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	n := int(in[0][0])
 	m := n + 1
 	for i := 0; i < m; i++ {
-		ctx.Push(0, uint32(i))
+		out[0][0] = uint32(i)
 	}
 }
 `, FilterMode)
@@ -138,10 +151,12 @@ func work(ctx *stream.Ctx) {
 
 func TestGuardedFlowHasNoCriticalPath(t *testing.T) {
 	m := analyze(t, filterHeader+`
-func work(ctx *stream.Ctx) {
-	n := clamp(int(ctx.PopI32(0)))
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	n := clamp(int(in[0][0]))
 	for i := 0; i < n; i++ {
-		ctx.Push(0, uint32(i))
+		out[0][0] = uint32(i)
 	}
 }
 `, FilterMode)

@@ -125,12 +125,3 @@ func FFTStage(re, im []float64, size int) error {
 	}
 	return nil
 }
-
-// Magnitudes returns the element-wise complex magnitudes.
-func Magnitudes(re, im []float64) []float64 {
-	out := make([]float64, len(re))
-	for i := range re {
-		out[i] = math.Hypot(re[i], im[i])
-	}
-	return out
-}

@@ -113,7 +113,7 @@ func graphMeanFraction(b apps.Builder, pm *crit.ProtectionMap) float64 {
 	for _, node := range inst.Graph.Nodes {
 		f, ok := pm.FractionFor(node.F.Name())
 		if !ok {
-			// Builtin Work methods are analyzed under their "pkg.Type" name.
+			// Builtin WorkBatch methods are analyzed under their "pkg.Type" name.
 			f, ok = pm.FractionFor(strings.TrimPrefix(fmt.Sprintf("%T", node.F), "*"))
 		}
 		if ok {

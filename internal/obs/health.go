@@ -24,9 +24,9 @@ import (
 //     nothing — zero observations means pure fast-path transit.
 //   - queue_publish / queue_return (ns): duration of the lock-free ECC
 //     working-set exchange funnels.
-//   - fire_item / fire_batch / fire_abft (ns): filter firing duration by
-//     kernel form (per-item Work, batch WorkBatch, checksummed
-//     WorkBatchABFT including verification and any recompute).
+//   - fire_batch / fire_abft (ns): filter firing duration, plain
+//     (WorkBatch) or checksummed (WorkBatchABFT including verification
+//     and any recompute); a grouped run records one sample per firing.
 //   - detect_wall (ns) and detect_items (items): fault→detection latency —
 //     from an injected fault's manifestation (MarkFault) to the moment a
 //     protection scheme notices something is wrong (Detector.Detect), in
@@ -41,7 +41,6 @@ type Health struct {
 	queuePopWait  *hist.Hist
 	queuePublish  *hist.Hist
 	queueReturn   *hist.Hist
-	firesItem     *hist.Hist
 	firesBatch    *hist.Hist
 	firesABFT     *hist.Hist
 	detectWall    *hist.Hist
@@ -60,7 +59,6 @@ func NewHealth(cores int) *Health {
 		queuePopWait:  hist.New("queue_pop_wait", "ns", cores),
 		queuePublish:  hist.New("queue_publish", "ns", cores),
 		queueReturn:   hist.New("queue_return", "ns", cores),
-		firesItem:     hist.New("fire_item", "ns", cores),
 		firesBatch:    hist.New("fire_batch", "ns", cores),
 		firesABFT:     hist.New("fire_abft", "ns", cores),
 		detectWall:    hist.New("detect_wall", "ns", cores),
@@ -72,7 +70,7 @@ func NewHealth(cores int) *Health {
 func (h *Health) hists() []*hist.Hist {
 	return []*hist.Hist{
 		h.queuePushWait, h.queuePopWait, h.queuePublish, h.queueReturn,
-		h.firesItem, h.firesBatch, h.firesABFT,
+		h.firesBatch, h.firesABFT,
 		h.detectWall, h.detectItems,
 	}
 }
@@ -88,13 +86,13 @@ func (h *Health) QueueShards(producerCore, consumerCore int) (pushWait, publish,
 		h.queuePopWait.Shard(consumerCore), h.queueReturn.Shard(consumerCore)
 }
 
-// FireShards returns core's firing-duration shards per kernel form (Work,
-// WorkBatch, ABFT). Nil-safe.
-func (h *Health) FireShards(core int) (item, batch, abft *hist.Shard) {
+// FireShards returns core's firing-duration shards of the plain and the
+// checksummed kernel (WorkBatch, ABFT). Nil-safe.
+func (h *Health) FireShards(core int) (batch, abft *hist.Shard) {
 	if h == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
-	return h.firesItem.Shard(core), h.firesBatch.Shard(core), h.firesABFT.Shard(core)
+	return h.firesBatch.Shard(core), h.firesABFT.Shard(core)
 }
 
 // Summaries merges every histogram's shards and returns the summaries in

@@ -102,8 +102,8 @@ func TestHealthNilSafety(t *testing.T) {
 	if pw != nil || pub != nil || ow != nil || ret != nil {
 		t.Error("nil Health.QueueShards returned live shards")
 	}
-	it, ba, ab := h.FireShards(0)
-	if it != nil || ba != nil || ab != nil {
+	ba, ab := h.FireShards(0)
+	if ba != nil || ab != nil {
 		t.Error("nil Health.FireShards returned live shards")
 	}
 	if sec := h.Section(); sec.Histograms != nil {
@@ -118,8 +118,7 @@ func TestHealthQueueAndFireShards(t *testing.T) {
 	pub.Record(200)
 	ow.Record(300)
 	ret.Record(400)
-	it, ba, ab := h.FireShards(1)
-	it.Record(10)
+	ba, ab := h.FireShards(1)
 	ba.Record(20)
 	ab.Record(30)
 	for _, tc := range []struct {
@@ -128,7 +127,7 @@ func TestHealthQueueAndFireShards(t *testing.T) {
 	}{
 		{"queue_push_wait", 100}, {"queue_publish", 200},
 		{"queue_pop_wait", 300}, {"queue_return", 400},
-		{"fire_item", 10}, {"fire_batch", 20}, {"fire_abft", 30},
+		{"fire_batch", 20}, {"fire_abft", 30},
 	} {
 		s := findSummary(t, h.Summaries(), tc.name)
 		if s.Count != 1 || s.Sum != tc.sum {

@@ -30,7 +30,8 @@ type Manifest struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Commit is the VCS revision baked into the binary, when built from a
-	// checkout ("" under plain `go test`).
+	// checkout ("" under plain `go test`), suffixed "+dirty" when the
+	// checkout had uncommitted changes.
 	Commit string `json:"commit,omitempty"`
 }
 
@@ -43,13 +44,28 @@ func NewManifest() Manifest {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				m.Commit = s.Value
-			}
-		}
+		m.Commit = commitOf(bi.Settings)
 	}
 	return m
+}
+
+// commitOf renders a binary's VCS provenance: vcs.revision, plus "+dirty"
+// when vcs.modified is true, so a result built from a tree with
+// uncommitted changes does not name the clean commit it started from.
+func commitOf(settings []debug.BuildSetting) string {
+	commit, dirty := "", false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			commit = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if commit != "" && dirty {
+		commit += "+dirty"
+	}
+	return commit
 }
 
 // ConfigHash fingerprints an arbitrary configuration value: FNV-1a over

@@ -98,7 +98,7 @@ type Config struct {
 	// state draw proportionally more control-class errors. Lookup follows
 	// crit's naming: exact filter name, longest analyzed-name prefix
 	// (Sprintf-built names are stored verb-stripped), then the filter's
-	// "pkg.Type" for builtin Work methods. Unmatched nodes keep the base
+	// "pkg.Type" for builtin WorkBatch methods. Unmatched nodes keep the base
 	// model.
 	CritFractions map[string]float64
 	// Trace enables the internal/obs event tracer (Result.Trace) at
@@ -198,7 +198,7 @@ func (r *Result) DataLossRatio() float64 {
 
 // critFractionFor resolves a node's control-critical fraction against the
 // analysis map: exact filter name, longest analyzed-name prefix, then the
-// filter's concrete type as "pkg.Type" (how crit names builtin Work
+// filter's concrete type as "pkg.Type" (how crit names builtin WorkBatch
 // methods). Filters are held by pointer, so %T renders "*pkg.Type"; the
 // star is stripped from both the node side and the map side — a caller
 // that keyed its map with the raw %T spelling still matches.

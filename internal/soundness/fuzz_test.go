@@ -52,7 +52,7 @@ func FuzzSoundness(f *testing.F) {
 		g := stream.NewGraph()
 		if _, err := g.Chain(
 			stream.NewSource("src", 1, make([]uint32, 8)),
-			stream.NewFuncFilter(name, 1, 1, 1, func(ctx *stream.Ctx) { ctx.Push(0, ctx.Pop(0)) }),
+			stream.NewFuncFilter(name, 1, 1, 1, func(in, out [][]uint32) { copy(out[0], in[0]) }),
 			stream.NewSink("sink", 1),
 		); err != nil {
 			t.Fatal(err)

@@ -13,14 +13,16 @@ const filterHeader = "package apps\n\nimport \"commguard/internal/stream\"\n\n"
 
 // Edge-verdict fixtures: each triggers exactly its intended code when
 // composed with an unguarded chain graph whose middle filter is named
-// "apps.work".
+// "apps.work" (the WorkBatch method of type work).
 const (
 	// srcCS001: popped data becomes a loop bound — a proven critical flow.
 	srcCS001 = filterHeader + `
-func work(ctx *stream.Ctx) {
-	n := int(ctx.PopI32(0))
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	n := int(in[0][0])
 	for i := 0; i < n; i++ {
-		ctx.Push(0, uint32(i))
+		out[0][0] = uint32(i)
 	}
 }
 `
@@ -28,10 +30,12 @@ func work(ctx *stream.Ctx) {
 	srcCS002 = filterHeader + `
 var last uint32
 
-func work(ctx *stream.Ctx) {
-	v := ctx.Pop(0)
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	v := in[0][0]
 	last = v
-	ctx.Push(0, v)
+	out[0][0] = v
 }
 `
 	// srcCS003: popped data routed through reflection.
@@ -43,21 +47,25 @@ import (
 	"commguard/internal/stream"
 )
 
-func work(ctx *stream.Ctx) {
-	v := ctx.Pop(0)
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	v := in[0][0]
 	_ = reflect.ValueOf(v)
-	ctx.Push(0, v)
+	out[0][0] = v
 }
 `
 	// srcBoth: a critical flow AND an escape, for precedence tests.
 	srcBoth = filterHeader + `
 var last int
 
-func work(ctx *stream.Ctx) {
-	n := int(ctx.PopI32(0))
+type work struct{}
+
+func (w *work) WorkBatch(in, out [][]uint32) {
+	n := int(in[0][0])
 	last = n
 	for i := 0; i < n; i++ {
-		ctx.Push(0, uint32(i))
+		out[0][0] = uint32(i)
 	}
 }
 `
@@ -70,7 +78,7 @@ func chainGraph(t *testing.T, filterName string) *stream.Graph {
 	g := stream.NewGraph()
 	_, err := g.Chain(
 		stream.NewSource("src", 1, make([]uint32, 64)),
-		stream.NewFuncFilter(filterName, 1, 1, 1, func(ctx *stream.Ctx) { ctx.Push(0, ctx.Pop(0)) }),
+		stream.NewFuncFilter(filterName, 1, 1, 1, func(in, out [][]uint32) { copy(out[0], in[0]) }),
 		stream.NewSink("sink", 1),
 	)
 	if err != nil {

@@ -2,13 +2,11 @@ package stream
 
 import "math"
 
-// Whole-firing kernels. Every firing moves its items through flat
-// per-port buffers: the engine fills the input buffers, applies the armed
-// fault perturbations to them, runs the kernel, and pushes the output
-// buffers (engine.fire). A filter that implements BatchKernel runs over
-// those buffers in one WorkBatch call instead of item by item through
-// Ctx, and the sequential engine hands it a whole run of fault-free
-// firings in one call (engine.fireRun).
+// Checksummed kernels. Every firing moves its items through
+// flat per-port buffers: the engine fills the input buffers, applies the
+// armed fault perturbations to them, runs the filter's WorkBatch, and
+// pushes the output buffers (engine.fire); the sequential engine hands a
+// kernel a whole run of fault-free firings in one call (engine.fireRun).
 //
 // On top of that alloc-free steady state, ABFTKernel adds
 // algorithm-based fault tolerance in the style of FT-GEMM: the kernel
@@ -20,25 +18,8 @@ import "math"
 // than CommGuard (no headers, no alignment FSM) but blind to input
 // corruption and to control-flow slips.
 
-// BatchKernel is an optional Filter extension: WorkBatch executes k >= 1
-// consecutive firings over flat buffers instead of per-item Ctx calls.
-// in[i] holds exactly k·PopRates()[i] items, firing j's at
-// [j·rate, (j+1)·rate), and out[o] must be filled with exactly
-// k·PushRates()[o] items laid out the same way. The engine passes k = 1
-// on the per-firing path and a run's length on the sequential engine's
-// grouped path, so one call over k firings must be observably identical
-// to k calls over one firing each, in order, kernel state included, and
-// each of those to Work — same values in the same order, bit-for-bit
-// (including floating-point operation order): Work remains the filter's
-// reference form, and the forms must agree on any input, perturbed or
-// not. WorkBatch must not write to in.
-type BatchKernel interface {
-	Filter
-	WorkBatch(in, out [][]uint32)
-}
-
-// ABFTKernel extends BatchKernel with a checksummed execution mode for
-// the ABFT protection scheme. WorkBatchABFT is WorkBatch with a float64
+// ABFTKernel extends Filter with a checksummed execution mode for the
+// ABFT protection scheme. WorkBatchABFT is WorkBatch with a float64
 // checksum over the produced items fused into its compute loop; over k
 // firings it returns one sum of the whole k-firing output, accumulated
 // in buffer order from 0.0 (never a sum of per-firing sums).
@@ -49,9 +30,9 @@ type BatchKernel interface {
 // buffers, so an ABFT kernel must be stateless: a firing's output may
 // depend on its inputs only, never on state an earlier firing left
 // behind (a kernel that carries state across firings, like mp3's
-// overlap-add, stays a plain BatchKernel).
+// overlap-add, stays a plain Filter).
 type ABFTKernel interface {
-	BatchKernel
+	Filter
 	WorkBatchABFT(in, out [][]uint32) float64
 	ChecksumBatch(out [][]uint32) float64
 }
@@ -85,47 +66,26 @@ func ChecksumU32(buf []uint32) float64 {
 	return s
 }
 
-// BatchFuncFilter pairs a FuncFilter with a whole-firing kernel.
-// Constructed via FuncFilter.Batch; the batch work function runs k >= 1
-// firings per call and must be observably identical to the per-item work
-// function (see BatchKernel).
-type BatchFuncFilter struct {
-	*FuncFilter
-	workBatch func(in, out [][]uint32)
-}
-
-// Batch attaches a whole-firing kernel to the filter, returning a
-// filter whose every firing the engine runs through WorkBatch.
-func (f *FuncFilter) Batch(work func(in, out [][]uint32)) *BatchFuncFilter {
-	return &BatchFuncFilter{FuncFilter: f, workBatch: work}
-}
-
-// WorkBatch implements BatchKernel.
-func (f *BatchFuncFilter) WorkBatch(in, out [][]uint32) { f.workBatch(in, out) }
-
-var _ BatchKernel = (*BatchFuncFilter)(nil)
-
-// ABFTFuncFilter pairs a FuncFilter with one checksummed whole-firing
+// ABFTFuncFilter is a filter built from one checksummed whole-firing
 // kernel that serves both ABFTKernel forms. Constructed via
-// FuncFilter.ABFT.
+// NewABFTFilter.
 type ABFTFuncFilter struct {
 	*FuncFilter
 	workABFT func(in, out [][]uint32) float64
 	checksum func(out [][]uint32) float64
 }
 
-// ABFT attaches a stateless whole-firing kernel with the output checksum
-// fused into its compute loop, and checksum, which re-derives that sum
-// from the output buffers (see ABFTKernel). Both run k >= 1 firings per
-// call. The fused kernel is the
-// filter's only whole-firing form: WorkBatch runs it and drops the sum,
-// so its outputs must match the per-item work function's (see
-// BatchKernel).
-func (f *FuncFilter) ABFT(work func(in, out [][]uint32) float64, checksum func(out [][]uint32) float64) *ABFTFuncFilter {
-	return &ABFTFuncFilter{FuncFilter: f, workABFT: work, checksum: checksum}
+// NewABFTFilter builds a filter from a stateless whole-firing kernel
+// with the output checksum fused into its compute loop, and checksum,
+// which re-derives that sum from the output buffers (see ABFTKernel).
+// Both run k >= 1 firings per call. The fused kernel is the filter's
+// only form: WorkBatch runs it and drops the sum. cost <= 0 selects the
+// default communication-based cost model.
+func NewABFTFilter(name string, popRate, pushRate, cost int, work func(in, out [][]uint32) float64, checksum func(out [][]uint32) float64) *ABFTFuncFilter {
+	return &ABFTFuncFilter{FuncFilter: NewFuncFilter(name, popRate, pushRate, cost, nil), workABFT: work, checksum: checksum}
 }
 
-// WorkBatch implements BatchKernel.
+// WorkBatch implements Filter.
 func (f *ABFTFuncFilter) WorkBatch(in, out [][]uint32) { f.workABFT(in, out) }
 
 // WorkBatchABFT implements ABFTKernel.

@@ -17,77 +17,6 @@ func f32Tape(n int) []uint32 {
 	return tape
 }
 
-// A BatchKernel attached via FuncFilter.Batch must be observably
-// identical to the per-item work function, including when the kernel
-// carries state across firings and under armed perturbations: the
-// per-item run fires the bare FuncFilter, whose Work the engine calls
-// through Ctx, and both forms must advance the same closure state in the
-// same order.
-func TestEngineBatchFuncFilterMatchesPerItem(t *testing.T) {
-	for _, mtbe := range []float64{0, 300} {
-		run := func(batch bool) ([]uint32, queue.Stats) {
-			g := NewGraph()
-			// Running-sum kernel: each output is the wrapping prefix sum
-			// of everything popped so far — any path divergence (skipped
-			// firing, reordered item, double-fired batch) poisons every
-			// later output.
-			var acc uint32
-			ff := NewFuncFilter("prefix", 4, 4, 30, func(ctx *Ctx) {
-				for k := 0; k < 4; k++ {
-					acc += ctx.Pop(0)
-					ctx.Push(0, acc)
-				}
-			})
-			kernel := ff.Batch(func(in, out [][]uint32) {
-				for i, v := range in[0] {
-					acc += v
-					out[0][i] = acc
-				}
-			})
-			var f Filter = kernel
-			if !batch {
-				f = ff
-			}
-			sink := NewSink("sink", 4)
-			if _, err := g.Chain(NewSource("src", 4, seqData(512)), f, sink); err != nil {
-				t.Fatal(err)
-			}
-			qcfg := queue.Config{WorkingSets: 4, WorkingSetUnits: 128, ProtectPointers: true, Timeout: 100}
-			cfg := EngineConfig{Transport: &PlainTransport{Queue: qcfg}}
-			if mtbe > 0 {
-				model := fault.DefaultModel(true)
-				cfg.NewInjector = func(core int) *fault.Injector {
-					return fault.NewInjector(mtbe, fault.CoreSeed(23, core), model)
-				}
-			}
-			eng, err := NewEngine(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := eng.RunSequential()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sink.Collected(), stats.QueueTotals()
-		}
-		perItemOut, perItemStats := run(false)
-		batchOut, batchStats := run(true)
-		if len(perItemOut) != len(batchOut) {
-			t.Fatalf("mtbe %v: lengths %d vs %d", mtbe, len(perItemOut), len(batchOut))
-		}
-		for i := range perItemOut {
-			if perItemOut[i] != batchOut[i] {
-				t.Fatalf("mtbe %v: output %d differs: per-item %d, batch %d",
-					mtbe, i, perItemOut[i], batchOut[i])
-			}
-		}
-		if perItemStats != batchStats {
-			t.Errorf("mtbe %v: queue stats diverged\nper-item %+v\nbatch    %+v",
-				mtbe, perItemStats, batchStats)
-		}
-	}
-}
-
 // The ABFT scheme's observable contract: output-side data flips are
 // detected by the checksum mismatch and repaired by recompute, while
 // input-side flips flow through the kernel exactly as they do on the
@@ -103,12 +32,7 @@ func TestEngineABFTCorrectsOutputFlips(t *testing.T) {
 
 	run := func(abft, inject bool) ([]uint32, *RunStats) {
 		g := NewGraph()
-		ff := NewFuncFilter("gain", 4, 4, 25, func(ctx *Ctx) {
-			for k := 0; k < 4; k++ {
-				ctx.Push(0, F32Bits(1.5*BitsF32(ctx.Pop(0))))
-			}
-		})
-		kernel := ff.ABFT(func(in, out [][]uint32) float64 {
+		kernel := NewABFTFilter("gain", 4, 4, 25, func(in, out [][]uint32) float64 {
 			s := 0.0
 			for i, v := range in[0] {
 				y := F32Bits(1.5 * BitsF32(v))
@@ -207,17 +131,16 @@ func (nopOut) End()           {}
 
 // Runtime cross-validation of the static hot-path proof for the
 // engine-side ABFT checksum helpers (//hotpath:entry in batch.go) and for
-// a firing (thread.fire) of each kernel form: Work through Ctx, and
-// WorkBatch over the flat buffers.
+// a firing (thread.fire) of a FuncFilter kernel and of a builtin.
 func TestHotpathAllocFree(t *testing.T) {
-	work := NewFuncFilter("scale", 4, 4, 25, func(ctx *Ctx) {
-		for k := 0; k < 4; k++ {
-			ctx.Push(0, 3*ctx.Pop(0))
+	scale := NewFuncFilter("scale", 4, 4, 25, func(in, out [][]uint32) {
+		for i, v := range in[0] {
+			out[0][i] = 3 * v
 		}
 	})
-	for _, f := range []Filter{work, NewIdentity("identity", 4)} {
-		th, ctx := transitThread(t, f, &fakeIn{}, nopOut{})
-		if avg := testing.AllocsPerRun(100, func() { th.fire(ctx) }); avg != 0 {
+	for _, f := range []Filter{scale, NewIdentity("identity", 4)} {
+		th := transitThread(t, f, &fakeIn{}, nopOut{})
+		if avg := testing.AllocsPerRun(100, func() { th.fire() }); avg != 0 {
 			t.Errorf("%s firing: %.1f allocs/run, want 0", f.Name(), avg)
 		}
 	}

@@ -20,26 +20,14 @@ func (s *Source) Name() string     { return s.name }
 func (s *Source) PopRates() []int  { return nil }
 func (s *Source) PushRates() []int { return []int{s.rate} }
 
-func (s *Source) Work(ctx *Ctx) {
-	for i := 0; i < s.rate; i++ {
-		var v uint32
-		if s.pos < len(s.data) {
-			v = s.data[s.pos]
-			s.pos++
-		}
-		ctx.Push(0, v)
-	}
-}
-
-// WorkBatch implements BatchKernel: the whole-firing form of Work
-// (tape values in order, zeros past the end of the tape).
+// WorkBatch implements Filter: the tape's next values in order, zeros
+// past its end.
 func (s *Source) WorkBatch(in, out [][]uint32) {
 	dst := out[0]
-	n := copy(dst, s.data[s.pos:])
+	n := min(len(dst), len(s.data)-s.pos)
+	copy(dst, s.data[s.pos:s.pos+n])
+	clear(dst[n:])
 	s.pos += n
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
 }
 
 // Remaining returns the unread portion of the tape (for diagnostics).
@@ -49,7 +37,7 @@ func (s *Source) Remaining() int { return len(s.data) - s.pos }
 // callers must not write to it.
 func (s *Source) Tape() []uint32 { return s.data }
 
-var _ BatchKernel = (*Source)(nil)
+var _ Filter = (*Source)(nil)
 
 // Sink collects the graph's output tape, rate items per firing.
 type Sink struct {
@@ -67,13 +55,7 @@ func (s *Sink) Name() string     { return s.name }
 func (s *Sink) PopRates() []int  { return []int{s.rate} }
 func (s *Sink) PushRates() []int { return nil }
 
-func (s *Sink) Work(ctx *Ctx) {
-	for i := 0; i < s.rate; i++ {
-		s.out = append(s.out, ctx.Pop(0))
-	}
-}
-
-// WorkBatch implements BatchKernel. The engine presizes the tape for the
+// WorkBatch implements Filter. The engine presizes the tape for the
 // whole run, so the append does not regrow it there; firings past that
 // size (or outside the engine) still grow it. Sink is deliberately
 // not a //hotpath:entry (tape collection is test and measurement
@@ -86,7 +68,7 @@ func (s *Sink) WorkBatch(in, out [][]uint32) {
 // engine's Run has returned.
 func (s *Sink) Collected() []uint32 { return s.out }
 
-var _ BatchKernel = (*Sink)(nil)
+var _ Filter = (*Sink)(nil)
 
 // Identity forwards rate items per firing unchanged.
 type Identity struct {
@@ -101,20 +83,14 @@ func (f *Identity) Name() string     { return f.name }
 func (f *Identity) PopRates() []int  { return []int{f.rate} }
 func (f *Identity) PushRates() []int { return []int{f.rate} }
 
-func (f *Identity) Work(ctx *Ctx) {
-	for i := 0; i < f.rate; i++ {
-		ctx.Push(0, ctx.Pop(0))
-	}
-}
-
-// WorkBatch implements BatchKernel.
+// WorkBatch implements Filter.
 //
 //hotpath:entry
 func (f *Identity) WorkBatch(in, out [][]uint32) {
 	copy(out[0], in[0])
 }
 
-var _ BatchKernel = (*Identity)(nil)
+var _ Filter = (*Identity)(nil)
 
 // DuplicateSplitter is StreamIt's duplicate splitter: each popped item is
 // pushed to every output branch.
@@ -139,16 +115,7 @@ func (f *DuplicateSplitter) PushRates() []int {
 	return rates
 }
 
-func (f *DuplicateSplitter) Work(ctx *Ctx) {
-	for i := 0; i < f.rate; i++ {
-		v := ctx.Pop(0)
-		for b := 0; b < f.branches; b++ {
-			ctx.Push(b, v)
-		}
-	}
-}
-
-// WorkBatch implements BatchKernel.
+// WorkBatch implements Filter.
 //
 //hotpath:entry
 func (f *DuplicateSplitter) WorkBatch(in, out [][]uint32) {
@@ -157,7 +124,7 @@ func (f *DuplicateSplitter) WorkBatch(in, out [][]uint32) {
 	}
 }
 
-var _ BatchKernel = (*DuplicateSplitter)(nil)
+var _ Filter = (*DuplicateSplitter)(nil)
 
 // RoundRobinSplitter deals items to branches in weighted round-robin order:
 // weights[0] items to branch 0, then weights[1] to branch 1, and so on.
@@ -178,15 +145,7 @@ func (f *RoundRobinSplitter) Name() string     { return f.name }
 func (f *RoundRobinSplitter) PopRates() []int  { return []int{f.total} }
 func (f *RoundRobinSplitter) PushRates() []int { return append([]int(nil), f.weights...) }
 
-func (f *RoundRobinSplitter) Work(ctx *Ctx) {
-	for b, w := range f.weights {
-		for i := 0; i < w; i++ {
-			ctx.Push(b, ctx.Pop(0))
-		}
-	}
-}
-
-// WorkBatch implements BatchKernel: branch b gathers its weights[b]
+// WorkBatch implements Filter: branch b gathers its weights[b]
 // items of every firing, one strided pass per branch.
 //
 //hotpath:entry
@@ -236,7 +195,7 @@ func sumWeights(weights []int) int {
 	return total
 }
 
-var _ BatchKernel = (*RoundRobinSplitter)(nil)
+var _ Filter = (*RoundRobinSplitter)(nil)
 
 // RoundRobinJoiner merges branches in weighted round-robin order, the dual
 // of RoundRobinSplitter.
@@ -255,15 +214,7 @@ func (f *RoundRobinJoiner) Name() string     { return f.name }
 func (f *RoundRobinJoiner) PopRates() []int  { return append([]int(nil), f.weights...) }
 func (f *RoundRobinJoiner) PushRates() []int { return []int{f.total} }
 
-func (f *RoundRobinJoiner) Work(ctx *Ctx) {
-	for b, w := range f.weights {
-		for i := 0; i < w; i++ {
-			ctx.Push(0, ctx.Pop(b))
-		}
-	}
-}
-
-// WorkBatch implements BatchKernel: branch b's items land as the
+// WorkBatch implements Filter: branch b's items land as the
 // weights[b]-item blocks of every firing, one strided pass per branch.
 //
 //hotpath:entry
@@ -276,21 +227,22 @@ func (f *RoundRobinJoiner) WorkBatch(in, out [][]uint32) {
 	}
 }
 
-var _ BatchKernel = (*RoundRobinJoiner)(nil)
+var _ Filter = (*RoundRobinJoiner)(nil)
 
-// FuncFilter adapts a plain function to the Filter interface for simple
-// single-input single-output stages.
+// FuncFilter adapts a whole-firing kernel function to the Filter
+// interface for simple single-input single-output stages.
 type FuncFilter struct {
 	name     string
 	popRate  int
 	pushRate int
 	cost     int
-	work     func(ctx *Ctx)
+	work     func(in, out [][]uint32)
 }
 
-// NewFuncFilter builds a filter from a work function. cost <= 0 selects the
-// default communication-based cost model.
-func NewFuncFilter(name string, popRate, pushRate, cost int, work func(ctx *Ctx)) *FuncFilter {
+// NewFuncFilter builds a filter from a whole-firing kernel, which runs
+// k >= 1 firings per call under Filter.WorkBatch's contract. cost <= 0
+// selects the default communication-based cost model.
+func NewFuncFilter(name string, popRate, pushRate, cost int, work func(in, out [][]uint32)) *FuncFilter {
 	return &FuncFilter{name: name, popRate: popRate, pushRate: pushRate, cost: cost, work: work}
 }
 
@@ -307,7 +259,11 @@ func (f *FuncFilter) PushRates() []int {
 	}
 	return []int{f.pushRate}
 }
-func (f *FuncFilter) Work(ctx *Ctx) { f.work(ctx) }
+
+// WorkBatch implements Filter.
+func (f *FuncFilter) WorkBatch(in, out [][]uint32) { f.work(in, out) }
+
+// FiringCost implements Coster.
 func (f *FuncFilter) FiringCost() int {
 	if f.cost > 0 {
 		return f.cost

@@ -9,33 +9,33 @@ import (
 	"commguard/internal/stream"
 )
 
-// The builtin whole-firing kernels under the k-firing BatchKernel
+// The builtin whole-firing kernels under Filter.WorkBatch's k-firing
 // contract, with unequal round-robin weights: one call over k firings
 // must equal k single-firing calls on another instance, and both must
 // equal what the kernel's definition deals each firing.
 func TestBuiltinKernelsKFirings(t *testing.T) {
 	cases := []struct {
 		name string
-		new  func() stream.BatchKernel
+		new  func() stream.Filter
 		// want returns the outputs of firings over in by the kernel's
 		// definition.
 		want func(in [][]uint32) [][]uint32
 	}{
-		{"splitter-1-2-3", func() stream.BatchKernel { return stream.NewRoundRobinSplitter("s", 1, 2, 3) },
+		{"splitter-1-2-3", func() stream.Filter { return stream.NewRoundRobinSplitter("s", 1, 2, 3) },
 			func(in [][]uint32) [][]uint32 { return deal(in[0], []int{1, 2, 3}) }},
-		{"splitter-2-1", func() stream.BatchKernel { return stream.NewRoundRobinSplitter("s", 2, 1) },
+		{"splitter-2-1", func() stream.Filter { return stream.NewRoundRobinSplitter("s", 2, 1) },
 			func(in [][]uint32) [][]uint32 { return deal(in[0], []int{2, 1}) }},
-		{"splitter-1-1-1", func() stream.BatchKernel { return stream.NewRoundRobinSplitter("s", 1, 1, 1) },
+		{"splitter-1-1-1", func() stream.Filter { return stream.NewRoundRobinSplitter("s", 1, 1, 1) },
 			func(in [][]uint32) [][]uint32 { return deal(in[0], []int{1, 1, 1}) }},
-		{"joiner-1-2-3", func() stream.BatchKernel { return stream.NewRoundRobinJoiner("j", 1, 2, 3) },
+		{"joiner-1-2-3", func() stream.Filter { return stream.NewRoundRobinJoiner("j", 1, 2, 3) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{merge(in, []int{1, 2, 3})} }},
-		{"joiner-2-1", func() stream.BatchKernel { return stream.NewRoundRobinJoiner("j", 2, 1) },
+		{"joiner-2-1", func() stream.Filter { return stream.NewRoundRobinJoiner("j", 2, 1) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{merge(in, []int{2, 1})} }},
-		{"joiner-1-1-1", func() stream.BatchKernel { return stream.NewRoundRobinJoiner("j", 1, 1, 1) },
+		{"joiner-1-1-1", func() stream.Filter { return stream.NewRoundRobinJoiner("j", 1, 1, 1) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{merge(in, []int{1, 1, 1})} }},
-		{"duplicate-3", func() stream.BatchKernel { return stream.NewDuplicateSplitter("d", 2, 3) },
+		{"duplicate-3", func() stream.Filter { return stream.NewDuplicateSplitter("d", 2, 3) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{in[0], in[0], in[0]} }},
-		{"identity-5", func() stream.BatchKernel { return stream.NewIdentity("i", 5) },
+		{"identity-5", func() stream.Filter { return stream.NewIdentity("i", 5) },
 			func(in [][]uint32) [][]uint32 { return [][]uint32{in[0]} }},
 	}
 	r := rand.New(rand.NewSource(1))
@@ -113,7 +113,7 @@ func cloneBufs(bufs [][]uint32) [][]uint32 {
 }
 
 // runFirings runs k firings of kern over in in one WorkBatch call.
-func runFirings(kern stream.BatchKernel, in [][]uint32, k int) [][]uint32 {
+func runFirings(kern stream.Filter, in [][]uint32, k int) [][]uint32 {
 	out := make([][]uint32, len(kern.PushRates()))
 	for o, rate := range kern.PushRates() {
 		out[o] = make([]uint32, k*rate)
@@ -123,7 +123,7 @@ func runFirings(kern stream.BatchKernel, in [][]uint32, k int) [][]uint32 {
 }
 
 // runSingly runs the same k firings one WorkBatch call per firing.
-func runSingly(kern stream.BatchKernel, in [][]uint32, k int) [][]uint32 {
+func runSingly(kern stream.Filter, in [][]uint32, k int) [][]uint32 {
 	pops, pushes := kern.PopRates(), kern.PushRates()
 	out := make([][]uint32, len(pushes))
 	for o, rate := range pushes {

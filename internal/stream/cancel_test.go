@@ -10,7 +10,7 @@ import (
 )
 
 // TestCancelUnwindsStarvedConsumer models the hang the campaign watchdog
-// exists for: a mid-graph filter wedges (its Work stops returning), so its
+// exists for: a mid-graph filter wedges (its kernel stops returning), so its
 // downstream consumer parks inside the §5.1 wait loop of a queue configured
 // to block indefinitely. Closing the cancel channel must unwind every node
 // goroutine — the parked consumer included — and surface ErrCancelled.
@@ -23,15 +23,14 @@ func TestCancelUnwindsStarvedConsumer(t *testing.T) {
 	}
 
 	fired := 0
-	wedge := NewFuncFilter("wedge", 1, 1, 20, func(ctx *Ctx) {
-		v := ctx.Pop(0)
+	wedge := NewFuncFilter("wedge", 1, 1, 20, func(in, out [][]uint32) {
 		if fired < 4 {
-			ctx.Push(0, v)
+			copy(out[0], in[0])
 			fired++
 			return
 		}
 		// The core wedges mid-computation (a livelocked loop): nothing
-		// reaches the sink again, and this Work only returns once the
+		// reaches the sink again, and this kernel only returns once the
 		// run-level cancel fires.
 		<-cancel
 	})

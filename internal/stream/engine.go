@@ -33,10 +33,10 @@ type EngineConfig struct {
 	// goroutine.
 	Tracer *obs.Tracer
 	// Health, when non-nil, records runtime-health latency histograms
-	// (queue slow-path waits, firing durations per kernel form,
-	// fault→detection latency) into per-core shards. Core IDs equal node
-	// IDs, mirroring Tracer; nil disables recording at one branch per
-	// would-be observation.
+	// (queue slow-path waits, firing durations of plain and checksummed
+	// kernels, fault→detection latency) into per-core shards. Core IDs
+	// equal node IDs, mirroring Tracer; nil disables recording at one
+	// branch per would-be observation.
 	Health *obs.Health
 	// ABFT enables the checksummed execution mode on filters that
 	// implement ABFTKernel (the sim.ABFT protection scheme): every firing
@@ -202,10 +202,10 @@ func (e *Engine) Run() (*RunStats, error) {
 // therefore the exact realignment behavior — becomes fully deterministic,
 // which Run cannot guarantee. Use it for reproducible experiments and
 // debugging. Since a node's whole iteration of input is published before
-// it runs, a whole-firing kernel moves the items of up to
-// max(1, 256/maxPortRate) fault-free firings through each port in one
-// transit call (runIteration), with every result and counter as if it
-// fired one by one. Queues never block in this mode: a pop on an empty
+// it runs, a node moves the items of up to max(1, 256/maxPortRate)
+// fault-free firings through each port in one transit call
+// (runIteration), with every result and counter as if it fired one by
+// one. Queues never block in this mode: a pop on an empty
 // queue cannot wait for a producer that runs on the same goroutine, so it
 // times out at once. Error-free, producers always run a whole iteration
 // ahead and no pop finds its queue empty. Under faults (a dropped header,
@@ -286,7 +286,7 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 		th.cancel = e.cfg.Cancel
 		th.abft = e.cfg.ABFT && th.ak != nil
 		th.health = e.cfg.Health
-		th.hItem, th.hBatch, th.hABFT = e.cfg.Health.FireShards(n.ID)
+		th.hBatch, th.hABFT = e.cfg.Health.FireShards(n.ID)
 		if th.abft {
 			// ABFT self-detection: the checksummed kernel notices output
 			// corruption injected on its own core, within the firing.
@@ -320,13 +320,12 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 			}
 		}
 		order := e.topoOrder()
-		ctxs := make([]*Ctx, len(threads))
 		for _, n := range order {
-			ctxs[n.ID] = threads[n.ID].begin()
+			threads[n.ID].core.BeginScope("global")
 		}
 		for it := 0; it < iterations && !e.cancelled(); it++ {
 			for _, n := range order {
-				threads[n.ID].runIteration(ctxs[n.ID])
+				threads[n.ID].runIteration()
 				// Hand the frame off: publish partially filled working
 				// sets so downstream nodes (which run next, on this same
 				// goroutine) can drain them.
@@ -438,22 +437,20 @@ type thread struct {
 	//repolint:ignore RL001 teardown signal from the campaign watchdog, not inter-node data
 	cancel <-chan struct{}
 
-	// Kernel forms: bk/ak are the filter's whole-firing interfaces (nil
-	// when unimplemented) and abft enables the checksummed mode.
-	// inBufs/outBufs are the ports' flat buffers in port order, as the
-	// whole-firing kernels take them.
-	bk      BatchKernel
+	// ak is the filter's checksummed kernel (nil when it has none) and
+	// abft enables the checksummed mode. inBufs/outBufs are the ports'
+	// flat buffers in port order, as the kernels take them.
 	ak      ABFTKernel
 	abft    bool
 	inBufs  [][]uint32
 	outBufs [][]uint32
 
 	// Runtime-health recording (all nil when EngineConfig.Health is):
-	// firing-duration shards per kernel form (Work, WorkBatch, ABFT), the
-	// fault marker registry, the ABFT self-detector, and the monotone
-	// input-item count it measures detection latency against.
+	// firing-duration shards of the plain and the checksummed kernel
+	// (WorkBatch, ABFT), the fault marker registry, the ABFT
+	// self-detector, and the monotone input-item count it measures
+	// detection latency against.
 	health  *obs.Health
-	hItem   *hist.Shard
 	hBatch  *hist.Shard
 	hABFT   *hist.Shard
 	det     *obs.Detector
@@ -463,8 +460,8 @@ type thread struct {
 }
 
 // runItems bounds the items one port moves in a run of grouped firings:
-// a whole-firing kernel fires up to max(1, runItems/maxRate) fault-free
-// firings per transit call, maxRate being its largest port rate. 256
+// a node fires up to max(1, runItems/maxRate) fault-free firings per
+// transit call, maxRate being its largest port rate. 256
 // items amortize a transit call's fixed cost over many rate-1..3
 // firings while a run's buffers stay a few KB; a kernel with a port rate
 // above 128 keeps one firing per call. Tests set it to 0 to force the
@@ -472,18 +469,17 @@ type thread struct {
 var runItems = 256
 
 // newThread builds node n's thread over the wired ports (outs and ins are
-// indexed by edge ID), with one flat buffer per port. A whole-firing
-// kernel's buffers hold a run of up to max(1, items/maxRate) firings,
-// capped at the node's multiplicity; items is 0 on the concurrent engine.
+// indexed by edge ID), with one flat buffer per port. The buffers hold a
+// run of up to max(1, items/maxRate) firings, capped at the node's
+// multiplicity; items is 0 on the concurrent engine.
 func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector, outs []OutPort, ins []InPort, items int) *thread {
 	t := &thread{
-		node:   n,
-		core:   core,
-		inj:    inj,
-		mult:   mult,
-		cost:   DefaultFiringCost(n.F),
-		runLen: 1,
-		trace:  core.TraceRing(),
+		node:  n,
+		core:  core,
+		inj:   inj,
+		mult:  mult,
+		cost:  DefaultFiringCost(n.F),
+		trace: core.TraceRing(),
 	}
 	for _, edge := range n.In {
 		t.ins = append(t.ins, &inTransit{port: ins[edge.ID], rate: edge.PopRate()})
@@ -491,21 +487,17 @@ func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector, outs []Ou
 	for _, edge := range n.Out {
 		t.outs = append(t.outs, &outTransit{port: outs[edge.ID], rate: edge.PushRate()})
 	}
-	t.bk, _ = n.F.(BatchKernel)
 	t.ak, _ = n.F.(ABFTKernel)
-	if t.bk != nil {
-		maxRate := 1
-		for _, s := range t.ins {
-			maxRate = max(maxRate, s.rate)
-		}
-		for _, s := range t.outs {
-			maxRate = max(maxRate, s.rate)
-		}
-		t.runLen = max(1, min(mult, items/maxRate))
-	}
+	maxRate := 1
 	for _, s := range t.ins {
-		// The spare slot past a run receives a pop past the buffer.
-		s.buf = make([]uint32, s.rate, t.runLen*s.rate+1)
+		maxRate = max(maxRate, s.rate)
+	}
+	for _, s := range t.outs {
+		maxRate = max(maxRate, s.rate)
+	}
+	t.runLen = max(1, min(mult, items/maxRate))
+	for _, s := range t.ins {
+		s.buf = make([]uint32, s.rate, t.runLen*s.rate)
 		s.clearPlan()
 		t.inBufs = append(t.inBufs, s.buf)
 	}
@@ -529,21 +521,14 @@ func (t *thread) coreStats() CoreStats {
 	return c
 }
 
-// begin prepares the thread's work context and enters the global scope.
-func (t *thread) begin() *Ctx {
-	t.core.BeginScope("global")
-	return &Ctx{in: t.ins, out: t.outs}
-}
-
 // runIteration executes one steady-state iteration (one frame computation)
-// of the node. A whole-firing kernel fires its fault-free firings in runs
-// of up to t.runLen (fireRun): the injector's Quiet commits the run's
-// instruction windows and ends it just before the first firing with an
-// error. That firing takes the per-firing path (fireWithFaults), as does
-// every firing of a thread whose runs are one firing long: a Work
-// kernel, a node that fires once per iteration, any node on the
-// concurrent engine.
-func (t *thread) runIteration(ctx *Ctx) {
+// of the node. Its fault-free firings run in runs of up to t.runLen
+// (fireRun): the injector's Quiet commits the run's instruction windows
+// and ends it just before the first firing with an error. That firing
+// takes the per-firing path (fireWithFaults), as does every firing of a
+// thread whose runs are one firing long: a node that fires once per
+// iteration, any node on the concurrent engine.
+func (t *thread) runIteration() {
 	t.core.BeginScope("frame-computation")
 	t.core.BeginFrameComputation()
 	// The PPU watchdog bounds looping inside the scope: even with
@@ -560,7 +545,7 @@ func (t *thread) runIteration(ctx *Ctx) {
 		if !guard.Next() {
 			break
 		}
-		t.fireWithFaults(ctx)
+		t.fireWithFaults()
 		k++
 	}
 	_ = t.core.EndScope()
@@ -587,9 +572,9 @@ func (t *thread) finish() {
 }
 
 func (t *thread) run(iterations int) {
-	ctx := t.begin()
+	t.core.BeginScope("global")
 	for it := 0; it < iterations && !t.cancelled(); it++ {
-		t.runIteration(ctx)
+		t.runIteration()
 	}
 	// finish runs even on cancellation: End() flushes and closes the output
 	// queues, which wakes downstream consumers and cascades the teardown.
@@ -610,7 +595,7 @@ func (t *thread) cancelled() bool {
 // fireWithFaults advances the error injector across this firing's
 // instruction window and executes the firing with whatever manifestations
 // fired, translating fault classes into the paper's error taxonomy (§3).
-func (t *thread) fireWithFaults(ctx *Ctx) {
+func (t *thread) fireWithFaults() {
 	t.core.Commit(t.cost)
 	var classes []fault.Class
 	if t.inj != nil {
@@ -658,11 +643,11 @@ func (t *thread) fireWithFaults(ctx *Ctx) {
 		t.clearPlans()
 		return
 	}
-	t.fire(ctx)
+	t.fire()
 	if repeat {
 		// The firing repeats (AE_FE), with no perturbation armed.
 		t.stats.RepeatedFirings++
-		t.fire(ctx)
+		t.fire()
 	}
 }
 
@@ -670,38 +655,26 @@ func (t *thread) fireWithFaults(ctx *Ctx) {
 // with an error takes, and every firing of a thread with run length 1
 // (runIteration): every input port fills its flat buffer and applies its
 // armed perturbations, the kernel runs over the buffers, and every output
-// port applies its own and pushes. Only the kernel form differs between
-// firings: the checksummed ABFT kernel when no item-count perturbation is
-// armed, else WorkBatch when the filter has one, else Work through Ctx.
-// Other fault-free firings run grouped (fireRun).
+// port applies its own and pushes. The checksummed ABFT kernel runs when
+// no item-count perturbation is armed, else WorkBatch. Other fault-free
+// firings run grouped (fireRun).
 //
 //hotpath:entry
-func (t *thread) fire(ctx *Ctx) {
+func (t *thread) fire() {
 	var t0 time.Time
-	if t.hItem != nil {
+	if t.hBatch != nil {
 		t0 = time.Now()
 	}
 	for _, s := range t.ins {
 		s.fill()
 	}
 	h := t.hBatch
-	switch {
-	case t.bk == nil:
-		h = t.hItem
-		for _, s := range t.ins {
-			s.pos = 0
-		}
-		for _, s := range t.outs {
-			s.buf = s.buf[:0]
-		}
-		//hotpath:ok CS023 per-sample Work kernels are application closures; their Ctx calls reach the flat buffers through concrete methods
-		t.node.F.Work(ctx)
-	case t.abft && !t.countArmed():
+	if t.abft && !t.countArmed() {
 		h = t.hABFT
 		t.workABFT()
-	default:
+	} else {
 		//hotpath:ok CS023 batch kernels are annotated entries of their own (dsp/codec kernels)
-		t.bk.WorkBatch(t.inBufs, t.outBufs)
+		t.node.F.WorkBatch(t.inBufs, t.outBufs)
 	}
 	pops, pushes := 0, 0
 	for _, s := range t.ins {
@@ -720,11 +693,11 @@ func (t *thread) fire(ctx *Ctx) {
 	t.itemsIn += uint64(pops)
 }
 
-// fireRun executes n fault-free firings of a whole-firing kernel as one
-// run. Each input port takes n·rate items into its flat buffer in one
-// transit call, the kernel runs once over the run's buffers (the
-// k-firing BatchKernel contract), and each output port pushes its n·rate
-// items in one transit call. No perturbation is armed in a run, so every
+// fireRun executes n fault-free firings as one run. Each input port
+// takes n·rate items into its flat buffer in one transit call, the
+// kernel runs once over the run's buffers (Filter.WorkBatch's k-firing
+// contract), and each output port pushes its n·rate items in one
+// transit call. No perturbation is armed in a run, so every
 // port moves the items n calls of fire would, in the same order, and
 // every counter is charged the same totals: n·cost plus the items moved,
 // n Firings, the ABFT work of n checksummed firings, and one firing
@@ -733,13 +706,14 @@ func (t *thread) fire(ctx *Ctx) {
 //hotpath:entry
 func (t *thread) fireRun(n int) {
 	var t0 time.Time
-	if t.hItem != nil {
+	if t.hBatch != nil {
 		t0 = time.Now()
 	}
 	inRate, outRate := 0, 0
 	for i, s := range t.ins {
 		s.buf = s.buf[:n*s.rate]
-		s.take(s.buf)
+		//hotpath:ok CS023 ports resolve to the transports' PopN entries
+		s.port.PopN(s.buf)
 		s.last = s.buf[len(s.buf)-1]
 		t.inBufs[i] = s.buf
 		inRate += s.rate
@@ -755,7 +729,7 @@ func (t *thread) fireRun(n int) {
 		t.workABFT()
 	} else {
 		//hotpath:ok CS023 batch kernels are annotated entries of their own (dsp/codec kernels)
-		t.bk.WorkBatch(t.inBufs, t.outBufs)
+		t.node.F.WorkBatch(t.inBufs, t.outBufs)
 	}
 	pops, pushes := n*inRate, n*outRate
 	t.itemsIn += uint64(pops)
@@ -946,14 +920,11 @@ func (t *thread) planQueuePtr() {
 }
 
 // inTransit is one input port's side of a firing: the flat buffer the
-// kernel reads, the window of items taken from the port ahead of it, and
-// the perturbations armed for the next firing.
+// kernel reads and the perturbations armed for the next firing.
 type inTransit struct {
 	port InPort
 	rate int
-	buf  []uint32 // this firing's items: rate long, one spare slot of capacity
-	pos  int      // buffer index of Work's next pop; past rate once it pops beyond
-	win  []uint32 // items ahead of buf: unread leftovers, then peek lookahead
+	buf  []uint32 // this firing's items, rate long (a run's, in fireRun)
 	last uint32   // most recently delivered value
 
 	// Armed perturbations (cleared per firing).
@@ -969,30 +940,15 @@ func (s *inTransit) clearPlan() {
 	s.extraPops, s.starvedPops = 0, 0
 }
 
-// take fills dst with the stream's next items: the window first, then the
-// port. The window is empty on almost every firing, so its shift is
-// skipped then.
-func (s *inTransit) take(dst []uint32) {
-	n := 0
-	if len(s.win) > 0 {
-		n = copy(dst, s.win)
-		s.win = s.win[:copy(s.win, s.win[n:])]
-	}
-	if n < len(dst) {
-		//hotpath:ok CS023 ports resolve to the transports' PopN entries
-		s.port.PopN(dst[n:])
-	}
-}
-
 // fill takes this firing's items into buf and applies the armed
 // perturbations once: the starved tail is served as last without
 // consuming the port (the loop under-ran, the thread computes on a stale
 // register), a slip serves the previous value while its item is still
 // consumed, a flip corrupts one bit, and last tracks the delivered stream.
 func (s *inTransit) fill() {
-	s.pos = s.rate // a whole-firing kernel reads it all; Work restarts at 0
 	n := max(0, s.rate-s.starvedPops)
-	s.take(s.buf[:n])
+	//hotpath:ok CS023 ports resolve to the transports' PopN entries
+	s.port.PopN(s.buf[:n])
 	if s.starvedPops == 0 && s.flipAt < 0 && s.slipAt < 0 {
 		s.last = s.buf[n-1]
 		return
@@ -1014,51 +970,15 @@ func (s *inTransit) fill() {
 	s.last = last
 }
 
-// popPast serves a Work pop beyond the firing's rate: the stream's next
-// item, or last while a starved tail is armed.
-func (s *inTransit) popPast() uint32 {
-	s.pos++
-	if s.starvedPops == 0 {
-		one := s.buf[s.rate : s.rate+1]
-		s.take(one)
-		s.last = one[0]
-	}
-	return s.last
-}
-
-// peek returns the item off positions past Work's next pop: from the
-// buffer within the firing's rate, beyond it from the window, which it
-// tops up from the port.
-func (s *inTransit) peek(off int) uint32 {
-	if j := s.pos + off; j < s.rate {
-		return s.buf[j]
-	}
-	j := off - max(0, s.rate-s.pos)
-	if n := len(s.win); j >= n {
-		s.win = append(s.win, make([]uint32, j+1-n)...)
-		s.port.PopN(s.win[n:])
-	}
-	return s.win[j]
-}
-
 // drain ends the firing on this port and returns the number of items it
-// consumed. Items Work left unread go back to the front of the window, so
-// the next firing delivers them; the extra pops of an over-run loop are
-// then consumed and lost.
+// consumed: the items fill took, plus the extra pops of an over-run
+// loop, which are consumed here and lost.
 func (s *inTransit) drain() int {
-	n := max(0, s.rate-s.starvedPops)
-	if read := min(s.pos, n); read < n {
-		unread := s.buf[read:n]
-		k, w := len(unread), len(s.win)
-		//hotpath:ok CS020 only a Work that pops fewer items than its rate gets here; the window array is reused
-		s.win = append(s.win, unread...)
-		copy(s.win[k:], s.win[:w])
-		copy(s.win, unread)
-	}
-	consumed := s.pos - min(s.starvedPops, s.pos) + s.extraPops
+	consumed := max(0, s.rate-s.starvedPops) + s.extraPops
 	for e := s.extraPops; e > 0; {
 		c := s.buf[:min(e, cap(s.buf))]
-		s.take(c)
+		//hotpath:ok CS023 ports resolve to the transports' PopN entries
+		s.port.PopN(c)
 		e -= len(c)
 	}
 	s.clearPlan()
@@ -1066,8 +986,7 @@ func (s *inTransit) drain() int {
 }
 
 // outTransit is one output port's side of a firing: the flat buffer the
-// kernel writes (Work appends to it, whole-firing kernels fill it) and
-// the perturbations armed for the next firing.
+// kernel fills and the perturbations armed for the next firing.
 type outTransit struct {
 	port OutPort
 	rate int

@@ -70,8 +70,10 @@ func TestErrorFreeIdentityPipeline(t *testing.T) {
 }
 
 func TestErrorFreeComputationPipeline(t *testing.T) {
-	double := NewFuncFilter("double", 1, 1, 20, func(ctx *Ctx) {
-		ctx.Push(0, ctx.Pop(0)*2)
+	double := NewFuncFilter("double", 1, 1, 20, func(in, out [][]uint32) {
+		for i, v := range in[0] {
+			out[0][i] = v * 2
+		}
 	})
 	data := seqData(32)
 	out, _ := runPipeline(t, EngineConfig{Transport: &PlainTransport{Queue: fastQueue()}}, data, double)
@@ -329,75 +331,57 @@ func TestDefaultFiringCost(t *testing.T) {
 	}
 }
 
-// Peek (StreamIt lookahead): a 3-tap moving-average filter that peeks two
-// items ahead must match the direct computation, except for the final
-// edge where the stream has ended (peeks past the end read as zero).
-func TestPeekMovingAverage(t *testing.T) {
+// There is no peek: a filter that needs earlier items keeps them in its
+// own state. A causal 3-tap moving average carrying its last two inputs
+// across firings must match the direct computation, on the concurrent
+// engine (one firing per call) and on the sequential engine, which hands
+// it runs of eight firings per call.
+func TestHistoryMovingAverage(t *testing.T) {
 	const n = 64
 	data := make([]uint32, n)
 	for i := range data {
 		data[i] = F32Bits(float32(i))
 	}
-	avg := NewFuncFilter("avg3", 1, 1, 30, func(ctx *Ctx) {
-		a := ctx.PopF32(0)
-		b := ctx.PeekF32(0, 0)
-		c := ctx.PeekF32(0, 1)
-		ctx.PushF32(0, (a+b+c)/3)
-	})
-	g := NewGraph()
-	sink := NewSink("sink", 1)
-	if _, err := g.Chain(NewSource("src", 1, data), avg, sink); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(g, EngineConfig{Transport: &PlainTransport{Queue: fastQueue()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out := sink.Collected()
-	if len(out) != n {
-		t.Fatalf("collected %d, want %d", len(out), n)
-	}
-	for i := 0; i < n-2; i++ {
-		want := (float32(i) + float32(i+1) + float32(i+2)) / 3
-		if got := BitsF32(out[i]); got != want {
-			t.Fatalf("out[%d] = %v, want %v", i, got, want)
+	for _, sequential := range []bool{false, true} {
+		var x1, x2 float32 // the two previous inputs
+		avg := NewFuncFilter("avg3", 1, 1, 30, func(in, out [][]uint32) {
+			for i, v := range in[0] {
+				x := BitsF32(v)
+				out[0][i] = F32Bits((x2 + x1 + x) / 3)
+				x2, x1 = x1, x
+			}
+		})
+		g := NewGraph()
+		sink := NewSink("sink", 8)
+		if _, err := g.Chain(NewSource("src", 8, data), avg, sink); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// Peeked items must be consumed exactly once: peeking the same offset
-// repeatedly does not advance the stream.
-func TestPeekIdempotent(t *testing.T) {
-	data := []uint32{10, 20, 30, 40}
-	check := NewFuncFilter("check", 1, 1, 10, func(ctx *Ctx) {
-		p1 := ctx.Peek(0, 0)
-		p2 := ctx.Peek(0, 0)
-		v := ctx.Pop(0)
-		if p1 != p2 || p1 != v {
-			ctx.Push(0, 0xFFFFFFFF)
-			return
+		eng, err := NewEngine(g, EngineConfig{Transport: &PlainTransport{Queue: fastQueue()}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		ctx.Push(0, v)
-	})
-	g := NewGraph()
-	sink := NewSink("sink", 1)
-	if _, err := g.Chain(NewSource("src", 1, data), check, sink); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(g, EngineConfig{Transport: &PlainTransport{Queue: fastQueue()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out := sink.Collected()
-	for i, v := range out {
-		if v != data[i] {
-			t.Fatalf("out[%d] = %#x, want %d (peek disturbed the stream)", i, v, data[i])
+		run := eng.Run
+		if sequential {
+			run = eng.RunSequential
+		}
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+		out := sink.Collected()
+		if len(out) != n {
+			t.Fatalf("sequential %v: collected %d, want %d", sequential, len(out), n)
+		}
+		for i := 0; i < n; i++ {
+			want := float32(i) / 3
+			switch {
+			case i >= 2:
+				want = (float32(i-2) + float32(i-1) + float32(i)) / 3
+			case i == 1:
+				want = (0 + float32(0) + float32(1)) / 3
+			}
+			if got := BitsF32(out[i]); got != want {
+				t.Fatalf("sequential %v: out[%d] = %v, want %v", sequential, i, got, want)
+			}
 		}
 	}
 }
@@ -407,9 +391,10 @@ func TestPeekIdempotent(t *testing.T) {
 func TestRunSequentialMatchesConcurrentErrorFree(t *testing.T) {
 	build := func() (*Engine, *Sink) {
 		g := NewGraph()
-		double := NewFuncFilter("double", 2, 2, 25, func(ctx *Ctx) {
-			ctx.Push(0, 2*ctx.Pop(0))
-			ctx.Push(0, 2*ctx.Pop(0))
+		double := NewFuncFilter("double", 2, 2, 25, func(in, out [][]uint32) {
+			for i, v := range in[0] {
+				out[0][i] = 2 * v
+			}
 		})
 		sink := NewSink("sink", 4)
 		if _, err := g.Chain(NewSource("src", 4, seqData(256)), double, sink); err != nil {
@@ -502,9 +487,9 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			for i := 0; i < stages; i++ {
 				rate := 1 + rng.Intn(6)
 				mul := uint32(1 + rng.Intn(5))
-				filters = append(filters, NewFuncFilter("f", rate, rate, 20, func(ctx *Ctx) {
-					for k := 0; k < rate; k++ {
-						ctx.Push(0, mul*ctx.Pop(0))
+				filters = append(filters, NewFuncFilter("f", rate, rate, 20, func(in, out [][]uint32) {
+					for k, v := range in[0] {
+						out[0][k] = mul * v
 					}
 				}))
 			}

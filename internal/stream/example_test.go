@@ -16,9 +16,9 @@ func Example() {
 		data[i] = uint32(i)
 	}
 	g := stream.NewGraph()
-	double := stream.NewFuncFilter("double", 3, 3, 30, func(ctx *stream.Ctx) {
-		for i := 0; i < 3; i++ {
-			ctx.Push(0, 2*ctx.Pop(0))
+	double := stream.NewFuncFilter("double", 3, 3, 30, func(in, out [][]uint32) {
+		for i, v := range in[0] {
+			out[0][i] = 2 * v
 		}
 	})
 	sink := stream.NewSink("sink", 4)

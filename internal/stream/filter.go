@@ -4,6 +4,15 @@
 // scheduled by balance equations into a steady state, and executed with one
 // thread per filter and a queue per edge.
 //
+// A filter computes in one form only, a whole-firing kernel (Filter's
+// WorkBatch): the engine takes each firing's input items into flat
+// per-port buffers, runs the kernel over them, and pushes its output
+// buffers. Rates are exact, and there is no peek: a firing reads exactly
+// its pop rate and writes exactly its push rate, and a filter that needs
+// earlier items keeps them in its own state. This departs from StreamIt,
+// whose filters may peek past their pop rate; none of the paper's
+// benchmarks peeks.
+//
 // The engine is deliberately transport-agnostic: edges are wired through a
 // Transport, so the same graph runs over plain queues (the baseline
 // configurations of Fig. 3a–c) or through CommGuard's Header Inserter /
@@ -20,8 +29,9 @@ import (
 // items to output port o. Items are 32-bit words (StreamIt's tape items;
 // floats travel as IEEE-754 bits).
 //
-// Filters must communicate only through the Ctx and keep all state
-// internal; the engine runs each filter on its own goroutine.
+// Filters communicate only through the buffers WorkBatch is handed and
+// keep all state internal; the engine runs each filter on its own
+// goroutine.
 type Filter interface {
 	// Name identifies the filter in diagnostics and statistics.
 	Name() string
@@ -31,9 +41,17 @@ type Filter interface {
 	// PushRates returns the per-output-port items produced per firing.
 	// Length defines the number of output ports (nil/empty for sinks).
 	PushRates() []int
-	// Work executes one firing, popping and pushing exactly the declared
-	// rates through ctx.
-	Work(ctx *Ctx)
+	// WorkBatch executes k >= 1 consecutive firings over flat buffers.
+	// in[i] holds exactly k·PopRates()[i] items, firing j's at
+	// [j·rate, (j+1)·rate), and out[o] must be filled with exactly
+	// k·PushRates()[o] items laid out the same way. The engine passes
+	// k = 1 on the per-firing path and a run's length on the sequential
+	// engine's grouped path, so one call over k firings must be
+	// observably identical to k calls over one firing each, in order,
+	// kernel state included: the same values in the same order, bit for
+	// bit (floating-point operation order too). WorkBatch must not write
+	// to in.
+	WorkBatch(in, out [][]uint32)
 }
 
 // Coster is an optional interface filters implement to declare their
@@ -65,50 +83,7 @@ func DefaultFiringCost(f Filter) int {
 	return CommInstructionRatio*items + 10
 }
 
-// Ctx is the communication context handed to Filter.Work. Port indexes
-// follow the order of PopRates/PushRates. Its calls read and write the
-// firing's flat per-port buffers, which the engine fills before Work and
-// pushes after it.
-type Ctx struct {
-	in  []*inTransit
-	out []*outTransit
-}
-
-// Pop consumes the next item from input port i.
-func (c *Ctx) Pop(i int) uint32 {
-	s := c.in[i]
-	if s.pos < s.rate {
-		v := s.buf[s.pos]
-		s.pos++
-		return v
-	}
-	return s.popPast()
-}
-
-// Peek returns the item off positions ahead on input port i without
-// consuming it (StreamIt's peek construct; off 0 is the next item Pop
-// would return). Peeking blocks like Pop until the item is available; at
-// end of stream unavailable items read as zero. Within the firing's rate
-// a peek sees exactly what Pop will deliver, so a data flip or addressing
-// slip armed on that item shows in the peek too.
-func (c *Ctx) Peek(i, off int) uint32 { return c.in[i].peek(off) }
-
-// PeekF32 peeks an IEEE-754 float item.
-func (c *Ctx) PeekF32(i, off int) float32 { return math.Float32frombits(c.Peek(i, off)) }
-
-// Push produces v on output port o.
-func (c *Ctx) Push(o int, v uint32) { c.out[o].buf = append(c.out[o].buf, v) }
-
-// PopF32 pops an IEEE-754 float item.
-func (c *Ctx) PopF32(i int) float32 { return math.Float32frombits(c.Pop(i)) }
-
-// PushF32 pushes an IEEE-754 float item.
-func (c *Ctx) PushF32(o int, v float32) { c.Push(o, math.Float32bits(v)) }
-
-// PopI32 pops a signed integer item.
-func (c *Ctx) PopI32(i int) int32 { return int32(c.Pop(i)) }
-
-// F32Bits and BitsF32 are conversion helpers for filters that buffer items.
+// F32Bits converts a float32 to the item bits that carry it on a tape.
 func F32Bits(v float32) uint32 { return math.Float32bits(v) }
 
 // BitsF32 converts stored item bits back to float32.

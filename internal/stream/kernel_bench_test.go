@@ -12,10 +12,9 @@ import (
 
 // BenchmarkKernelFiring measures the kernel-firing layer: ns/item through
 // a real engine pipeline (source -> kernel -> sink, sequential engine) for
-// each compute kernel under the three kernel forms. per-item fires the
-// bare FuncFilter, so every item goes through Ctx.Pop/Push; batch is the
-// stream.BatchKernel whole-firing form; abft is the checksummed form
-// behind sim.ABFT. One op is one pipeline run of the spec's item count;
+// each compute kernel in its two forms: batch is the plain whole-firing
+// kernel (Filter.WorkBatch); abft is the checksummed form behind
+// sim.ABFT. One op is one pipeline run of the spec's item count;
 // graph and engine construction are outside the timed region.
 //
 // The committed numbers live in BENCH_micro.txt at the repository root,
@@ -26,7 +25,7 @@ func BenchmarkKernelFiring(b *testing.B) {
 		for i := range tape {
 			tape[i] = stream.F32Bits(float32(i%509) / 509)
 		}
-		for _, variant := range []string{"per-item", "batch", "abft"} {
+		for _, variant := range []string{"batch", "abft"} {
 			b.Run(spec.name+"/"+variant, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -90,7 +89,7 @@ func splitJoinEngine(b *testing.B, variant string, tape []uint32) *stream.Engine
 		scale := 0.25 * float64(c+1)
 		branches = append(branches, []stream.Filter{blockFilter("colour", 1, 1, 10, variant, func(y, x []float64) {
 			y[0] = x[0]*scale + 0.5
-		}, nil)})
+		})})
 	}
 	if err := g.Connect(src, 0, split, 0); err != nil {
 		b.Fatal(err)
@@ -132,7 +131,7 @@ type kernelSpec struct {
 	pushRate int
 	items    int
 	// filter builds a fresh kernel filter of the given kernel form
-	// ("per-item", "batch" or "abft").
+	// ("batch" or "abft").
 	filter func(variant string) stream.Filter
 }
 
@@ -145,7 +144,7 @@ func kernelSpecs() []kernelSpec {
 			filter: func(variant string) stream.Filter {
 				return blockFilter("dct8", 8, 8, 150, variant, func(y, x []float64) {
 					dsp.DCT8((*[8]float64)(y), (*[8]float64)(x))
-				}, nil)
+				})
 			},
 		},
 		{
@@ -154,18 +153,14 @@ func kernelSpecs() []kernelSpec {
 				return blockFilter("dct2d", 64, 64, 1200, variant, func(y, x []float64) {
 					copy(y, x)
 					dsp.DCT2D((*[64]float64)(y))
-				}, nil)
+				})
 			},
 		},
 		{
 			name: "fir", popRate: 256, pushRate: 256, items: 1 << 17,
 			filter: func(variant string) stream.Filter {
 				fir := dsp.MustNewFIR(dsp.LowPassTaps(31, 0.2))
-				return blockFilter("fir", 256, 256, 3600, variant, fir.ProcessBatch, func(ctx *stream.Ctx) {
-					for i := 0; i < 256; i++ {
-						ctx.PushF32(0, float32(fir.Process(float64(ctx.PopF32(0)))))
-					}
-				})
+				return blockFilter("fir", 256, 256, 3600, variant, fir.ProcessBatch)
 			},
 		},
 		{
@@ -173,7 +168,7 @@ func kernelSpecs() []kernelSpec {
 			filter: func(variant string) stream.Filter {
 				return blockFilter("mdct", 2*mp3codec.N, mp3codec.N, 20000, variant, func(y, x []float64) {
 					mp3codec.MDCT((*[2 * mp3codec.N]float64)(x), (*[mp3codec.N]float64)(y))
-				}, nil)
+				})
 			},
 		},
 		// The inverse transforms are the ones the jpeg and mp3 decode
@@ -183,7 +178,7 @@ func kernelSpecs() []kernelSpec {
 			filter: func(variant string) stream.Filter {
 				return blockFilter("imdct", mp3codec.N, 2*mp3codec.N, 20000, variant, func(y, x []float64) {
 					mp3codec.IMDCT((*[mp3codec.N]float64)(x), (*[2 * mp3codec.N]float64)(y))
-				}, nil)
+				})
 			},
 		},
 		{
@@ -192,7 +187,7 @@ func kernelSpecs() []kernelSpec {
 				return blockFilter("idct2d", 64, 64, 1200, variant, func(y, x []float64) {
 					copy(y, x)
 					dsp.IDCT2D((*[64]float64)(y))
-				}, nil)
+				})
 			},
 		},
 	}
@@ -200,24 +195,11 @@ func kernelSpecs() []kernelSpec {
 
 // blockFilter builds a kernel filter around a block transform from one
 // firing's pop-rate inputs x to its push-rate outputs y, over float32
-// items. Every kernel form runs the same transform: per-item pops and
-// pushes each item through Ctx (perItem, when set, replaces that
-// firing), batch converts the flat buffers of each firing it is handed,
-// and the abft form fuses the output checksum, carried across firings,
-// into the batch conversion.
-func blockFilter(name string, pop, push, cost int, variant string, block func(y, x []float64), perItem func(ctx *stream.Ctx)) stream.Filter {
+// items. Both kernel forms run the same transform: batch converts the
+// flat buffers of each firing it is handed, and the abft form fuses the
+// output checksum, carried across firings, into the same conversion.
+func blockFilter(name string, pop, push, cost int, variant string, block func(y, x []float64)) stream.Filter {
 	x, y := make([]float64, pop), make([]float64, push)
-	if perItem == nil {
-		perItem = func(ctx *stream.Ctx) {
-			for i := range x {
-				x[i] = float64(ctx.PopF32(0))
-			}
-			block(y, x)
-			for _, v := range y {
-				ctx.PushF32(0, float32(v))
-			}
-		}
-	}
 	// load converts firing j's input block (resliced to the pop rate so
 	// the loop runs without bounds checks) and runs the transform.
 	load := func(in []uint32, j int) {
@@ -227,12 +209,8 @@ func blockFilter(name string, pop, push, cost int, variant string, block func(y,
 		}
 		block(y, x)
 	}
-	ff := stream.NewFuncFilter(name, pop, push, cost, perItem)
-	if variant == "per-item" {
-		return ff
-	}
 	if variant == "batch" {
-		return ff.Batch(func(in, out [][]uint32) {
+		return stream.NewFuncFilter(name, pop, push, cost, func(in, out [][]uint32) {
 			for j := range len(in[0]) / pop {
 				load(in[0], j)
 				ob := out[0][j*push : (j+1)*push]
@@ -242,7 +220,7 @@ func blockFilter(name string, pop, push, cost int, variant string, block func(y,
 			}
 		})
 	}
-	return ff.ABFT(func(in, out [][]uint32) float64 {
+	return stream.NewABFTFilter(name, pop, push, cost, func(in, out [][]uint32) float64 {
 		s := 0.0
 		for j := range len(in[0]) / pop {
 			load(in[0], j)

@@ -99,7 +99,7 @@ func compareSim(t *testing.T, name string, grouped, perFiring *sim.Result) {
 	}
 	var samples uint64
 	for i, h := range grouped.Health {
-		if h.Name == "fire_item" || h.Name == "fire_batch" || h.Name == "fire_abft" {
+		if h.Name == "fire_batch" || h.Name == "fire_abft" {
 			samples += h.Count
 			if p := perFiring.Health[i]; p.Count != h.Count {
 				t.Errorf("%s: %s has %d samples, per-firing %d", name, h.Name, h.Count, p.Count)
@@ -188,8 +188,7 @@ func rgbSplitJoin(tape []uint32) handGraph {
 
 // affine is a stateless rate-1 ABFT kernel, v -> a*v + c.
 func affine(name string, a, c uint32) stream.Filter {
-	ff := stream.NewFuncFilter(name, 1, 1, 10, func(ctx *stream.Ctx) { ctx.Push(0, a*ctx.Pop(0)+c) })
-	return ff.ABFT(func(in, out [][]uint32) float64 {
+	return stream.NewABFTFilter(name, 1, 1, 10, func(in, out [][]uint32) float64 {
 		s := 0.0
 		for i, v := range in[0] {
 			v = a*v + c
@@ -201,8 +200,8 @@ func affine(name string, a, c uint32) stream.Filter {
 }
 
 // unequalRates deals 1, 2 and 3 items per firing to a stateful rate-1
-// batch kernel (a running sum, so firing order shows), a 2 -> 4 batch
-// kernel and a 3 -> 3 Work kernel, and joins 1, 4 and 3 items back.
+// kernel (a running sum, so firing order shows), a 2 -> 4 kernel and a
+// 3 -> 3 kernel, and joins 1, 4 and 3 items back.
 func unequalRates(tape []uint32) handGraph {
 	return func() (*stream.Graph, *stream.Sink, error) {
 		g := stream.NewGraph()
@@ -212,32 +211,23 @@ func unequalRates(tape []uint32) handGraph {
 		sink := stream.NewSink("sink", 800)
 		snk := g.Add(sink)
 		var sum uint32
-		running := stream.NewFuncFilter("running", 1, 1, 12, func(ctx *stream.Ctx) {
-			sum += ctx.Pop(0)
-			ctx.Push(0, sum)
-		}).Batch(func(in, out [][]uint32) {
+		running := stream.NewFuncFilter("running", 1, 1, 12, func(in, out [][]uint32) {
 			for i, v := range in[0] {
 				sum += v
 				out[0][i] = sum
 			}
 		})
-		widen := stream.NewFuncFilter("widen", 2, 4, 30, func(ctx *stream.Ctx) {
-			a, b := ctx.Pop(0), ctx.Pop(0)
-			ctx.Push(0, a)
-			ctx.Push(0, b)
-			ctx.Push(0, a^b)
-			ctx.Push(0, a+b)
-		}).Batch(func(in, out [][]uint32) {
+		widen := stream.NewFuncFilter("widen", 2, 4, 30, func(in, out [][]uint32) {
 			for j := range len(in[0]) / 2 {
 				a, b := in[0][2*j], in[0][2*j+1]
 				out[0][4*j], out[0][4*j+1], out[0][4*j+2], out[0][4*j+3] = a, b, a^b, a+b
 			}
 		})
-		reverse := stream.NewFuncFilter("reverse", 3, 3, 20, func(ctx *stream.Ctx) {
-			a, b, c := ctx.Pop(0), ctx.Pop(0), ctx.Pop(0)
-			ctx.Push(0, c)
-			ctx.Push(0, b)
-			ctx.Push(0, a)
+		reverse := stream.NewFuncFilter("reverse", 3, 3, 20, func(in, out [][]uint32) {
+			for j := 0; j < len(in[0]); j += 3 {
+				a, b, c := in[0][j], in[0][j+1], in[0][j+2]
+				out[0][j], out[0][j+1], out[0][j+2] = c, b, a
+			}
 		})
 		if err := g.Connect(src, 0, split, 0); err != nil {
 			return nil, nil, err
@@ -303,15 +293,15 @@ func runHand(t *testing.T, build handGraph, scheme string, mtbe float64, seed in
 		r.guard = &gs
 	}
 	for i := range g.Nodes {
-		item, batch, abft := health.FireShards(i)
-		r.samples = append(r.samples, item.Count()+batch.Count()+abft.Count())
+		batch, abft := health.FireShards(i)
+		r.samples = append(r.samples, batch.Count()+abft.Count())
 	}
 	return r
 }
 
 // TestGroupedRunsMatchPerFiringHandGraphs covers the run boundaries jpeg
-// may not reach: unequal port rates, a stateful kernel, a Work kernel
-// beside batch ones, multiplicities that runs do not divide, and error
+// may not reach: unequal port rates, a stateful kernel, multiplicities
+// that runs do not divide, and error
 // rates that end runs several times per iteration on every core.
 func TestGroupedRunsMatchPerFiringHandGraphs(t *testing.T) {
 	tape := make([]uint32, 3000*6)

@@ -34,7 +34,7 @@ func (f *fakeOut) End()              {}
 
 // transitThread builds the thread of filter f, which has one input and
 // one output port, over the given ports.
-func transitThread(t *testing.T, f Filter, in InPort, out OutPort) (*thread, *Ctx) {
+func transitThread(t *testing.T, f Filter, in InPort, out OutPort) *thread {
 	t.Helper()
 	g := NewGraph()
 	if _, err := g.Chain(NewSource("src", f.PopRates()[0], nil), f, NewSink("snk", f.PushRates()[0])); err != nil {
@@ -45,18 +45,7 @@ func transitThread(t *testing.T, f Filter, in InPort, out OutPort) (*thread, *Ct
 		t.Fatal(err)
 	}
 	// Chain numbers the edges src->f 0 and f->snk 1.
-	th := newThread(g.Edges[0].Dst, core, 1, nil, []OutPort{nil, out}, []InPort{in, nil}, 0)
-	return th, th.begin()
-}
-
-// popPush pops n items from port 0, recording each in seen, and pushes
-// each to port 0.
-func popPush(ctx *Ctx, n int, seen *[]uint32) {
-	for i := 0; i < n; i++ {
-		v := ctx.Pop(0)
-		*seen = append(*seen, v)
-		ctx.Push(0, v)
-	}
+	return newThread(g.Edges[0].Dst, core, 1, nil, []OutPort{nil, out}, []InPort{in, nil}, 0)
 }
 
 // Port transit: what a firing's kernel sees and what crosses the ports
@@ -70,12 +59,10 @@ func TestPortTransit(t *testing.T) {
 		src     []uint32
 		firings int // 0 means 1
 		arm     func(in *inTransit, out *outTransit)
-		// work is firing k's Work; nil pops and pushes the rate.
-		work func(ctx *Ctx, k int, seen *[]uint32)
 		// abft makes the filter an ABFT kernel on a checksumming thread.
 		abft bool
 
-		seen     []uint32 // values Work popped or peeked, over all firings
+		seen     []uint32 // values the kernel read, over all firings
 		consumed int      // items the firings consumed
 		portPos  int      // items the input port delivered
 		got      []uint32 // items the output port received
@@ -109,18 +96,6 @@ func TestPortTransit(t *testing.T) {
 			seen: []uint32{1, 2}, consumed: 4, portPos: 4, got: []uint32{1, 2},
 		},
 		{
-			// Peek lookahead past the rate stays in the window, and the
-			// next firing drains it before resuming the port.
-			name: "in-peek-window", rate: 2, src: []uint32{1, 2, 3, 4}, firings: 2,
-			work: func(ctx *Ctx, k int, seen *[]uint32) {
-				if k == 0 {
-					*seen = append(*seen, ctx.Peek(0, 2), ctx.Peek(0, 0))
-				}
-				popPush(ctx, 2, seen)
-			},
-			seen: []uint32{3, 1, 1, 2, 3, 4}, consumed: 4, portPos: 4, got: []uint32{1, 2, 3, 4},
-		},
-		{
 			// A flip and a starved tail armed in one firing: the flip lands
 			// on a consumed item and the tail repeats the flipped value.
 			name: "in-flip-and-starved-tail", rate: 4, src: []uint32{10, 20, 30, 40},
@@ -129,18 +104,6 @@ func TestPortTransit(t *testing.T) {
 				in.starvedPops = 2
 			},
 			seen: []uint32{10, 21, 21, 21}, consumed: 2, portPos: 2, got: []uint32{10, 21, 21, 21},
-		},
-		{
-			// The item Work left unread is delivered by the next firing.
-			name: "work-pops-fewer-than-rate", rate: 3, src: []uint32{1, 2, 3, 4, 5, 6}, firings: 2,
-			work: func(ctx *Ctx, k int, seen *[]uint32) { popPush(ctx, 2+k, seen) },
-			seen: []uint32{1, 2, 3, 4, 5}, consumed: 5, portPos: 5, got: []uint32{1, 2, 3, 4, 5},
-		},
-		{
-			// A pop past the rate comes from the port.
-			name: "work-pops-more-than-rate", rate: 2, src: []uint32{1, 2, 3, 4, 5}, firings: 2,
-			work: func(ctx *Ctx, k int, seen *[]uint32) { popPush(ctx, 3-k, seen) },
-			seen: []uint32{1, 2, 3, 4, 5}, consumed: 5, portPos: 5, got: []uint32{1, 2, 3, 4, 5},
 		},
 		{
 			name: "out-pass-through", rate: 2, src: []uint32{5, 6},
@@ -164,42 +127,37 @@ func TestPortTransit(t *testing.T) {
 		},
 		{
 			// An item-count perturbation keeps an ABFT kernel off the
-			// checksummed form: WorkBatch runs (Work sees nothing) and the
-			// ABFT counters do not move.
+			// checksummed form: WorkBatch runs and the ABFT counters do
+			// not move.
 			name: "abft-item-count-armed", rate: 2, src: []uint32{1, 2, 3}, abft: true,
-			arm:      func(in *inTransit, _ *outTransit) { in.extraPops = 1 },
-			consumed: 3, portPos: 3, got: []uint32{1, 2},
+			arm:  func(in *inTransit, _ *outTransit) { in.extraPops = 1 },
+			seen: []uint32{1, 2}, consumed: 3, portPos: 3, got: []uint32{1, 2},
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var seen []uint32
-			k := 0
-			ff := NewFuncFilter("f", c.rate, c.rate, 1, func(ctx *Ctx) {
-				if c.work != nil {
-					c.work(ctx, k, &seen)
-				} else {
-					popPush(ctx, c.rate, &seen)
-				}
-				k++
-			})
-			var f Filter = ff
+			work := func(in, out [][]uint32) {
+				seen = append(seen, in[0]...)
+				copy(out[0], in[0])
+			}
+			var f Filter = NewFuncFilter("f", c.rate, c.rate, 1, work)
 			if c.abft {
-				f = ff.ABFT(
-					func(in, out [][]uint32) float64 { copy(out[0], in[0]); return ChecksumU32(out[0]) },
+				f = NewABFTFilter("f", c.rate, c.rate, 1,
+					func(in, out [][]uint32) float64 { work(in, out); return ChecksumU32(out[0]) },
 					func(out [][]uint32) float64 { return ChecksumU32(out[0]) })
 			}
 			in, out := &fakeIn{values: c.src}, &fakeOut{}
-			th, ctx := transitThread(t, f, in, out)
+			th := transitThread(t, f, in, out)
 			th.abft = c.abft
 			if c.arm != nil {
 				c.arm(th.ins[0], th.outs[0])
 			}
 			for i := 0; i < max(1, c.firings); i++ {
-				th.fire(ctx)
+				th.fire()
 			}
 			if !slices.Equal(seen, c.seen) {
-				t.Errorf("Work saw %v, want %v", seen, c.seen)
+				t.Errorf("kernel saw %v, want %v", seen, c.seen)
 			}
 			if th.stats.Loads != uint64(c.consumed) {
 				t.Errorf("consumed %d, want %d", th.stats.Loads, c.consumed)
