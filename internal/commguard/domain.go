@@ -13,11 +13,11 @@ package commguard
 // agree), but different edges may use different scales — e.g. tiny frames
 // on a low-rate control edge and large frames on a bulk-data edge.
 //
-// Wraparound: the event counter is 64-bit and never wraps on any physically
-// realizable run (2^64 frame computations at one per nanosecond is over
-// five centuries). The *wire* frame ID, however, is a 32-bit header field,
-// so the domain frame counter wraps mod 2^32 after 2^32 domain frames.
-// Both endpoints of an edge consume the same event stream through the same
+// Wraparound: the domain keeps no event counter, only a countdown to its
+// next domain frame (below scale) and the wire ID that frame will carry,
+// so nothing can overflow but the ID itself. The wire frame ID is a
+// 32-bit header field: it wraps mod 2^32 after 2^32 domain frames. Both
+// endpoints of an edge consume the same event stream through the same
 // deterministic function, so they wrap in lockstep and stay aligned; the
 // Alignment Manager compares frame IDs with wraparound-aware serial-number
 // arithmetic (alignment.go) so ordering survives the wrap. The only
@@ -26,9 +26,8 @@ package commguard
 // run length can reach that horizon.
 type frameDomain struct {
 	scale int
-	raw   uint64
-	fc    uint32
-	began bool
+	left  int    // events still to come before the next domain frame starts
+	next  uint32 // wire ID of the next domain frame
 }
 
 func newFrameDomain(scale int) frameDomain {
@@ -39,16 +38,16 @@ func newFrameDomain(scale int) frameDomain {
 }
 
 // advance consumes one raw frame-computation event. It returns the domain
-// frame ID and whether a new domain frame started at this event. The
-// returned ID is the domain frame number truncated to the 32-bit wire
-// width; see the wraparound note above.
+// frame ID and whether a new domain frame started at this event. The first
+// event starts frame 0 and every scale-th one after it the next frame; the
+// ID is the domain frame number truncated to the 32-bit wire width (see
+// the wraparound note above).
 func (d *frameDomain) advance() (uint32, bool) {
-	idx := d.raw
-	d.raw++
-	if idx%uint64(d.scale) != 0 {
-		return d.fc, false
+	if d.left > 0 {
+		d.left--
+		return d.next - 1, false
 	}
-	d.fc = uint32(idx / uint64(d.scale))
-	d.began = true
-	return d.fc, true
+	d.left = d.scale - 1
+	d.next++
+	return d.next - 1, true
 }

@@ -31,16 +31,16 @@ func TestFrameDomainScaleClamped(t *testing.T) {
 	}
 }
 
-// The raw event counter is 64-bit, so the old uint32 overflow (which made
-// the domain frame counter regress after 2^32 events) is gone: across the
-// 2^32-event boundary the domain frame ID keeps advancing monotonically.
+// The domain keeps no event counter, so the old uint32 overflow (which made
+// the domain frame counter regress after 2^32 events) cannot recur: across
+// the 2^32-event boundary the domain frame ID keeps advancing
+// monotonically.
 func TestFrameDomainRawCounterPast32Bits(t *testing.T) {
 	const scale = 4
-	d := newFrameDomain(scale)
-	// Place the counter just under 2^32 events, aligned to a domain frame
+	// Place the domain just under 2^32 events, aligned to a domain frame
 	// boundary so the next aligned event starts a new frame.
 	start := (uint64(1)<<32)/scale*scale - scale // last aligned index < 2^32
-	d.raw = start
+	d := domainAt(scale, start)
 	fc0, started := d.advance()
 	if !started {
 		t.Fatalf("event at aligned index %d did not start a frame", start)
@@ -67,10 +67,8 @@ func TestFrameDomainRawCounterPast32Bits(t *testing.T) {
 // Both endpoints run this same function on the same event count, so they
 // wrap in lockstep; the AM orders IDs with serial arithmetic.
 func TestFrameDomainWireIDWrapsInLockstep(t *testing.T) {
-	prod := newFrameDomain(1)
-	cons := newFrameDomain(1)
 	start := (uint64(1) << 32) - 2 // two frames before the wire wrap
-	prod.raw, cons.raw = start, start
+	prod, cons := domainAt(1, start), domainAt(1, start)
 	for i := 0; i < 4; i++ {
 		pfc, ps := prod.advance()
 		cfc, cs := cons.advance()

@@ -9,6 +9,8 @@
 // and (ii) it does not loop indefinitely within a scope. Control-flow
 // errors may still perturb *how* a scope body executes — iteration counts,
 // data, addresses — but not the coarse-grained progress of the program.
+// Since scopes are always well nested here, the module tracks them by
+// depth alone: scope names are documentation at the call site.
 //
 // The protection module also maintains the active frame-computation counter
 // (active-fc) that CommGuard's Header Inserter and Alignment Manager use,
@@ -56,7 +58,7 @@ type Core struct {
 	scaleCount int
 
 	activeFC uint32
-	scopes   []string
+	depth    int // scope nesting depth
 	done     bool
 
 	listeners []FrameListener
@@ -114,22 +116,23 @@ func (c *Core) Commit(n int) {
 
 // BeginScope enters a named control-flow region. The protection module
 // guarantees scope sequencing, so entering/exiting is always well nested
-// here; the interesting error effects happen inside scope bodies.
+// here; the interesting error effects happen inside scope bodies. Only
+// the nesting depth is kept; the name is not recorded.
 func (c *Core) BeginScope(name string) {
-	c.scopes = append(c.scopes, name)
-	if d := len(c.scopes); d > c.stats.ScopeDepthMax {
-		c.stats.ScopeDepthMax = d
+	c.depth++
+	if c.depth > c.stats.ScopeDepthMax {
+		c.stats.ScopeDepthMax = c.depth
 	}
 }
 
 // EndScope exits the innermost scope. Exiting the outermost scope signals
 // end of computation to the listeners (once).
 func (c *Core) EndScope() error {
-	if len(c.scopes) == 0 {
+	if c.depth == 0 {
 		return fmt.Errorf("ppu core %d: EndScope with empty scope stack", c.id)
 	}
-	c.scopes = c.scopes[:len(c.scopes)-1]
-	if len(c.scopes) == 0 && !c.done {
+	c.depth--
+	if c.depth == 0 && !c.done {
 		c.done = true
 		c.trace.EndOfComputation()
 		for _, l := range c.listeners {

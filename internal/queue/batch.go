@@ -36,8 +36,12 @@ func (q *Queue) PushDataN(vs []uint32) {
 	for len(vs) > 0 {
 		off := uint32(q.prodOffset.load(plain))
 		if off == 0 {
-			q.acquireFillSlot()
-			off = uint32(q.prodOffset.load(plain))
+			if q.prodWS-q.cachedDrained < uint32(q.cfg.WorkingSets) {
+				q.pushStreak = 0
+			} else {
+				q.acquireFillSlot()
+				off = uint32(q.prodOffset.load(plain))
+			}
 		}
 		if off >= s {
 			q.Push(DataUnit(vs[0]))
@@ -82,7 +86,7 @@ func (q *Queue) PopDataN(dst []uint32) (int, PopStop) {
 	s := uint32(q.cfg.WorkingSetUnits)
 	popped := 0
 	for popped < len(dst) {
-		if !q.acquireDrainSlot() {
+		if int32(q.cachedFilled-q.consWS) <= 0 && !q.acquireDrainSlot() {
 			return popped, PopStopFail
 		}
 		off := uint32(q.consOffset.load(plain))

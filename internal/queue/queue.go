@@ -304,26 +304,42 @@ type Queue struct {
 	// persistently corrupted or starved queue degrades to fast garbage
 	// delivery instead of serializing full timeouts per item, while a
 	// transiently slow peer still gets real waiting time.
-	// prodWSIdx/prodBase (and the consumer twins) cache ws%k and
-	// (ws%k)*s for the working set currently in use; they change only at
-	// publish/return, sparing the per-item path two integer divisions.
+	// prodWSIdx/prodBase (and the consumer twins) hold ws%k and (ws%k)*s
+	// for the working set currently in use; publish/return advance them
+	// by increment-and-wrap, sparing the per-item path two integer
+	// divisions and the exchange one.
+	//
+	// filledWord/filledVal (and drainedWord/drainedVal) memoize the word
+	// the owner last stored into its shared pointer and the value that
+	// word encodes. A pointer word bit-identical to the memo is a valid
+	// codeword with a known value, so its reader skips the decode; any
+	// other word (a flipped one, or a miscorrection's scrub) takes the
+	// full decode, correction, scrub and count.
+	// Only the owner stores them, and only after its CAS lands. The peer
+	// reads them only in one-goroutine mode (SetSequential): across
+	// goroutines the pair could be read torn. They are words so that read
+	// is the same word load as every other cross-side access.
 	_             [64]byte
 	prodOffset    word   //queue:owned-by producer
+	filledWord    word   // last word the producer stored into filled //queue:owned-by producer
+	filledVal     word   // the value filledWord encodes //queue:owned-by producer
 	prodWS        uint32 // working set currently being filled //queue:owned-by producer
 	prodWSIdx     uint32 // prodWS % WorkingSets //queue:owned-by producer
 	prodBase      uint32 // prodWSIdx * WorkingSetUnits //queue:owned-by producer
 	cachedDrained uint32 // producer's view of the consumer's progress //queue:owned-by producer
 	pushStreak    uint32 //queue:owned-by producer
-	_             [36]byte
+	_             [20]byte
 
 	// Consumer-local state.
 	consOffset   word   //queue:owned-by consumer
+	drainedWord  word   // last word the consumer stored into drained //queue:owned-by consumer
+	drainedVal   word   // the value drainedWord encodes //queue:owned-by consumer
 	consWS       uint32 // working set currently being drained //queue:owned-by consumer
 	consWSIdx    uint32 // consWS % WorkingSets //queue:owned-by consumer
 	consBase     uint32 // consWSIdx * WorkingSetUnits //queue:owned-by consumer
 	cachedFilled uint32 // consumer's view of the producer's progress //queue:owned-by consumer
 	popStreak    uint32 //queue:owned-by consumer
-	_            [36]byte
+	_            [20]byte
 
 	stats statWords //queue:counters
 
@@ -382,6 +398,8 @@ func New(id int, cfg Config) (*Queue, error) {
 	}
 	q.filled.v = q.encodePointer(0)
 	q.drained.v = q.encodePointer(0)
+	q.filledWord.v = q.filled.v
+	q.drainedWord.v = q.drained.v
 	return q, nil
 }
 
@@ -473,14 +491,20 @@ func (q *Queue) charge(ops, corrected uint64) {
 }
 
 // refreshDrained is the producer's read of the consumer's shared pointer:
-// one load and a decode at the Table 3 refresh price. A corrected word is
-// scrubbed with a CAS; if the consumer or the injector replaced the word
-// in between, the CAS fails harmlessly and the correction is left to
-// whoever reads the new word, so every flip is counted once.
+// one load and a decode at the Table 3 refresh price. In one-goroutine
+// mode a word equal to the consumer's memo skips the decode (see
+// drainedWord). A corrected word is scrubbed with a CAS; if the consumer
+// or the injector replaced the word in between, the CAS fails harmlessly
+// and the correction is left to whoever reads the new word, so every flip
+// is counted once.
 //
 //queue:side producer
 func (q *Queue) refreshDrained() uint32 {
 	old := q.drained.load(q.plain)
+	if q.plain && old == q.drainedWord.load(true) {
+		q.charge(q.cost.RefreshFillOps, 0)
+		return uint32(q.drainedVal.load(true))
+	}
 	d, c := q.decodePointer(old)
 	if c != 0 && !q.drained.cas(q.plain, old, q.encodePointer(d)) {
 		c = 0
@@ -495,6 +519,10 @@ func (q *Queue) refreshDrained() uint32 {
 //queue:side consumer
 func (q *Queue) refreshFilled() uint32 {
 	old := q.filled.load(q.plain)
+	if q.plain && old == q.filledWord.load(true) {
+		q.charge(q.cost.RefreshDrainOps, 0)
+		return uint32(q.filledVal.load(true))
+	}
 	f, c := q.decodePointer(old)
 	if c != 0 && !q.filled.cas(q.plain, old, q.encodePointer(f)) {
 		c = 0
@@ -591,32 +619,28 @@ func (q *Queue) cancelled() bool {
 	}
 }
 
-// canFill reports whether the producer may start filling its next working
-// set. The cached consumer-progress view is refreshed (one shared ECC
-// pointer access) only when it says the ring is full.
+// canFill refreshes the producer's view of the consumer's progress (one
+// shared ECC pointer access) and reports whether the producer may start
+// filling its next working set. Its callers consult the cached view first
+// and come here only when it says the ring is full; the view cannot
+// change while the producer waits, since only canFill writes it.
 //
 //queue:side producer
 func (q *Queue) canFill() bool {
-	k := uint32(q.cfg.WorkingSets)
-	ws := q.prodWS
-	if ws-q.cachedDrained < k {
-		q.pushStreak = 0
-		return true
-	}
 	d := q.refreshDrained()
 	q.cachedDrained = d
-	if ws-d < k {
+	if q.prodWS-d < uint32(q.cfg.WorkingSets) {
 		q.pushStreak = 0
 		return true
 	}
 	return false
 }
 
-// acquireFillSlot runs before the first push into a fresh working set: it
-// waits (bounded by the timeout budget) for a free working set, and on
-// timeout proceeds anyway, overwriting undrained data (§5.1: a timeout may
-// cause incorrect data to be transmitted but frame checking still realigns
-// at frame boundaries).
+// acquireFillSlot runs before the first push into a fresh working set when
+// the cached view says the ring is full: it waits (bounded by the timeout
+// budget) for a free working set, and on timeout proceeds anyway,
+// overwriting undrained data (§5.1: a timeout may cause incorrect data to
+// be transmitted but frame checking still realigns at frame boundaries).
 //
 //queue:side producer
 //hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
@@ -677,9 +701,14 @@ func (q *Queue) acquireFillSlot() {
 //queue:side producer
 //hotpath:entry
 func (q *Queue) Push(u Unit) {
-	// A free working set is only needed when starting one.
+	// A free working set is only needed when starting one, and the slow
+	// path only when the cached view says the ring is full.
 	if q.prodOffset.load(q.plain) == 0 {
-		q.acquireFillSlot()
+		if q.prodWS-q.cachedDrained < uint32(q.cfg.WorkingSets) {
+			q.pushStreak = 0
+		} else {
+			q.acquireFillSlot()
+		}
 	}
 	s := uint32(q.cfg.WorkingSetUnits)
 	off := uint32(q.prodOffset.load(q.plain))
@@ -720,8 +749,15 @@ func (q *Queue) publish(n uint32) {
 	var c uint64
 	for {
 		old := q.filled.load(q.plain)
-		f, c = q.decodePointer(old)
-		if q.filled.cas(q.plain, old, q.encodePointer(f+1)) {
+		if old == q.filledWord.load(q.plain) {
+			f, c = uint32(q.filledVal.load(q.plain)), 0
+		} else {
+			f, c = q.decodePointer(old)
+		}
+		nw := q.encodePointer(f + 1)
+		if q.filled.cas(q.plain, old, nw) {
+			q.filledWord.store(q.plain, nw)
+			q.filledVal.store(q.plain, uint64(f+1))
 			break
 		}
 	}
@@ -729,8 +765,16 @@ func (q *Queue) publish(n uint32) {
 	if q.hPublish != nil {
 		q.hPublish.Record(uint64(time.Since(t0)))
 	}
+	if f == q.prodWS {
+		if q.prodWSIdx++; q.prodWSIdx == k {
+			q.prodWSIdx = 0
+		}
+	} else {
+		// Only a corrupted raw pointer (the software queue) moves the
+		// producer to a working set other than the next one.
+		q.prodWSIdx = (f + 1) % k
+	}
 	q.prodWS = f + 1
-	q.prodWSIdx = (f + 1) % k
 	q.prodBase = q.prodWSIdx * uint32(q.cfg.WorkingSetUnits)
 	q.prodOffset.store(q.plain, 0)
 	if !q.plain {
@@ -760,17 +804,16 @@ func (q *Queue) Close() {
 	signal(q.notEmpty)
 }
 
-// canDrain reports whether the consumer's current working set has been
-// published. The cached producer-progress view is refreshed (one shared
-// ECC pointer access) only when it is exhausted.
+// canDrain refreshes the consumer's view of the producer's progress (one
+// shared ECC pointer access) and reports whether the consumer's current
+// working set has been published. Its callers consult the cached view
+// first and come here only when it is exhausted. The cached path needs no
+// popStreak reset: the streak grows only after a refresh that left the
+// view exhausted, and only a successful refresh here un-exhausts it.
 //
 //queue:side consumer
 func (q *Queue) canDrain() bool {
 	ws := q.consWS
-	if int32(q.cachedFilled-ws) > 0 {
-		q.popStreak = 0
-		return true
-	}
 	f := q.refreshFilled()
 	q.cachedFilled = f
 	// Comparison is on free-running counters; after a raw-pointer
@@ -785,9 +828,10 @@ func (q *Queue) canDrain() bool {
 	return false
 }
 
-// acquireDrainSlot waits (bounded by the timeout budget) until the
-// consumer's working set is published. It returns false on timeout or when
-// the queue is closed and fully drained.
+// acquireDrainSlot runs when the consumer's cached view is exhausted: it
+// waits (bounded by the timeout budget) until the consumer's working set is
+// published. It returns false on timeout or when the queue is closed and
+// fully drained.
 //
 //queue:side consumer
 //hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
@@ -848,7 +892,7 @@ func (q *Queue) acquireDrainSlot() bool {
 //queue:side consumer
 //hotpath:entry
 func (q *Queue) Pop() (u Unit, ok bool) {
-	if !q.acquireDrainSlot() {
+	if int32(q.cachedFilled-q.consWS) <= 0 && !q.acquireDrainSlot() {
 		return 0, false
 	}
 	s := uint32(q.cfg.WorkingSetUnits)
@@ -887,8 +931,15 @@ func (q *Queue) returnWS() {
 	for {
 		old := q.drained.load(q.plain)
 		var d uint32
-		d, c = q.decodePointer(old)
-		if q.drained.cas(q.plain, old, q.encodePointer(d+1)) {
+		if old == q.drainedWord.load(q.plain) {
+			d, c = uint32(q.drainedVal.load(q.plain)), 0
+		} else {
+			d, c = q.decodePointer(old)
+		}
+		nw := q.encodePointer(d + 1)
+		if q.drained.cas(q.plain, old, nw) {
+			q.drainedWord.store(q.plain, nw)
+			q.drainedVal.store(q.plain, uint64(d+1))
 			break
 		}
 	}
@@ -896,9 +947,10 @@ func (q *Queue) returnWS() {
 	if q.hReturn != nil {
 		q.hReturn.Record(uint64(time.Since(t0)))
 	}
-	nw := q.consWS + 1
-	q.consWS = nw
-	q.consWSIdx = nw % uint32(q.cfg.WorkingSets)
+	q.consWS++
+	if q.consWSIdx++; q.consWSIdx == uint32(q.cfg.WorkingSets) {
+		q.consWSIdx = 0
+	}
 	q.consBase = q.consWSIdx * uint32(q.cfg.WorkingSetUnits)
 	q.consOffset.store(q.plain, 0)
 	if !q.plain {

@@ -265,33 +265,19 @@ func Run(inst *apps.Instance, cfg Config, reference []float64) (*Result, error) 
 		cfg.FrameScale = 1
 	}
 	qcfg := cfg.queueConfig()
-	if cfg.Sequential {
-		// Sequential hand-off publishes a whole frame per edge per
-		// iteration; size the working sets to hold the largest frame.
-		sched, err := stream.Solve(inst.Graph)
-		if err != nil {
-			return nil, err
-		}
-		maxItems := 0
-		for _, n := range sched.EdgeItems {
-			if n > maxItems {
-				maxItems = n
-			}
-		}
-		need := (maxItems+2)/qcfg.WorkingSets + 1
-		if qcfg.WorkingSetUnits < need {
-			qcfg.WorkingSetUnits = need
-		}
-	}
 
 	var transport stream.Transport
 	var guard *commguard.Transport
+	// tq is the transport's own queue geometry, which the sequential
+	// sizing below adjusts once the engine has solved the schedule.
+	var tq *queue.Config
 	switch cfg.Protection {
 	case CommGuard:
 		guard = commguard.NewTransport(qcfg)
-		transport = guard
+		transport, tq = guard, &guard.Queue
 	case ErrorFree, SoftwareQueue, ReliableQueue, ABFT:
-		transport = &stream.PlainTransport{Queue: qcfg}
+		plain := &stream.PlainTransport{Queue: qcfg}
+		transport, tq = plain, &plain.Queue
 	default:
 		return nil, fmt.Errorf("sim: unknown protection %d", cfg.Protection)
 	}
@@ -359,6 +345,21 @@ func Run(inst *apps.Instance, cfg Config, reference []float64) (*Result, error) 
 	eng, err := stream.NewEngine(inst.Graph, engCfg)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Sequential {
+		// Sequential hand-off publishes a whole frame per edge per
+		// iteration; size the working sets to hold the largest frame.
+		// Queues are built when the run wires its edges, so the engine's
+		// schedule can still size them.
+		maxItems := 0
+		for _, n := range eng.Schedule().EdgeItems {
+			if n > maxItems {
+				maxItems = n
+			}
+		}
+		if need := (maxItems+2)/tq.WorkingSets + 1; tq.WorkingSetUnits < need {
+			tq.WorkingSetUnits = need
+		}
 	}
 	var runStats *stream.RunStats
 	if cfg.Sequential {
