@@ -3,6 +3,7 @@ package queue
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -272,6 +273,9 @@ type Queue struct {
 
 	buf   []word // Unit values //queue:shared-atomic
 	wsLen []word // published length of each working set slot //queue:shared-atomic
+	// ring is the pooled block buf and wsLen are carved from (see New and
+	// Release); nil once released. //queue:shared-atomic
+	ring *[]word
 
 	closed atomic.Bool //queue:owned-by producer
 
@@ -379,20 +383,49 @@ func budget(timeout time.Duration, streak uint32) time.Duration {
 	return d
 }
 
+// rings recycles queue memory across runs: one sync.Pool per block length
+// (WorkingSets*(WorkingSetUnits+1) words: the ring, then the working-set
+// lengths). A pool holds *[]word so Put does not allocate. Like the
+// paper's fixed queue region, which the hardware reuses for the whole
+// program, a run borrows its rings and the next run of the same geometry
+// takes them over.
+var rings sync.Map // int -> *sync.Pool
+
+func ringPool(n int) *sync.Pool {
+	if p, ok := rings.Load(n); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := rings.LoadOrStore(n, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
 // New creates a queue with the given identifier (the QID used by CommGuard's
-// Queue Information Table) and configuration.
+// Queue Information Table) and configuration. Its ring comes from the pool
+// of released rings when one of its size is there, cleared, so every queue
+// starts all-zero exactly as a fresh allocation does: a software queue
+// whose pointer or offset was corrupted reads unwritten slots, and those
+// must read 0.
 func New(id int, cfg Config) (*Queue, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	coder := cfg.coder()
+	n := cfg.WorkingSets * cfg.WorkingSetUnits
+	ring, _ := ringPool(n + cfg.WorkingSets).Get().(*[]word)
+	if ring != nil {
+		clear(*ring)
+	} else {
+		blk := make([]word, n+cfg.WorkingSets)
+		ring = &blk
+	}
 	q := &Queue{
 		id:       id,
 		cfg:      cfg,
 		coder:    coder,
 		cost:     coder.Cost(),
-		buf:      make([]word, cfg.WorkingSets*cfg.WorkingSetUnits),
-		wsLen:    make([]word, cfg.WorkingSets),
+		ring:     ring,
+		buf:      (*ring)[:n:n],
+		wsLen:    (*ring)[n:],
 		notFull:  make(chan struct{}, 1),
 		notEmpty: make(chan struct{}, 1),
 	}
@@ -402,6 +435,25 @@ func New(id int, cfg Config) (*Queue, error) {
 	q.drainedWord.v = q.drained.v
 	return q, nil
 }
+
+// Release returns the queue's ring to the pool for the next New of the
+// same geometry. Call it once transit has ended and no goroutine can touch
+// the queue again; the stream engine releases every queue it wired when
+// its run returns. Any later transit or CorruptUnit panics instead of
+// writing into a ring another queue now owns. ID, Capacity, Coder and
+// Stats stay valid. Releasing twice is a no-op.
+//
+//queue:side init
+func (q *Queue) Release() {
+	if q.ring == nil {
+		return
+	}
+	ringPool(len(*q.ring)).Put(q.ring)
+	q.ring, q.buf, q.wsLen = nil, nil, nil
+}
+
+// useAfterRelease is the panic value of transit on a released queue.
+const useAfterRelease = "queue: transit after Release"
 
 // MustNew is New for known-good configurations.
 func MustNew(id int, cfg Config) *Queue {
@@ -645,6 +697,9 @@ func (q *Queue) canFill() bool {
 //queue:side producer
 //hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
 func (q *Queue) acquireFillSlot() {
+	if q.ring == nil {
+		panic(useAfterRelease)
+	}
 	if q.plain {
 		if !q.canFill() {
 			q.stats.pushTimeouts.add(q.plain, 1)
@@ -836,6 +891,9 @@ func (q *Queue) canDrain() bool {
 //queue:side consumer
 //hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
 func (q *Queue) acquireDrainSlot() bool {
+	if q.ring == nil {
+		panic(useAfterRelease)
+	}
 	if q.canDrain() {
 		return true
 	}
@@ -1018,6 +1076,9 @@ func (q *Queue) CorruptPointer(r *rand.Rand) {
 //
 //queue:side injector
 func (q *Queue) CorruptUnit(r *rand.Rand) {
+	if q.ring == nil {
+		panic(useAfterRelease)
+	}
 	slot := r.Intn(len(q.buf))
 	bit := r.Intn(q.coder.Width() + 1) // the last draw targets the tag bit
 	q.buf[slot].flip(q.plain, uint64(Unit(0).WithUnitBitFlipped(q.coder, bit)))

@@ -15,8 +15,9 @@ package soundness
 //	//queue:side producer        method runs on the producer's goroutine
 //	//queue:side consumer        method runs on the consumer's goroutine
 //	//queue:side injector        fault injection; may only CompareAndSwap
-//	//queue:side init            runs before transit starts; exempt from
-//	                             ownership checks
+//	//queue:side init            runs outside transit: before it starts
+//	                             or after it ends; exempt from ownership
+//	                             checks
 //
 // The atomic types are sync/atomic's and the queue's word type, whose
 // load/store/add/cas switch between atomic and plain memory by the

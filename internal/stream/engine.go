@@ -249,6 +249,17 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 	outs := make([]OutPort, len(e.g.Edges))
 	ins := make([]InPort, len(e.g.Edges))
 	rawQs := make([]*queue.Queue, len(e.g.Edges))
+	// The run owns the queues it wires. Every return below comes after the
+	// last access to them (the sequential loop has ended or wg.Wait has
+	// joined every node goroutine, and the stats are collected), so their
+	// rings go back to the pool for the next run.
+	defer func() {
+		for _, q := range rawQs {
+			if q != nil {
+				q.Release()
+			}
+		}
+	}()
 	for _, edge := range e.g.Edges {
 		op, ip, q, err := e.cfg.Transport.Wire(edge, cores[edge.Src.ID], cores[edge.Dst.ID])
 		if err != nil {

@@ -28,6 +28,9 @@ type InPort interface {
 // modules (CommGuard's HI and AM) can subscribe to frame-progress events.
 // Wire also returns the raw queue underlying the edge so the engine can
 // account its statistics and target it with queue-management faults.
+// The run owns every queue Wire returns: the engine releases it
+// (queue.Queue.Release) when the run ends, so nothing may keep using the
+// queue afterwards, except its Stats, ID, Capacity and Coder.
 type Transport interface {
 	Wire(e *Edge, prod, cons *ppu.Core) (OutPort, InPort, *queue.Queue, error)
 }
