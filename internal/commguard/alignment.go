@@ -85,6 +85,11 @@ type AlignmentManager struct {
 	pendingHdr uint32 // header that Pdg waits for
 	eocSeen    bool   // producer signalled end of computation
 
+	// expHdr is the header unit of the active frame, encoded whenever
+	// activeFC moves, which PopN compares bit for bit with the next unit
+	// in ExpHdr (see PopN).
+	expHdr queue.Unit
+
 	// maxSpin bounds the internal pop-discard loop of a single thread pop
 	// (defensive; realignment normally completes within one frame).
 	maxSpin int
@@ -96,6 +101,9 @@ type AlignmentManager struct {
 	trace   *obs.Ring
 	qid     int32
 	trigger uint32
+	// quiet is the highest state setState leaves without the full
+	// transition: ExpHdr, or -1 (none) while tracing.
+	quiet AMState
 
 	// det measures fault→detection latency (nil = off): Observe polls the
 	// watched cores' fault markers per pop (per contiguous span on the
@@ -127,7 +135,7 @@ func NewAlignmentManager(q *queue.Queue, pad uint32) *AlignmentManager {
 func NewAlignmentManagerScaled(q *queue.Queue, pad uint32, scale int) *AlignmentManager {
 	c := q.Coder()
 	return &AlignmentManager{
-		q: q, pad: pad, domain: newFrameDomain(scale), state: RcvCmp, maxSpin: 1 << 20,
+		q: q, pad: pad, domain: newFrameDomain(scale), state: RcvCmp, quiet: ExpHdr, maxSpin: 1 << 20,
 		coder: c, decOps: c.Cost().HeaderDecodeOps,
 	}
 }
@@ -137,6 +145,10 @@ func NewAlignmentManagerScaled(q *queue.Queue, pad uint32, scale int) *Alignment
 func (am *AlignmentManager) SetTrace(r *obs.Ring) {
 	am.trace = r
 	am.qid = int32(am.q.ID())
+	am.quiet = ExpHdr
+	if r != nil {
+		am.quiet = -1
+	}
 }
 
 // SetDetector attaches the fault→detection latency detector (nil
@@ -153,6 +165,19 @@ func (am *AlignmentManager) State() AMState { return am.state }
 func (am *AlignmentManager) ActiveFC() uint32 { return am.activeFC }
 
 func (am *AlignmentManager) setState(s AMState) {
+	// The ordinary frame rollover between RcvCmp (0) and ExpHdr (1) only
+	// counts the entry; a transition into or out of DiscFr, Disc or Pdg
+	// (2..4), and any traced one, takes transition.
+	if s|am.state > am.quiet {
+		am.transition(s)
+		return
+	}
+	am.state = s
+	am.stats.StateEntries[s]++
+}
+
+// transition is setState's full form.
+func (am *AlignmentManager) transition(s AMState) {
 	// Returning to normal delivery from an *erroneous* state is one
 	// realignment event (ExpHdr -> RcvCmp is the ordinary frame rollover).
 	if s == RcvCmp && (am.state == Disc || am.state == DiscFr || am.state == Pdg) {
@@ -184,6 +209,7 @@ func (am *AlignmentManager) NewFrameComputation(uint32) {
 	}
 	am.ops.FSMCounter++
 	am.activeFC = fc
+	am.expHdr = queue.EncodeHeader(am.coder, fc)
 	am.trigger = fc
 	if !am.started {
 		am.started = true
@@ -259,15 +285,42 @@ func (am *AlignmentManager) Pop() uint32 {
 // what the same number of Pop calls would deliver. While the FSM sits in
 // RcvCmp — the steady state between frame boundaries — items stream
 // through the Queue Manager's batch transit in one call per contiguous
-// span; the moment a header, a timeout, or any non-RcvCmp state appears,
-// that element takes the per-item FSM path, so realignment behavior and
-// every counter (OpCounters, AMStats, queue.Stats) match per-item popping
-// exactly.
+// span. In ExpHdr the next unit is compared bit for bit with the active
+// frame's header (expHdr); a match is taken as the ExpHdr -> RcvCmp
+// rollover without a decode, since a clean codeword decodes to exactly
+// the ID it encodes. Any other unit, a timeout, or any other state takes
+// the per-item FSM path, so realignment behavior and every counter
+// (OpCounters, AMStats, queue.Stats) and trace event match per-item
+// popping exactly.
 //
 //hotpath:entry
 func (am *AlignmentManager) PopN(dst []uint32) {
 	i := 0
 	for i < len(dst) {
+		if am.state == ExpHdr && am.activeFC != queue.EOCHeaderID {
+			// The EOC ID aliases the last wire frame ID (domain.go); that
+			// header must reach onHeader, which ends the computation.
+			am.det.Observe(am.stats.ItemsDelivered)
+			took, ok := am.q.PopIf(am.expHdr)
+			switch {
+			case took:
+				// Booked as Pop books a header that decodes to activeFC in
+				// ExpHdr: the header-bit check, the check-ECC, the FSM header
+				// event and the rollover into RcvCmp. The pop event belongs
+				// to the unit that follows, which the loop pops next, as
+				// Pop's own loop does.
+				am.ops.HeaderBit++
+				am.ops.ECC += am.decOps
+				am.ops.FSMCounter++
+				am.trigger = am.activeFC
+				am.setState(RcvCmp)
+				continue
+			case !ok:
+				dst[i] = am.timeoutPad()
+				i++
+				continue
+			}
+		}
 		if am.state != RcvCmp {
 			dst[i] = am.Pop()
 			i++
@@ -293,14 +346,19 @@ func (am *AlignmentManager) PopN(dst []uint32) {
 			dst[i] = am.Pop()
 			i++
 		case queue.PopStopFail:
-			// One timed-out pop, answered with one pad, as per-item.
-			am.ops.FSMCounter++
-			am.stats.TimeoutPads++
-			am.stats.PaddedItems++
-			dst[i] = am.pad
+			dst[i] = am.timeoutPad()
 			i++
 		}
 	}
+}
+
+// timeoutPad answers one timed-out pop with one pad, as Pop does: the
+// pop event is checked, the FSM state is unchanged.
+func (am *AlignmentManager) timeoutPad() uint32 {
+	am.ops.FSMCounter++
+	am.stats.TimeoutPads++
+	am.stats.PaddedItems++
+	return am.pad
 }
 
 // deliverItem decides what a regular item does in the current state:

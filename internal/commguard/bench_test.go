@@ -1,6 +1,7 @@
 package commguard
 
 import (
+	"fmt"
 	"testing"
 
 	"commguard/internal/obs"
@@ -157,4 +158,39 @@ func BenchmarkQueueTransfer(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGuardedFrame is the per-frame cost of CommGuard on one edge of
+// the sequential engine, as frames of r items cross it: the HI's header,
+// a firing's PushDataN of r items, the per-iteration Flush (one
+// working-set exchange), the AM's frame event and its PopN of the r items
+// (the expected-header compare, then the batch pop). One op is one frame;
+// ns/frame is the same figure under its own unit. r = 1 and 3 are the
+// per-sample apps' edge rates, where the per-frame work dominates; at
+// r = 64 it is spread over the items.
+func BenchmarkGuardedFrame(b *testing.B) {
+	for _, r := range []int{1, 3, 64} {
+		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
+			q := queue.MustNew(0, queue.Config{WorkingSets: 8, WorkingSetUnits: 256, ProtectPointers: true})
+			q.SetSequential()
+			hi := NewHeaderInserter(q)
+			am := NewAlignmentManager(q, 0)
+			data := make([]uint32, r)
+			dst := make([]uint32, r)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hi.NewFrameComputation(uint32(i))
+				q.PushDataN(data)
+				q.Flush()
+				am.NewFrameComputation(uint32(i))
+				am.PopN(dst)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+			if st := am.Stats(); st.ItemsDelivered != uint64(r*b.N) || st.DataLossItems() != 0 {
+				b.Fatalf("frames did not transit intact: %+v", st)
+			}
+		})
+	}
 }

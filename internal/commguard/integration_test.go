@@ -70,7 +70,7 @@ func TestHeaderInserterSequence(t *testing.T) {
 	hi := NewHeaderInserter(q)
 	core := ppu.MustNewCore(0, 1)
 	core.Subscribe(hi)
-	core.BeginScope("global")
+	core.BeginScope()
 	for i := 0; i < 3; i++ {
 		core.BeginFrameComputation()
 	}

@@ -3,6 +3,8 @@ package commguard
 import (
 	"math"
 	"testing"
+
+	"commguard/internal/queue"
 )
 
 // refFrameDomain is frameDomain's former form, kept as a test-only
@@ -86,4 +88,40 @@ func FuzzFrameDomain(f *testing.F) {
 		d, ref := domainAt(int(scale), events), refDomainAt(int(scale), events)
 		checkDomainMatches(t, &d, &ref, int(n))
 	})
+}
+
+// refPopN is AlignmentManager.PopN's former form, kept as a test-only
+// reference: outside RcvCmp every unit, the frame header included, takes
+// the per-item Pop FSM, and only RcvCmp's items stream through PopDataN.
+func refPopN(am *AlignmentManager, dst []uint32) {
+	i := 0
+	for i < len(dst) {
+		if am.state != RcvCmp {
+			dst[i] = am.Pop()
+			i++
+			continue
+		}
+		am.det.Observe(am.stats.ItemsDelivered)
+		n, stop := am.q.PopDataN(dst[i:])
+		if n > 0 {
+			am.ops.FSMCounter += uint64(n)
+			am.ops.HeaderBit += uint64(n)
+			am.stats.ItemsDelivered += uint64(n)
+			i += n
+		}
+		if i >= len(dst) {
+			break
+		}
+		switch stop {
+		case queue.PopStopHeader:
+			dst[i] = am.Pop()
+			i++
+		case queue.PopStopFail:
+			am.ops.FSMCounter++
+			am.stats.TimeoutPads++
+			am.stats.PaddedItems++
+			dst[i] = am.pad
+			i++
+		}
+	}
 }

@@ -71,7 +71,7 @@ func (t *Transport) Wire(e *stream.Edge, prod, cons *ppu.Core) (stream.OutPort, 
 	t.ams = append(t.ams, am)
 	t.mu.Unlock()
 
-	return &guardedOut{q: q}, &guardedIn{am: am}, q, nil
+	return &guardedOut{q: q}, am, q, nil
 }
 
 // guardedOut is the producer endpoint. Data pushes go straight to the QM;
@@ -92,18 +92,6 @@ func (o *guardedOut) End() {
 	o.q.Flush()
 	o.q.Close()
 }
-
-// guardedIn is the consumer endpoint: every thread pop goes through the
-// Alignment Manager.
-type guardedIn struct {
-	am *AlignmentManager
-}
-
-// PopN mediates a whole firing's pops through the Alignment Manager's
-// batch path.
-//
-//hotpath:entry
-func (i *guardedIn) PopN(dst []uint32) { i.am.PopN(dst) }
 
 // Stats aggregates the CommGuard module counters across all edges.
 type Stats struct {
@@ -148,4 +136,9 @@ func (t *Transport) AlignmentManagers() []*AlignmentManager {
 	return append([]*AlignmentManager(nil), t.ams...)
 }
 
-var _ stream.Transport = (*Transport)(nil)
+var (
+	_ stream.Transport = (*Transport)(nil)
+	// The consumer endpoint is the edge's Alignment Manager itself: every
+	// thread pop goes through it.
+	_ stream.InPort = (*AlignmentManager)(nil)
+)

@@ -10,7 +10,7 @@
 // errors may still perturb *how* a scope body executes — iteration counts,
 // data, addresses — but not the coarse-grained progress of the program.
 // Since scopes are always well nested here, the module tracks them by
-// depth alone: scope names are documentation at the call site.
+// depth alone.
 //
 // The protection module also maintains the active frame-computation counter
 // (active-fc) that CommGuard's Header Inserter and Alignment Manager use,
@@ -114,11 +114,11 @@ func (c *Core) Commit(n int) {
 	}
 }
 
-// BeginScope enters a named control-flow region. The protection module
+// BeginScope enters a control-flow region. The protection module
 // guarantees scope sequencing, so entering/exiting is always well nested
 // here; the interesting error effects happen inside scope bodies. Only
-// the nesting depth is kept; the name is not recorded.
-func (c *Core) BeginScope(name string) {
+// the nesting depth is kept.
+func (c *Core) BeginScope() {
 	c.depth++
 	if c.depth > c.stats.ScopeDepthMax {
 		c.stats.ScopeDepthMax = c.depth
@@ -128,11 +128,20 @@ func (c *Core) BeginScope(name string) {
 // EndScope exits the innermost scope. Exiting the outermost scope signals
 // end of computation to the listeners (once).
 func (c *Core) EndScope() error {
+	if c.depth <= 1 {
+		return c.endOutermost()
+	}
+	c.depth--
+	return nil
+}
+
+// endOutermost is EndScope at depth 1, or at depth 0, which is an error.
+func (c *Core) endOutermost() error {
 	if c.depth == 0 {
 		return fmt.Errorf("ppu core %d: EndScope with empty scope stack", c.id)
 	}
-	c.depth--
-	if c.depth == 0 && !c.done {
+	c.depth = 0
+	if !c.done {
 		c.done = true
 		c.trace.EndOfComputation()
 		for _, l := range c.listeners {
@@ -159,6 +168,12 @@ func (c *Core) BeginFrameComputation() bool {
 	if c.scaleCount < c.frameScale {
 		return false
 	}
+	c.startFrame()
+	return true
+}
+
+// startFrame advances active-fc and notifies the listeners.
+func (c *Core) startFrame() {
 	c.scaleCount = 0
 	if c.stats.Frames > 0 {
 		c.activeFC++
@@ -168,7 +183,6 @@ func (c *Core) BeginFrameComputation() bool {
 	for _, l := range c.listeners {
 		l.NewFrameComputation(c.activeFC)
 	}
-	return true
 }
 
 // LoopGuard bounds the iterations of one scope body, implementing the

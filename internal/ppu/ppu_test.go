@@ -82,8 +82,8 @@ func TestEndOfComputationFiresOnceAtOutermostExit(t *testing.T) {
 	c := MustNewCore(0, 1)
 	r := &recorder{}
 	c.Subscribe(r)
-	c.BeginScope("main")
-	c.BeginScope("loop")
+	c.BeginScope()
+	c.BeginScope()
 	if err := c.EndScope(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEndOfComputationFiresOnceAtOutermostExit(t *testing.T) {
 		t.Errorf("ended = %d, done = %v", r.ended, c.Done())
 	}
 	// Re-entering and exiting must not re-fire.
-	c.BeginScope("again")
+	c.BeginScope()
 	if err := c.EndScope(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +190,9 @@ func TestCommitAccountsInstructions(t *testing.T) {
 
 func TestScopeDepthTracking(t *testing.T) {
 	c := MustNewCore(0, 1)
-	c.BeginScope("a")
-	c.BeginScope("b")
-	c.BeginScope("c")
+	c.BeginScope()
+	c.BeginScope()
+	c.BeginScope()
 	c.EndScope()
 	if c.Stats().ScopeDepthMax != 3 {
 		t.Errorf("ScopeDepthMax = %d, want 3", c.Stats().ScopeDepthMax)

@@ -689,30 +689,38 @@ func (q *Queue) canFill() bool {
 }
 
 // acquireFillSlot runs before the first push into a fresh working set when
-// the cached view says the ring is full: it waits (bounded by the timeout
-// budget) for a free working set, and on timeout proceeds anyway,
-// overwriting undrained data (§5.1: a timeout may cause incorrect data to
-// be transmitted but frame checking still realigns at frame boundaries).
+// the cached view says the ring is full: one refresh, which in the
+// fault-free steady state finds the consumer has caught up. Past a refresh
+// that finds the ring still full it takes awaitFillSlot.
 //
 //queue:side producer
-//hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
+//hotpath:ok working-set exchange slow path: lock-free ECC pointer access (Fig. 6, Table 3)
 func (q *Queue) acquireFillSlot() {
 	if q.ring == nil {
 		panic(useAfterRelease)
 	}
+	if !q.canFill() {
+		q.awaitFillSlot()
+	}
+}
+
+// awaitFillSlot waits (bounded by the timeout budget) for a free working
+// set, and on timeout proceeds anyway, overwriting undrained data (§5.1: a
+// timeout may cause incorrect data to be transmitted but frame checking
+// still realigns at frame boundaries). A sequential queue's producer never
+// waits: it times out at once.
+//
+//queue:side producer
+//hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
+func (q *Queue) awaitFillSlot() {
 	if q.plain {
-		if !q.canFill() {
-			q.stats.pushTimeouts.add(q.plain, 1)
-			q.stats.forcedOverwrites.add(q.plain, 1)
-			q.traceProd.PushTimeout(int32(q.id))
-		}
+		q.stats.pushTimeouts.add(q.plain, 1)
+		q.stats.forcedOverwrites.add(q.plain, 1)
+		q.traceProd.PushTimeout(int32(q.id))
 		return
 	}
-	if q.canFill() {
-		return
-	}
-	// Past this point the producer genuinely waits; the fast path above
-	// never reads the clock.
+	// Past this point the producer genuinely waits; the fast path never
+	// reads the clock.
 	if q.hPushWait != nil {
 		waitStart := time.Now()
 		defer func() { q.hPushWait.Record(uint64(time.Since(waitStart))) }()
@@ -793,6 +801,9 @@ func (q *Queue) Push(u Unit) {
 //queue:side producer
 //hotpath:ok working-set exchange slow path: lock-free ECC pointer advance once per working set (Fig. 6, Table 3)
 func (q *Queue) publish(n uint32) {
+	if n == 0 {
+		return
+	}
 	var t0 time.Time
 	if q.hPublish != nil {
 		t0 = time.Now()
@@ -839,15 +850,14 @@ func (q *Queue) publish(n uint32) {
 	}
 }
 
-// Flush publishes a partially filled working set. The producer calls it
+// Flush publishes a partially filled working set (none when the current
+// one is empty: publish ignores a length of 0). The producer calls it
 // when its thread's computation ends so trailing items (and the
 // end-of-computation header) reach the consumer.
 //
 //queue:side producer
 func (q *Queue) Flush() {
-	if n := uint32(q.prodOffset.load(q.plain)); n > 0 {
-		q.publish(n)
-	}
+	q.publish(uint32(q.prodOffset.load(q.plain)))
 }
 
 // Close marks the producer side finished. Blocked and future pops fail
@@ -868,42 +878,48 @@ func (q *Queue) Close() {
 //
 //queue:side consumer
 func (q *Queue) canDrain() bool {
-	ws := q.consWS
-	f := q.refreshFilled()
-	q.cachedFilled = f
+	q.cachedFilled = q.refreshFilled()
 	// Comparison is on free-running counters; after a raw-pointer
 	// corruption these can disagree wildly — the consumer may see a huge
 	// backlog (and read garbage from unwritten slots) or see nothing at
 	// all (and time out). That is exactly the failure mode of Fig. 3b;
 	// the timeout path bounds the damage.
-	if int32(f-ws) > 0 {
-		q.popStreak = 0
-		return true
+	if int32(q.cachedFilled-q.consWS) <= 0 {
+		return false
 	}
-	return false
+	q.popStreak = 0
+	return true
 }
 
-// acquireDrainSlot runs when the consumer's cached view is exhausted: it
-// waits (bounded by the timeout budget) until the consumer's working set is
-// published. It returns false on timeout or when the queue is closed and
-// fully drained.
+// acquireDrainSlot runs when the consumer's cached view is exhausted: one
+// refresh, which in the fault-free steady state finds the consumer's
+// working set published. Past a refresh that finds it unpublished it takes
+// awaitDrainSlot. It returns false on timeout or when the queue is closed
+// and fully drained.
 //
 //queue:side consumer
-//hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
+//hotpath:ok working-set exchange slow path: lock-free ECC pointer access (Fig. 6, Table 3)
 func (q *Queue) acquireDrainSlot() bool {
 	if q.ring == nil {
 		panic(useAfterRelease)
 	}
-	if q.canDrain() {
-		return true
-	}
+	return q.canDrain() || q.awaitDrainSlot()
+}
+
+// awaitDrainSlot waits (bounded by the timeout budget) until the
+// consumer's working set is published. A sequential queue's consumer
+// never waits: its pop times out at once.
+//
+//queue:side consumer
+//hotpath:ok working-set exchange slow path: bounded wait + lock-free ECC pointer access (Fig. 6, Table 3)
+func (q *Queue) awaitDrainSlot() bool {
 	if q.plain {
 		q.stats.popTimeouts.add(q.plain, 1)
 		q.traceCons.PopTimeout(int32(q.id))
 		return false
 	}
-	// Past this point the consumer genuinely waits; the fast path above
-	// never reads the clock.
+	// Past this point the consumer genuinely waits; the fast path never
+	// reads the clock.
 	if q.hPopWait != nil {
 		waitStart := time.Now()
 		defer func() { q.hPopWait.Record(uint64(time.Since(waitStart))) }()
@@ -953,13 +969,50 @@ func (q *Queue) Pop() (u Unit, ok bool) {
 	if int32(q.cachedFilled-q.consWS) <= 0 && !q.acquireDrainSlot() {
 		return 0, false
 	}
-	s := uint32(q.cfg.WorkingSetUnits)
+	u, off := q.next()
+	q.take(u, off)
+	return u, true
+}
+
+// PopIf removes the next unit only when it is bit for bit want: the
+// Alignment Manager's compare of the frame header it expects. took
+// reports whether it did; a taken unit is counted, and its working set
+// returned, exactly as by Pop. Any other unit is left in place with
+// nothing counted. ok is false when the pop failed, exactly as a failed
+// Pop (one timeout counted); then took is false too.
+//
+//queue:side consumer
+//hotpath:entry
+func (q *Queue) PopIf(want Unit) (took, ok bool) {
+	if int32(q.cachedFilled-q.consWS) <= 0 && !q.acquireDrainSlot() {
+		return false, false
+	}
+	u, off := q.next()
+	if u != want {
+		return false, true
+	}
+	q.take(u, off)
+	return true, true
+}
+
+// next reads the consumer's next unit and its local offset, without
+// consuming it. The cached view must cover the working set.
+//
+//queue:side consumer
+func (q *Queue) next() (Unit, uint32) {
 	off := uint32(q.consOffset.load(q.plain))
 	idx := off
-	if idx >= s { // corrupted offset: wrap like the pre-cache indexing did
+	if s := uint32(q.cfg.WorkingSetUnits); idx >= s { // corrupted offset: wrap like the pre-cache indexing did
 		idx = off % s
 	}
-	u = Unit(q.buf[q.consBase+idx].load(q.plain))
+	return Unit(q.buf[q.consBase+idx].load(q.plain)), off
+}
+
+// take consumes u, the unit next read at offset off: it counts the load
+// and returns the working set once its published length is drained.
+//
+//queue:side consumer
+func (q *Queue) take(u Unit, off uint32) {
 	if u.IsHeader() {
 		q.stats.headerLoads.add(q.plain, 1)
 	} else {
@@ -970,7 +1023,6 @@ func (q *Queue) Pop() (u Unit, ok bool) {
 	if off >= uint32(q.wsLen[q.consWSIdx].load(q.plain)) {
 		q.returnWS()
 	}
-	return u, true
 }
 
 // returnWS returns the drained working set to the producer (the consumer

@@ -332,7 +332,7 @@ func (e *Engine) execute(sequential bool) (*RunStats, error) {
 		}
 		order := e.topoOrder()
 		for _, n := range order {
-			threads[n.ID].core.BeginScope("global")
+			threads[n.ID].core.BeginScope()
 		}
 		for it := 0; it < iterations && !e.cancelled(); it++ {
 			for _, n := range order {
@@ -468,6 +468,11 @@ type thread struct {
 	itemsIn uint64
 
 	runLen int // longest run of fault-free firings fireRun takes at once
+	sized  int // firings the ports' flat buffers hold now (size)
+	// inRate/outRate are the items one clean firing pops/pushes over all
+	// its ports; window is its instruction window in the injector: its
+	// cost plus those items.
+	inRate, outRate, window int
 }
 
 // runItems bounds the items one port moves in a run of grouped firings:
@@ -475,8 +480,8 @@ type thread struct {
 // transit call, maxRate being its largest port rate. 256
 // items amortize a transit call's fixed cost over many rate-1..3
 // firings while a run's buffers stay a few KB; a kernel with a port rate
-// above 128 keeps one firing per call. Tests set it to 0 to force the
-// per-firing path.
+// above 128 keeps one firing per call. Tests set it to 0 to force one
+// firing per call everywhere.
 var runItems = 256
 
 // newThread builds node n's thread over the wired ports (outs and ins are
@@ -507,16 +512,20 @@ func newThread(n *Node, core *ppu.Core, mult int, inj *fault.Injector, outs []Ou
 		maxRate = max(maxRate, s.rate)
 	}
 	t.runLen = max(1, min(mult, items/maxRate))
+	t.sized = 1
 	for _, s := range t.ins {
 		s.buf = make([]uint32, s.rate, t.runLen*s.rate)
 		s.clearPlan()
 		t.inBufs = append(t.inBufs, s.buf)
+		t.inRate += s.rate
 	}
 	for _, s := range t.outs {
 		s.buf = make([]uint32, s.rate, t.runLen*s.rate)
 		s.clearPlan()
 		t.outBufs = append(t.outBufs, s.buf)
+		t.outRate += s.rate
 	}
+	t.window = t.cost + t.inRate + t.outRate
 	return t
 }
 
@@ -534,24 +543,22 @@ func (t *thread) coreStats() CoreStats {
 
 // runIteration executes one steady-state iteration (one frame computation)
 // of the node. Its fault-free firings run in runs of up to t.runLen
-// (fireRun): the injector's Quiet commits the run's instruction windows
-// and ends it just before the first firing with an error. That firing
-// takes the per-firing path (fireWithFaults), as does every firing of a
-// thread whose runs are one firing long: a node that fires once per
-// iteration, any node on the concurrent engine.
+// (fireRun), a thread whose runs are one firing long (a node that fires
+// once per iteration, any node on the concurrent engine) taking them one
+// at a time: the injector's Quiet commits the run's instruction windows
+// and ends it just before the first firing with an error. Only that
+// firing takes the per-firing path (fireWithFaults).
 func (t *thread) runIteration() {
-	t.core.BeginScope("frame-computation")
+	t.core.BeginScope()
 	t.core.BeginFrameComputation()
 	// The PPU watchdog bounds looping inside the scope: even with
 	// control-frame repeats the firing count cannot run away.
 	guard := t.core.LoopGuard(t.mult * 2)
 	for k := 0; k < t.mult; {
-		if t.runLen > 1 {
-			if n := t.quietRun(min(t.mult-k, guard.Remaining())); n > 0 && guard.NextN(n) {
-				t.fireRun(n)
-				k += n
-				continue
-			}
+		if n := t.quietRun(min(t.mult-k, guard.Remaining())); n > 0 && guard.NextN(n) {
+			t.fireRun(n)
+			k += n
+			continue
 		}
 		if !guard.Next() {
 			break
@@ -568,7 +575,7 @@ func (t *thread) runIteration() {
 func (t *thread) quietRun(limit int) int {
 	n := min(limit, t.runLen)
 	if t.inj != nil {
-		n = t.inj.Quiet(t.cost+t.commItems(), n)
+		n = t.inj.Quiet(t.window, n)
 	}
 	return n
 }
@@ -583,7 +590,7 @@ func (t *thread) finish() {
 }
 
 func (t *thread) run(iterations int) {
-	t.core.BeginScope("global")
+	t.core.BeginScope()
 	for it := 0; it < iterations && !t.cancelled(); it++ {
 		t.runIteration()
 	}
@@ -610,7 +617,7 @@ func (t *thread) fireWithFaults() {
 	t.core.Commit(t.cost)
 	var classes []fault.Class
 	if t.inj != nil {
-		classes = t.inj.Advance(t.cost + t.commItems())
+		classes = t.inj.Advance(t.window)
 	}
 
 	skip, repeat := false, false
@@ -662,13 +669,12 @@ func (t *thread) fireWithFaults() {
 	}
 }
 
-// fire executes one firing on the per-firing path, which every firing
-// with an error takes, and every firing of a thread with run length 1
-// (runIteration): every input port fills its flat buffer and applies its
-// armed perturbations, the kernel runs over the buffers, and every output
-// port applies its own and pushes. The checksummed ABFT kernel runs when
-// no item-count perturbation is armed, else WorkBatch. Other fault-free
-// firings run grouped (fireRun).
+// fire executes one firing on the per-firing path, which only a firing
+// with an error takes (runIteration): every input port fills its flat
+// buffer and applies its armed perturbations, the kernel runs over the
+// buffers, and every output port applies its own and pushes. The
+// checksummed ABFT kernel runs when no item-count perturbation is armed,
+// else WorkBatch. Fault-free firings run in fireRun.
 //
 //hotpath:entry
 func (t *thread) fire() {
@@ -676,6 +682,7 @@ func (t *thread) fire() {
 	if t.hBatch != nil {
 		t0 = time.Now()
 	}
+	t.size(1)
 	for _, s := range t.ins {
 		s.fill()
 	}
@@ -704,7 +711,7 @@ func (t *thread) fire() {
 	t.itemsIn += uint64(pops)
 }
 
-// fireRun executes n fault-free firings as one run. Each input port
+// fireRun executes n >= 1 fault-free firings as one run. Each input port
 // takes n·rate items into its flat buffer in one transit call, the
 // kernel runs once over the run's buffers (Filter.WorkBatch's k-firing
 // contract), and each output port pushes its n·rate items in one
@@ -720,19 +727,11 @@ func (t *thread) fireRun(n int) {
 	if t.hBatch != nil {
 		t0 = time.Now()
 	}
-	inRate, outRate := 0, 0
-	for i, s := range t.ins {
-		s.buf = s.buf[:n*s.rate]
+	t.size(n)
+	for _, s := range t.ins {
 		//hotpath:ok CS023 ports resolve to the transports' PopN entries
 		s.port.PopN(s.buf)
 		s.last = s.buf[len(s.buf)-1]
-		t.inBufs[i] = s.buf
-		inRate += s.rate
-	}
-	for o, s := range t.outs {
-		s.buf = s.buf[:n*s.rate]
-		t.outBufs[o] = s.buf
-		outRate += s.rate
 	}
 	h := t.hBatch
 	if t.abft {
@@ -742,18 +741,12 @@ func (t *thread) fireRun(n int) {
 		//hotpath:ok CS023 batch kernels are annotated entries of their own (dsp/codec kernels)
 		t.node.F.WorkBatch(t.inBufs, t.outBufs)
 	}
-	pops, pushes := n*inRate, n*outRate
+	pops, pushes := n*t.inRate, n*t.outRate
 	t.itemsIn += uint64(pops)
-	for i, s := range t.ins {
-		s.buf = s.buf[:s.rate]
-		t.inBufs[i] = s.buf
-	}
-	for o, s := range t.outs {
+	for _, s := range t.outs {
 		//hotpath:ok CS023 ports resolve to the transports' PushN entries
 		s.port.PushN(s.buf)
 		s.last = s.buf[len(s.buf)-1]
-		s.buf = s.buf[:s.rate]
-		t.outBufs[o] = s.buf
 	}
 	t.stats.Firings += uint64(n)
 	t.core.Commit(n*t.cost + pops + pushes)
@@ -764,6 +757,25 @@ func (t *thread) fireRun(n int) {
 		for range n {
 			h.Record(d)
 		}
+	}
+}
+
+// size makes every port's flat buffer hold n firings' items, in the port
+// and in inBufs/outBufs. The buffers keep the length of the last firing
+// or run until one of another length comes: a thread whose runs all have
+// one length sizes them once.
+func (t *thread) size(n int) {
+	if n == t.sized {
+		return
+	}
+	t.sized = n
+	for i, s := range t.ins {
+		s.buf = s.buf[:n*s.rate]
+		t.inBufs[i] = s.buf
+	}
+	for o, s := range t.outs {
+		s.buf = s.buf[:n*s.rate]
+		t.outBufs[o] = s.buf
 	}
 }
 
@@ -821,18 +833,6 @@ func (t *thread) workABFT() {
 		t.stats.ABFT.RecomputeOps += uint64(t.cost)
 		t.stats.ABFT.Corrections++
 	}
-}
-
-// commItems is the number of items communicated per clean firing.
-func (t *thread) commItems() int {
-	n := 0
-	for _, s := range t.ins {
-		n += s.rate
-	}
-	for _, s := range t.outs {
-		n += s.rate
-	}
-	return n
 }
 
 func (t *thread) clearPlans() {

@@ -1,8 +1,8 @@
 package stream
 
 // ForcePerFiring makes every engine started until restore is called fire
-// one firing per transit call: the per-firing path that grouped runs
-// must match. Tests that call it must not run in parallel.
+// one firing per transit call, as the concurrent engine does: what
+// grouped runs must match. Tests that call it must not run in parallel.
 func ForcePerFiring() (restore func()) {
 	saved := runItems
 	runItems = 0
